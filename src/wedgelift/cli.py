@@ -157,7 +157,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve(args)
     family = _family(config)
     q, h = family.q, family.subgroup_order
-    code = _code.build_code(family)
+    # F_q repair needs only the good monomials and the groups; the kernel
+    # (and so a full build) is needed only for the trace code.
+    code = _code.build_code(family, dimension_only=not config.binary)
     plan = _repair.build_repair_plan(code)
     if config.inject_fault:
         # Corrupt one parity-derived group: point one member of group 0 of

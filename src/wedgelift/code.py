@@ -17,15 +17,18 @@ from typing import Iterator
 import numpy as np
 
 from ._io import atomic_write_text
-from .classify import Monomial, is_bad_coset_criterion, restriction_grid
+from .classify import Monomial, is_bad_coset_criterion
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec
 from .linalg import (
-    array_to_bitset,
+    BATCH_BYTES,
+    GF2Echelon,
     bitset_to_array,
-    gf2_nullspace,
-    gf2_rank,
-    gf2_rref,
+    gf2_echelon,
+    ints_to_packed,
+    pack_rows,
+    packed_to_ints,
+    unpack_rows,
 )
 
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
@@ -51,24 +54,24 @@ def good_monomials(family: CosetFamily) -> tuple[Monomial, ...]:
     )
 
 
-def iter_parity_rows(family: CosetFamily) -> Iterator[int]:
-    """Bitset indicator rows of every wedge point set, ordered (coset, x, y)."""
+def iter_parity_rows(family: CosetFamily) -> Iterator[np.ndarray]:
+    """Packed indicator rows of every wedge point set: one (q, words) block of
+    uint64 words per (coset, x), rows y = 0..q-1, blocks ordered (coset, x)."""
     spec = family.field
     q = spec.q
     mul = spec.mul_table()
-    yy = np.arange(q, dtype=np.intp)
-    base = np.arange(q, dtype=np.intp) * q
+    ts = np.arange(q, dtype=np.intp)
+    yy = ts[None, None, :]
+    row_start = yy * (q * q)
     for coset in family.cosets:
+        slopes = np.array(coset, dtype=np.intp)[:, None]
         for x in range(q):
-            tx = np.arange(q, dtype=np.intp) ^ x
+            # Row y holds the points (t, alpha*(t+x) + y), t in F_q, alpha in
+            # the coset, at bit t*q + (alpha*(t+x) ^ y) = (t*q + alpha*(t+x)) ^ y.
+            line = ts * q + mul[slopes, ts ^ x]
             bits = np.zeros((q, q * q), dtype=np.uint8)
-            for alpha in coset:
-                v = mul[alpha, tx].astype(np.intp)
-                cols = base[:, None] + (v[:, None] ^ yy[None, :])
-                bits[yy[None, :], cols] = 1
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            for y in range(q):
-                yield int.from_bytes(packed[y].tobytes(), "little")
+            bits.reshape(-1)[((line[:, :, None] ^ yy) + row_start).reshape(-1)] = 1
+            yield pack_rows(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,30 +136,30 @@ def build_code(
     good-monomial evaluation is annihilated by every wedge.
 
     The parity rows are 0/1, so elimination over F_q never leaves {0, 1} and
-    the F_q rank equals the GF(2) bitset rank.
+    the F_q rank equals the GF(2) rank. One packed elimination gives the rank
+    and, in full mode, the reduced rows from which the kernel and the
+    annihilation check are read.
     """
     spec = family.field
     q = spec.q
+    n = q * q
     if not dimension_only:
         _guard_full_build(family, memory_guard_bytes)
     good = good_monomials(family)
 
     if dimension_only:
-        rank = gf2_rank(iter_parity_rows(family))
+        echelon = gf2_echelon(iter_parity_rows(family), n)
         rows: tuple[int, ...] | None = None
         kernel: tuple[int, ...] | None = None
     else:
-        rows = tuple(iter_parity_rows(family))
-        rank = gf2_rank(rows)
-        kernel = tuple(gf2_nullspace(rows, q * q))
-        for m in good:
-            for coset in family.cosets:
-                if restriction_grid(spec, coset, m).any():
-                    raise InvariantError(
-                        f"good monomial {tuple(m)} violates a wedge parity check"
-                    )
+        blocks = list(iter_parity_rows(family))
+        echelon = gf2_echelon(blocks, n)
+        rows = tuple(r for block in blocks for r in packed_to_ints(block))
+        del blocks
+        kernel = tuple(r for block in echelon.kernel() for r in packed_to_ints(block))
+        _check_good_annihilated(spec, good, echelon)
 
-    dimension = q * q - rank
+    dimension = n - echelon.rank
     if dimension < len(good):
         raise InvariantError(
             f"dimension {dimension} below good-monomial count {len(good)}"
@@ -169,6 +172,39 @@ def build_code(
         parity_rows=rows,
         kernel_basis=kernel,
     )
+
+
+def _check_good_annihilated(
+    spec: FieldSpec, good: tuple[Monomial, ...], echelon: GF2Echelon
+) -> None:
+    """G . R^T = 0 on every bit plane of the good-monomial evaluations G,
+    where R are the reduced parity rows.
+
+    A wedge sum of field values vanishes iff each of its ell bit planes has
+    even weight on the wedge, and the 0/1 parity rows span over GF(2) what
+    they span over F_q, so this is exactly "every good monomial satisfies
+    every wedge check". The counts are < q^2 <= 2^24, exact in float32.
+    """
+    q, ell = spec.q, spec.ell
+    n = q * q
+    reduced_t = unpack_rows(echelon.rows, n).T.astype(np.float32)
+    powers = np.stack([spec.pow_vector(e) for e in range(q)])
+    mul = spec.mul_table()
+    # bit_planes[j][v] = bit j of the field element v, as a float32 0/1.
+    bit_planes = ((np.arange(q) >> np.arange(ell)[:, None]) & 1).astype(np.float32)
+    step = max(1, BATCH_BYTES // (4 * n))
+    for start in range(0, len(good), step):
+        chunk = good[start : start + step]
+        a = np.array([m.a for m in chunk])
+        b = np.array([m.b for m in chunk])
+        values = mul[powers[a][:, :, None], powers[b][:, None, :]].reshape(len(chunk), n)
+        for plane in bit_planes:
+            odd = ((plane[values] @ reduced_t).astype(np.int64) & 1).any(axis=1)
+            if odd.any():
+                m = chunk[int(odd.nonzero()[0][0])]
+                raise InvariantError(
+                    f"good monomial {tuple(m)} violates a wedge parity check"
+                )
 
 
 def encode(code: WedgeLiftedCode, message) -> np.ndarray:
@@ -209,15 +245,19 @@ def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
         raise UsageError("trace code needs a full build (kernel basis missing)")
     spec = code.field
     n = code.length
-    mul = spec.mul_table()
-    tr = spec.trace_table()
-    raw: list[int] = []
-    for g_bits in code.kernel_basis:
-        g = bitset_to_array(g_bits, n)
-        for j in range(spec.ell):
-            raw.append(array_to_bitset(tr[mul[1 << j, g]]))
-    reduced = gf2_rref(raw)
-    generators = tuple(reduced[col] for col in sorted(reduced))
+    # trace_of_multiple[j][v] = trace(beta_j * v), beta_j = 1 << j the
+    # polynomial basis of F_q.
+    trace_of_multiple = spec.trace_table()[spec.mul_table()[1 << np.arange(spec.ell)]]
+    step = max(1, BATCH_BYTES // (n * spec.ell))
+
+    def traced_rows():
+        for start in range(0, len(code.kernel_basis), step):
+            g = unpack_rows(ints_to_packed(code.kernel_basis[start : start + step], n), n)
+            for table in trace_of_multiple:
+                yield pack_rows(table[g])
+
+    reduced = gf2_echelon(traced_rows(), n)
+    generators = tuple(packed_to_ints(reduced.rows[np.argsort(reduced.pivots)]))
     dim = len(generators)
     if not code.exact_dimension <= dim <= spec.ell * code.exact_dimension:
         raise InvariantError(

@@ -1,19 +1,184 @@
-"""Exact linear algebra: GF(2) on int-bitset rows, and dense elimination over GF(2^ell).
+"""Exact linear algebra: packed GF(2) elimination, and dense elimination over GF(2^ell).
 
-A row bitset encodes a 0/1 vector with column j at bit j. For 0/1 matrices the
-rank over any GF(2^ell) equals the GF(2) rank (row operations on unit pivots
-stay in the subfield), which is why the bitset path serves both codes; the
-dense eliminator exists to compute and cross-check ranks over the big field
-without that argument.
+The library eliminates over GF(2) with `GF2Echelon`: rows packed into uint64
+words (column j at bit j % 64 of word j // 64), reduced block by block against
+a basis kept in fully reduced row-echelon form. The big-int bitset functions
+`gf2_rank` and `gf2_rref` (column j at bit j of a Python int) are independent
+reference implementations that the tests compare against; no library code
+calls them.
+
+For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
+operations on unit pivots stay in the subfield), which is why one GF(2) path
+serves both codes; the dense eliminator exists to compute and cross-check
+ranks over the big field without that argument.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .field import FieldSpec
+
+
+WORD = np.dtype("<u8")
+# Rows per elimination batch are chosen so that one batch holds about this
+# many bytes: large enough that per-pivot numpy calls are amortised over many
+# rows, small enough to stay cache- and memory-friendly.
+BATCH_BYTES = 1 << 19
+
+
+def _words(ncols: int) -> int:
+    """uint64 words per packed row of ncols columns."""
+    return -(-ncols // 64)
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a (rows, ncols) 0/1 matrix into (rows, _words(ncols)) words,
+    zero-padded past column ncols."""
+    nrows, ncols = bits.shape
+    out = np.zeros((nrows, 8 * _words(ncols)), dtype=np.uint8)
+    out[:, : (ncols + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(WORD)
+
+
+def unpack_rows(words: np.ndarray, ncols: int) -> np.ndarray:
+    """Inverse of pack_rows: (rows, ncols) uint8 0/1 matrix."""
+    raw = np.ascontiguousarray(words, dtype=WORD).view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=ncols, bitorder="little")
+
+
+def packed_to_ints(words: np.ndarray) -> list[int]:
+    """Big-int bitset of every packed row."""
+    words = np.ascontiguousarray(words, dtype=WORD)
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+def ints_to_packed(rows: Iterable[int], ncols: int) -> np.ndarray:
+    """Packed words of big-int bitset rows (each below 2**ncols)."""
+    nbytes = 8 * _words(ncols)
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(raw, dtype=WORD).reshape(-1, _words(ncols)).copy()
+
+
+class GF2Echelon:
+    """Fully reduced row-echelon basis of a GF(2) row space, rows packed.
+
+    The pivot of a basis row is its lowest set column, and every pivot column
+    is zero in every other basis row. Such a basis is unique for its row
+    space, so it does not depend on the order or blocking of the input rows.
+    Rows are added in batches (see gf2_echelon): a batch is first reduced
+    against the basis (one vectorised XOR per pivot), then the rows it has
+    left are eliminated inside the batch row by row; each new pivot row is
+    XORed into the later rows of the batch and into the basis rows that have
+    its pivot bit.
+    """
+
+    def __init__(self, ncols: int) -> None:
+        if ncols < 0:
+            raise ValueError(f"ncols must be nonnegative, got {ncols}")
+        self.ncols = ncols
+        self.words = _words(ncols)
+        self.rank = 0
+        self._rows = np.zeros((64, self.words), dtype=WORD)
+        self._pivots: list[int] = []
+        self._masks: list[np.uint64] = []
+        pad = 64 * self.words - ncols
+        self._pad_mask = np.uint64(((1 << pad) - 1) << (64 - pad)) if pad else None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Basis rows in the order their pivots were found (read-only view)."""
+        view = self._rows[: self.rank]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """Pivot column of each basis row, aligned with `rows`."""
+        return np.array(self._pivots, dtype=np.int64)
+
+    def _add_batch(self, block: np.ndarray) -> None:
+        """Extend the row space by a C-contiguous (rows, words) block, which
+        is overwritten."""
+        if block.shape[1] != self.words:
+            raise ValueError(f"block has {block.shape[1]} words per row, expected {self.words}")
+        if self._pad_mask is not None and (block[:, -1] & self._pad_mask).any():
+            raise ValueError(f"block has bits set at or past column {self.ncols}")
+        for k in range(self.rank):
+            hit = (block[:, self._pivots[k] >> 6] & self._masks[k]).nonzero()[0]
+            if hit.size:
+                block[hit] ^= self._rows[k]
+        for i in np.flatnonzero(block.any(axis=1)):
+            row = block[i]
+            nonzero = row.nonzero()[0]
+            if not nonzero.size:
+                continue  # cleared by a pivot found earlier in this block
+            w = int(nonzero[0])
+            word = int(row[w])
+            col = 64 * w + (word & -word).bit_length() - 1
+            mask = np.uint64(1 << (col & 63))
+            later = block[i + 1 :]
+            hit = (later[:, w] & mask).nonzero()[0]
+            if hit.size:
+                later[hit] ^= row
+            hit = (self._rows[: self.rank, w] & mask).nonzero()[0]
+            if hit.size:
+                self._rows[hit] ^= row
+            self._append(row, col, mask)
+
+    def _append(self, row: np.ndarray, col: int, mask: np.uint64) -> None:
+        if self.rank == len(self._rows):
+            grown = np.zeros((2 * len(self._rows), self.words), dtype=WORD)
+            grown[: self.rank] = self._rows[: self.rank]
+            self._rows = grown
+        self._rows[self.rank] = row
+        self._pivots.append(col)
+        self._masks.append(mask)
+        self.rank += 1
+
+    def kernel(self) -> Iterator[np.ndarray]:
+        """Packed basis of {v : v . r = 0 for every row r}, in blocks.
+
+        One vector per free (non-pivot) column f < ncols, in increasing f:
+        the unit vector at f plus, for each basis row with bit f set, that
+        row's pivot column. Blocks hold about BATCH_BYTES of unpacked bits.
+        """
+        n = self.ncols
+        pivots = self.pivots
+        free = np.ones(n, dtype=bool)
+        free[pivots] = False
+        free_cols = np.flatnonzero(free)
+        rows = self._rows[: self.rank]
+        step = max(1, BATCH_BYTES // max(n, 1))
+        for start in range(0, free_cols.size, step):
+            f = free_cols[start : start + step]
+            bits = np.zeros((f.size, n), dtype=np.uint8)
+            bits[np.arange(f.size), f] = 1
+            # bits of column f in every basis row: (rank, len(f)) -> transposed
+            at_f = (rows[:, f >> 6] >> (f & 63).astype(np.uint64)) & np.uint64(1)
+            bits[:, pivots] = at_f.T
+            yield pack_rows(bits)
+
+
+def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
+    """Eliminate a stream of packed (rows, words) row blocks, regrouped into
+    batches of about BATCH_BYTES so that each pass over the basis covers many
+    rows. The blocks themselves are not modified."""
+    echelon = GF2Echelon(ncols)
+    batch_rows = max(1, BATCH_BYTES // (8 * max(echelon.words, 1)))
+    pending: list[np.ndarray] = []
+    held = 0
+    for block in blocks:
+        pending.append(block)
+        held += len(block)
+        if held >= batch_rows:
+            echelon._add_batch(np.concatenate(pending, dtype=WORD))
+            pending, held = [], 0
+    if pending:
+        echelon._add_batch(np.concatenate(pending, dtype=WORD))
+    return echelon
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -48,25 +213,6 @@ def gf2_rref(rows: Iterable[int]) -> dict[int, int]:
                 rest &= rest - 1
         pivots[col] = row
     return pivots
-
-
-def gf2_nullspace(rows: Iterable[int], ncols: int) -> list[int]:
-    """Basis bitsets of {v : every row r has parity(v & r) = 0}.
-
-    One basis vector per free column, in increasing free-column order; basis
-    vector for free column f has bit f set (unit-pivot form).
-    """
-    pivots = gf2_rref(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for col, row in pivots.items():
-            if row >> f & 1:
-                v |= 1 << col
-        basis.append(v)
-    return basis
 
 
 def bitset_to_array(bits: int, ncols: int) -> np.ndarray:

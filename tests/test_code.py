@@ -2,18 +2,21 @@
 
 Every frozen dimension below was recomputed through two additional
 eliminators (dense numpy GF(2) and dense GF(2^ell)) before being fixed as a
-constant, so the bitset rank path never certifies itself.
+constant, so the packed rank path never certifies itself; its kernel and
+trace generators are compared bit for bit with the big-int reference.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wedgelift import (
+    InvariantError,
     MemoryGuardError,
     UsageError,
     build_code,
@@ -25,6 +28,8 @@ from wedgelift import (
     redundancy_exponent,
     trace_code,
 )
+import wedgelift.code as code_module
+from wedgelift._io import atomic_write_text
 from wedgelift.classify import Monomial, restriction_grid
 from wedgelift.code import (
     export_matrix,
@@ -32,7 +37,14 @@ from wedgelift.code import (
     iter_parity_rows,
     write_descriptor,
 )
-from wedgelift.linalg import array_to_bitset, bitset_to_array, gf2_rank, gfq_rank
+from wedgelift.linalg import (
+    array_to_bitset,
+    bitset_to_array,
+    gf2_rank,
+    gf2_rref,
+    gfq_rank,
+    packed_to_ints,
+)
 
 from test_linalg import numpy_gf2_rank
 
@@ -93,7 +105,11 @@ def test_parity_rows_are_wedge_indicators(f16) -> None:
     from wedgelift.classify import Wedge
 
     family = make_coset_family(f16, 5)
-    rows = list(iter_parity_rows(family))
+    blocks = list(iter_parity_rows(family))
+    # One (q, q^2/64) block of uint64 words per (coset, x).
+    assert len(blocks) == 3 * 16
+    assert all(b.shape == (16, 4) and b.dtype == np.uint64 for b in blocks)
+    rows = [r for b in blocks for r in packed_to_ints(b)]
     assert len(rows) == 3 * 256
     # Ordered (coset, x, y); spot-check a handful against the geometry.
     idx = 0
@@ -164,6 +180,45 @@ def test_nullspace_sampling_gf4(code4_3, rng) -> None:
                 vec ^= b
         for row in code4_3.parity_rows:
             assert bin(vec & row).count("1") % 2 == 0
+
+
+def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) -> None:
+    """kernel_basis and binary_generators are bit-identical to the big-int
+    path: the RREF of the parity rows by gf2_rref, a kernel vector per free
+    column, and the RREF of the trace rows tr(2^j * g)."""
+    for code in (code4_3, code16_5, code16_15):
+        n = code.length
+        rref = gf2_rref(code.parity_rows)
+        kernel = []
+        for f in range(n):
+            if f not in rref:
+                v = 1 << f
+                for col, row in rref.items():
+                    if row >> f & 1:
+                        v |= 1 << col
+                kernel.append(v)
+        assert code.kernel_basis == tuple(kernel)
+
+        spec = code.field
+        raw = [
+            array_to_bitset(spec.trace_table()[spec.mul_table()[1 << j, bitset_to_array(g, n)]])
+            for g in kernel
+            for j in range(spec.ell)
+        ]
+        traced = gf2_rref(raw)
+        binary = trace_code(code)
+        assert binary.binary_generators == tuple(traced[c] for c in sorted(traced))
+
+
+def test_annihilation_check_fires_on_a_bad_monomial(fam16_5, monkeypatch) -> None:
+    """A bad monomial slipped into the good set makes the full build's exact
+    G . R^T check raise."""
+    bad = Monomial(15, 15)
+    real = code_module.good_monomials(fam16_5)
+    assert bad not in real
+    monkeypatch.setattr(code_module, "good_monomials", lambda family: real[:100] + (bad,) + real[100:])
+    with pytest.raises(InvariantError, match=r"good monomial \(15, 15\) violates"):
+        build_code(fam16_5)
 
 
 def test_generator_rows_lie_in_kernel(code16_5) -> None:
@@ -348,6 +403,21 @@ def test_exports_are_deterministic(tmp_path, code4_3) -> None:
     export_matrix(p1, code4_3.generator_matrix(), q=4)
     export_matrix(p2, code4_3.generator_matrix(), q=4)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_written_files_follow_umask(tmp_path) -> None:
+    """Files are created with mode 0o666 minus the process umask (not the
+    0o600 of a private temp file), also when they replace an older file."""
+    path = tmp_path / "out.txt"
+    for mask in (0o022, 0o077, 0o002):
+        previous = os.umask(mask)
+        try:
+            atomic_write_text(path, "x\n")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~mask
+        assert path.read_text() == "x\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_good_monomials_ordering(fam4_3) -> None:

@@ -1,9 +1,9 @@
-"""GF(2) bitset elimination and the dense GF(2^ell) eliminator.
+"""GF(2) elimination (packed and big-int bitsets) and the dense GF(2^ell) eliminator.
 
-The bitset path is cross-checked on random matrices against a from-scratch
-numpy row-reduction, and the subfield identity (0/1 matrices keep their rank
-over the extension field) is *tested* against the dense eliminator rather
-than assumed.
+The packed eliminator the library uses is compared against the big-int
+reference (`gf2_rank`, `gf2_rref`), and both against a from-scratch numpy
+row-reduction; the subfield identity (0/1 matrices keep their rank over the
+extension field) is *tested* against the dense eliminator rather than assumed.
 """
 
 from __future__ import annotations
@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 
 from wedgelift import make_field
 from wedgelift.linalg import (
+    GF2Echelon,
     array_to_bitset,
     bitset_to_array,
-    gf2_nullspace,
+    gf2_echelon,
     gf2_rank,
     gf2_rref,
     gfq_rank,
+    ints_to_packed,
+    pack_rows,
+    packed_to_ints,
+    unpack_rows,
 )
 
 
@@ -126,6 +131,11 @@ def test_rref_properties() -> None:
             assert acc == 0
 
 
+def packed_kernel(bitsets: list[int], ncols: int) -> list[int]:
+    echelon = gf2_echelon([ints_to_packed(bitsets, ncols)], ncols)
+    return [v for block in echelon.kernel() for v in packed_to_ints(block)]
+
+
 def test_nullspace_properties() -> None:
     rng = np.random.default_rng(14)
     for _ in range(20):
@@ -133,7 +143,7 @@ def test_nullspace_properties() -> None:
         ncols = int(rng.integers(1, 25))
         m = random_bit_matrix(rng, nrows, ncols)
         bitsets = rows_to_bitsets(m)
-        basis = gf2_nullspace(bitsets, ncols)
+        basis = packed_kernel(bitsets, ncols)
         assert len(basis) == ncols - gf2_rank(bitsets)
         assert basis == sorted(basis)
         for vec in basis:
@@ -145,8 +155,106 @@ def test_nullspace_properties() -> None:
 
 
 def test_nullspace_trivial_cases() -> None:
-    assert gf2_nullspace([], 3) == [0b001, 0b010, 0b100]
-    assert gf2_nullspace([1 << j for j in range(4)], 4) == []
+    assert packed_kernel([], 3) == [0b001, 0b010, 0b100]
+    assert packed_kernel([1 << j for j in range(4)], 4) == []
+
+
+# ---------------------------------------------------------------------------
+# Packed eliminator against the big-int reference
+# ---------------------------------------------------------------------------
+
+
+def packed_rref(echelon: GF2Echelon) -> dict[int, int]:
+    return dict(zip(echelon.pivots.tolist(), packed_to_ints(echelon.rows)))
+
+
+def eliminate(m: np.ndarray, cuts=()) -> GF2Echelon:
+    """Packed elimination of m, fed as blocks split before the rows in cuts."""
+    return gf2_echelon(np.split(pack_rows(m), list(cuts)), m.shape[1])
+
+
+def test_pack_roundtrip_and_padding() -> None:
+    rng = np.random.default_rng(18)
+    for ncols in (1, 16, 63, 64, 65, 130):
+        m = random_bit_matrix(rng, 5, ncols)
+        packed = pack_rows(m)
+        assert packed.shape == (5, -(-ncols // 64))
+        assert np.array_equal(unpack_rows(packed, ncols), m)
+        assert packed_to_ints(packed) == rows_to_bitsets(m)
+        assert np.array_equal(ints_to_packed(rows_to_bitsets(m), ncols), packed)
+
+
+def test_packed_matches_references_random() -> None:
+    """Rank against big-int and numpy elimination, RREF against big-int
+    gf2_rref, at widths on both sides of word boundaries."""
+    rng = np.random.default_rng(19)
+    for ncols in (1, 7, 16, 63, 64, 65, 127, 128, 200):
+        for _ in range(6):
+            nrows = int(rng.integers(1, 2 * ncols + 3))
+            m = random_bit_matrix(rng, nrows, ncols)
+            if rng.integers(2):
+                # Low-rank rows: products of thin factors.
+                k = int(rng.integers(1, max(2, ncols // 3)))
+                m = (random_bit_matrix(rng, nrows, k).astype(np.int64)
+                     @ random_bit_matrix(rng, k, ncols) % 2).astype(np.uint8)
+            bitsets = rows_to_bitsets(m)
+            echelon = eliminate(m)
+            assert echelon.rank == gf2_rank(bitsets) == numpy_gf2_rank(m)
+            assert packed_rref(echelon) == gf2_rref(bitsets)
+
+
+def test_packed_q4h3_width_padding_never_free() -> None:
+    """q = 4: 16 columns inside one 64-bit word; the 48 padding columns are
+    neither pivots nor free columns of the kernel."""
+    from wedgelift import make_coset_family, make_field
+    from wedgelift.code import iter_parity_rows
+
+    family = make_coset_family(make_field(2), 3)
+    blocks = list(iter_parity_rows(family))
+    assert all(b.shape == (4, 1) for b in blocks)
+    rows = [r for b in blocks for r in packed_to_ints(b)]
+    echelon = gf2_echelon(blocks, 16)
+    assert echelon.rank == gf2_rank(rows) == 6
+    assert packed_rref(echelon) == gf2_rref(rows)
+    assert all(p < 16 for p in echelon.pivots)
+    free = sorted(set(range(16)) - set(echelon.pivots.tolist()))
+    kernel = packed_kernel(rows, 16)
+    assert len(kernel) == len(free) == 10
+    assert all(v < 1 << 16 and v >> f & 1 for v, f in zip(kernel, free))
+
+
+def test_packed_empty_and_zero_rows() -> None:
+    empty = gf2_echelon([], 70)
+    assert empty.rank == 0 and empty.rows.shape == (0, 2)
+    assert packed_to_ints(np.concatenate(list(empty.kernel()))) == [1 << j for j in range(70)]
+    zeros = eliminate(np.zeros((9, 70), dtype=np.uint8), cuts=[4])
+    assert zeros.rank == 0 and packed_rref(zeros) == {}
+    assert gf2_echelon([np.zeros((0, 1), dtype=np.uint64)], 10).rank == 0
+
+
+def test_packed_duplicate_rows_and_block_boundaries() -> None:
+    """Duplicated rows add nothing, and the RREF does not depend on where the
+    stream is cut into blocks or on the row order."""
+    rng = np.random.default_rng(20)
+    for ncols in (16, 100, 150):
+        m = random_bit_matrix(rng, 40, ncols)
+        m = np.vstack([m, m[::3], m[:5] ^ m[5:10]])
+        reference = gf2_rref(rows_to_bitsets(m))
+        for cuts in ([], [1], [7, 8, 30], list(range(1, len(m))), [len(m) - 1]):
+            echelon = eliminate(m, cuts)
+            assert packed_rref(echelon) == reference
+        assert packed_rref(eliminate(m[::-1], [13, 29])) == reference
+
+
+def test_packed_leaves_input_and_validates() -> None:
+    blocks = [pack_rows(np.eye(3, 70, dtype=np.uint8)), pack_rows(np.ones((2, 70), dtype=np.uint8))]
+    before = [b.copy() for b in blocks]
+    assert gf2_echelon(blocks, 70).rank == 4
+    assert all(np.array_equal(b, c) for b, c in zip(blocks, before))
+    with pytest.raises(ValueError, match="words per row"):
+        gf2_echelon([np.zeros((1, 3), dtype=np.uint64)], 70)
+    with pytest.raises(ValueError, match="past column 70"):
+        gf2_echelon([np.array([[0, 1 << 6]], dtype=np.uint64)], 70)
 
 
 # ---------------------------------------------------------------------------
