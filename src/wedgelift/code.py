@@ -9,6 +9,7 @@ is what lets one representation serve both the F_q code and the binary code).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,6 +42,24 @@ def eval_monomial(spec: FieldSpec, m: Monomial) -> np.ndarray:
         spec.pow_vector(a)[:, None], spec.pow_vector(b)[None, :]
     ]
     return grid.reshape(-1)
+
+
+def _exponents(monomials: tuple[Monomial, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent vectors (a, b) of a monomial sequence."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(monomials), dtype=np.intp, count=2 * len(monomials)
+    )
+    return flat[0::2], flat[1::2]
+
+
+def _eval_monomials(spec: FieldSpec, monomials: tuple[Monomial, ...]) -> np.ndarray:
+    """Evaluation vectors of the monomials as rows, in one gather:
+    row i is eval_monomial(spec, monomials[i])."""
+    q = spec.q
+    powers = spec.power_table()
+    a, b = _exponents(monomials)
+    values = spec.mul_table()[powers[a][:, :, None], powers[b][:, None, :]]
+    return values.reshape(len(monomials), q * q)
 
 
 def good_monomials(family: CosetFamily) -> tuple[Monomial, ...]:
@@ -106,7 +125,7 @@ class WedgeLiftedCode:
     def generator_matrix(self) -> np.ndarray:
         """Good-monomial evaluation vectors as rows (a spanning subset, not
         necessarily a basis: dimension_slack rows may be missing)."""
-        return np.stack([eval_monomial(self.field, m) for m in self.good_monomials])
+        return _eval_monomials(self.field, self.good_monomials)
 
     def parity_check_matrix(self) -> np.ndarray:
         if self.parity_rows is None:
@@ -188,16 +207,12 @@ def _check_good_annihilated(
     q, ell = spec.q, spec.ell
     n = q * q
     reduced_t = unpack_rows(echelon.rows, n).T.astype(np.float32)
-    powers = np.stack([spec.pow_vector(e) for e in range(q)])
-    mul = spec.mul_table()
     # bit_planes[j][v] = bit j of the field element v, as a float32 0/1.
     bit_planes = ((np.arange(q) >> np.arange(ell)[:, None]) & 1).astype(np.float32)
     step = max(1, BATCH_BYTES // (4 * n))
     for start in range(0, len(good), step):
         chunk = good[start : start + step]
-        a = np.array([m.a for m in chunk])
-        b = np.array([m.b for m in chunk])
-        values = mul[powers[a][:, :, None], powers[b][:, None, :]].reshape(len(chunk), n)
+        values = _eval_monomials(spec, chunk)
         for plane in bit_planes:
             odd = ((plane[values] @ reduced_t).astype(np.int64) & 1).any(axis=1)
             if odd.any():
@@ -208,18 +223,34 @@ def _check_good_annihilated(
 
 
 def encode(code: WedgeLiftedCode, message) -> np.ndarray:
-    """Linear combination of good-monomial generators with message coefficients."""
+    """Linear combination of good-monomial generators with message coefficients.
+
+    This is the evaluation of f = sum_i message[i] * X^a_i Y^b_i, computed
+    from the q x q coefficient grid M (zero at bad monomials) as
+    f(x, y) = sum_a x^a * (sum_b M[a, b] * y^b): two gathers of about q^3
+    table lookups, not one per generator entry, and no generator matrix.
+    """
     msg = np.asarray(message, dtype=np.int64)
     if msg.shape != (len(code.good_monomials),):
         raise UsageError(
             f"message length {msg.size} != {len(code.good_monomials)} generators"
         )
-    q = code.field.q
+    spec = code.field
+    q = spec.q
     if msg.size and (msg.min() < 0 or msg.max() >= q):
         raise UsageError(f"message symbols must lie in [0, {q})")
-    mul = code.field.mul_table()
-    scaled = mul[msg[:, None], code.generator_matrix()]
-    return np.bitwise_xor.reduce(scaled, axis=0)
+    mul, powers = spec.mul_table(), spec.power_table()
+    grid = np.zeros((q, q), dtype=mul.dtype)
+    grid[_exponents(code.good_monomials)] = msg
+    word = np.zeros((q, q), dtype=mul.dtype)
+    # Each gather below holds step * q^2 table entries.
+    step = max(1, BATCH_BYTES // (mul.itemsize * q * q))
+    for start in range(0, q, step):
+        rows = slice(start, start + step)
+        # inner[a, y] = sum_b M[a, b] * y^b, then word[x, y] ^= x^a * inner[a, y].
+        inner = np.bitwise_xor.reduce(mul[grid[rows, :, None], powers[None]], axis=1)
+        word ^= np.bitwise_xor.reduce(mul[powers[rows, :, None], inner[:, None, :]], axis=0)
+    return word.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -148,6 +148,11 @@ class FieldSpec:
         """Full q x q multiplication table (lazily built and cached)."""
         return _mul_table_cached(self)
 
+    def power_table(self) -> np.ndarray:
+        """Full q x q power table, row n = pow_vector(n): entry [n, t] = t^n,
+        with 0^0 = 1 (lazily built and cached)."""
+        return _power_table_cached(self)
+
     def trace_table(self) -> np.ndarray:
         """Vector of trace2(t) over all t, indexed by t."""
         return _trace_table_cached(self)
@@ -160,6 +165,19 @@ def _mul_table_cached(spec: FieldSpec) -> np.ndarray:
         raise UsageError(f"multiplication table for q={q} exceeds the desk-scale guard")
     table = np.zeros((q, q), dtype=np.uint16)
     exp = (spec.log[1:, None] + spec.log[None, 1:]) % (q - 1)
+    table[1:, 1:] = spec.antilog[exp]
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _power_table_cached(spec: FieldSpec) -> np.ndarray:
+    q = spec.q
+    if q > 4096:
+        raise UsageError(f"power table for q={q} exceeds the desk-scale guard")
+    table = np.zeros((q, q), dtype=np.uint16)
+    table[0] = 1
+    exp = (np.arange(1, q)[:, None] * spec.log[None, 1:]) % (q - 1)
     table[1:, 1:] = spec.antilog[exp]
     table.setflags(write=False)
     return table

@@ -16,6 +16,7 @@ import numpy as np
 
 from .code import BinaryTraceCode, WedgeLiftedCode, encode
 from .errors import InvariantError, UsageError
+from .linalg import BATCH_BYTES
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,15 +59,29 @@ def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
                 )
             groups[j, x * q : (x + 1) * q] = block
     groups.sort(axis=2)
-
-    coords = np.arange(n, dtype=np.int32)
-    if (groups == coords[None, :, None]).any():
-        raise InvariantError("a repair group contains its own coordinate")
-    merged = np.sort(groups.transpose(1, 0, 2).reshape(n, -1), axis=1)
-    if (np.diff(merged, axis=1) == 0).any():
-        raise InvariantError("repair groups of a coordinate are not disjoint")
+    _check_disjoint(groups)
     groups.setflags(write=False)
     return RepairPlan(code=code, groups=groups)
+
+
+def _check_disjoint(groups: np.ndarray) -> None:
+    """Raise InvariantError unless, for every coordinate p, no group of p
+    contains p and the t groups of p are pairwise disjoint.
+
+    Exact, and run over chunks of coordinates whose groups take about
+    BATCH_BYTES, so the merged and sorted copy stays small.
+    """
+    t, n, size = groups.shape
+    step = max(1, BATCH_BYTES // (groups.itemsize * t * size))
+    for start in range(0, n, step):
+        chunk = groups[:, start : start + step]
+        count = chunk.shape[1]
+        coords = np.arange(start, start + count, dtype=groups.dtype)
+        if (chunk == coords[None, :, None]).any():
+            raise InvariantError("a repair group contains its own coordinate")
+        merged = np.sort(chunk.transpose(1, 0, 2).reshape(count, -1), axis=1)
+        if (merged[:, 1:] == merged[:, :-1]).any():
+            raise InvariantError("repair groups of a coordinate are not disjoint")
 
 
 def _group_sums(plan: RepairPlan, codeword: np.ndarray, j: int) -> np.ndarray:

@@ -214,6 +214,43 @@ def test_restriction_grid_matches_scalar_restriction(f16: FieldSpec) -> None:
         assert int(grid[x, y]) == scalar
 
 
+@pytest.mark.parametrize("ell, orders", [(4, (1, 3, 5, 15)), (6, (3, 9, 21))])
+def test_line_sum_equals_point_set_sum(ell: int, orders: tuple[int, ...]) -> None:
+    """The restriction summed over the wedge's lines equals the sum over its
+    point set: the odd coset size cancels the point p, which every line
+    passes through, down to one copy. Each polynomial has a bad monomial, so
+    that some of the sums are nonzero."""
+    spec = make_field(ell)
+    q = spec.q
+    rng = np.random.default_rng(ell)
+    nonzero = 0
+
+    def value(poly, u: int, v: int) -> int:
+        acc = 0
+        for (a, b), coeff in poly:
+            acc ^= spec.mul(coeff, spec.mul(spec.pow(u, a), spec.pow(v, b)))
+        return acc
+
+    for h in orders:
+        family = make_coset_family(spec, h)
+        bad = [(a, b) for a in range(q) for b in range(q)
+               if is_bad_coset_criterion(Monomial(a, b), h, ell)]
+        for _ in range(4):
+            poly = [(bad[int(rng.integers(len(bad)))], int(rng.integers(1, q)))]
+            poly += [
+                ((int(rng.integers(q)), int(rng.integers(q))), int(rng.integers(1, q)))
+                for _ in range(int(rng.integers(3)))
+            ]
+            coset = family.cosets[int(rng.integers(family.t))]
+            wedge = Wedge(coset, (int(rng.integers(q)), int(rng.integers(q))))
+            point_sum = 0
+            for u, v in wedge_point_set(spec, wedge):
+                point_sum ^= value(poly, u, v)
+            assert wedge_restriction(spec, poly, wedge) == point_sum
+            nonzero += point_sum != 0
+    assert nonzero > 0
+
+
 # ---------------------------------------------------------------------------
 # Oracle vs criterion: exhaustive agreement
 # ---------------------------------------------------------------------------

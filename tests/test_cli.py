@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -209,6 +210,26 @@ def test_verify_inject_fault_fails(capsys, tmp_path) -> None:
     assert "parallel_reads" not in out  # no smoke read after a failed run
     failure = report["failures"][0]
     assert set(failure) == {"coordinate", "group", "expected", "got"}
+
+
+def test_verify_inject_fault_records_pinned(capsys, tmp_path) -> None:
+    """The failure records carry codeword values, so they pin the codewords
+    that verify draws: 91 of the 100 seed-0 trials at q16h5 miss at the
+    tampered group 0 of coordinate 0."""
+    status, _, _ = run(
+        capsys, "verify", "--ell", "4", "--subgroup-order", "5",
+        "--inject-fault", "--out-dir", str(tmp_path),
+    )
+    assert status == 1
+    failures = json.loads((tmp_path / "verify_q16_h5.json").read_text())["failures"]
+    assert len(failures) == 91
+    assert failures[:3] == [
+        {"coordinate": 0, "group": 0, "expected": 13, "got": 11},
+        {"coordinate": 0, "group": 0, "expected": 14, "got": 2},
+        {"coordinate": 0, "group": 0, "expected": 1, "got": 10},
+    ]
+    digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
+    assert digest == "5103c9e022636f878f941abbc31c5ef5a7e2cd6500282646808e99711fb89cd3"
 
 
 def test_verify_report_deterministic(capsys, tmp_path) -> None:

@@ -266,15 +266,52 @@ def test_memory_guard() -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_encode_zero_and_units(code4_3) -> None:
-    k = len(code4_3.good_monomials)
-    zero = encode(code4_3, [0] * k)
-    assert (zero == 0).all()
-    gen = code4_3.generator_matrix()
-    for i in range(k):
-        msg = [0] * k
-        msg[i] = 1
-        assert np.array_equal(encode(code4_3, msg), gen[i])
+def test_encode_zero_and_units(code4_3, code16_5) -> None:
+    for code in (code4_3, code16_5):
+        k = len(code.good_monomials)
+        zero = encode(code, [0] * k)
+        assert (zero == 0).all()
+        gen = code.generator_matrix()
+        for i in range(k):
+            msg = [0] * k
+            msg[i] = 1
+            assert np.array_equal(encode(code, msg), gen[i])
+
+
+@pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15", "code64_9"])
+def test_encode_matches_generator_matrix_reference(name, request, rng) -> None:
+    """The coefficient-grid evaluation equals the message-weighted XOR sum of
+    the generator rows, value for value and dtype for dtype."""
+    code = request.getfixturevalue(name)
+    q, k = code.field.q, len(code.good_monomials)
+    gen = code.generator_matrix()
+    mul = code.field.mul_table()
+    messages = [rng.integers(0, q, size=k) for _ in range(3)]
+    messages.append(np.full(k, q - 1))
+    for msg in messages:
+        reference = np.bitwise_xor.reduce(mul[msg[:, None], gen], axis=0)
+        word = encode(code, msg)
+        assert word.dtype == reference.dtype
+        assert np.array_equal(word, reference)
+
+
+def test_encode_chunks_cover_every_exponent(code16_5, monkeypatch, rng) -> None:
+    """With a batch of 3 exponents a per gather (the last batch short), the
+    word is still the full sum."""
+    code = code16_5
+    monkeypatch.setattr(code_module, "BATCH_BYTES", 3 * 2 * 16 * 16)
+    gen = code.generator_matrix()
+    msg = rng.integers(0, 16, size=len(code.good_monomials))
+    reference = np.bitwise_xor.reduce(code.field.mul_table()[msg[:, None], gen], axis=0)
+    assert np.array_equal(encode(code, msg), reference)
+
+
+def test_generator_matrix_rows_are_monomial_evaluations(code4_3, code16_5) -> None:
+    for code in (code4_3, code16_5):
+        reference = np.stack([eval_monomial(code.field, m) for m in code.good_monomials])
+        gen = code.generator_matrix()
+        assert gen.dtype == reference.dtype
+        assert np.array_equal(gen, reference)
 
 
 def test_encode_random_messages_satisfy_checks(code16_5, rng) -> None:

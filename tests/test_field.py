@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +233,15 @@ def test_pow_vector_matches_pow() -> None:
         vec = spec.pow_vector(n)
         assert vec.shape == (16,)
         assert [int(v) for v in vec] == [spec.pow(a, n) for a in range(16)]
+
+
+def test_power_table_rows_are_pow_vectors(f16: FieldSpec, f64: FieldSpec) -> None:
+    for spec in (make_field(1), make_field(2), f16, f64):
+        table = spec.power_table()
+        assert table.shape == (spec.q, spec.q) and table.dtype == np.uint16
+        for n in range(spec.q):
+            assert np.array_equal(table[n], spec.pow_vector(n))
+        assert not table.flags.writeable
 
 
 def test_mul_table_matches_mul(f16: FieldSpec) -> None:

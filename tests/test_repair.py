@@ -18,7 +18,8 @@ from wedgelift import (
     wedge_point_set,
 )
 from wedgelift.classify import Wedge
-from wedgelift.repair import _group_sums
+from wedgelift.linalg import BATCH_BYTES
+from wedgelift.repair import _check_disjoint, _group_sums
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,24 @@ def test_groups_disjoint_and_cover(plan16_5) -> None:
         assert p not in all_indices
         # Union of the t groups plus the coordinate: t*h*(q-1) + 1 points.
         assert all_indices.size + 1 == 3 * 5 * (q - 1) + 1 == 226
+
+
+def test_disjointness_check_covers_every_chunk(plan64_9) -> None:
+    """The check runs over coordinate chunks; faults placed past the first
+    chunk, and in the last coordinate, still raise."""
+    t, n, size = plan64_9.groups.shape
+    chunk = BATCH_BYTES // (plan64_9.groups.itemsize * t * size)
+    assert 1 <= chunk < 4000
+    _check_disjoint(plan64_9.groups)
+    for p in (4000, n - 1):
+        overlap = plan64_9.groups.copy()
+        overlap[1, p, 0] = overlap[0, p, 5]
+        with pytest.raises(InvariantError, match="not disjoint"):
+            _check_disjoint(overlap)
+        own = plan64_9.groups.copy()
+        own[2, p, 3] = p
+        with pytest.raises(InvariantError, match="its own coordinate"):
+            _check_disjoint(own)
 
 
 def test_groups_are_sorted_and_readonly(plan16_5) -> None:
