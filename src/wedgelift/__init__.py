@@ -8,19 +8,12 @@ Each coset hands every coordinate a disjoint repair group, and the trace map
 turns the whole thing into a binary code with the same repair structure.
 """
 
-from .bitlattice import (
-    binom_mod2,
-    bit_and,
-    bit_or,
-    enumerate_2_shadow,
-    in_2_shadow,
-)
+from .bitlattice import enumerate_2_shadow
 from .classify import (
     Monomial,
     Wedge,
     count_bad,
     count_bad_closed_form,
-    count_bad_naive_bound,
     is_bad_block_criterion,
     is_bad_coset_criterion,
     is_good_oracle,
@@ -78,18 +71,13 @@ __all__ = [
     "UsageError",
     "Wedge",
     "WedgeLiftedCode",
-    "binom_mod2",
-    "bit_and",
-    "bit_or",
     "build_code",
     "build_repair_plan",
     "count_bad",
     "count_bad_closed_form",
-    "count_bad_naive_bound",
     "encode",
     "enumerate_2_shadow",
     "eval_monomial",
-    "in_2_shadow",
     "is_bad_block_criterion",
     "is_bad_coset_criterion",
     "is_good_oracle",

@@ -1,8 +1,6 @@
-"""Bit-pattern arithmetic on fixed-width nonnegative integers.
+"""Bit patterns of nonnegative integers: the 2-shadow (all submasks) of a value.
 
-Values are plain ints; widths are explicit parameters, never inferred from the
-value, because block conditions on exponent bits depend on a fixed width with
-leading zeros. Bit i of x is the coefficient of 2^i.
+Values are plain ints; bit i of x is the coefficient of 2^i.
 """
 
 from __future__ import annotations
@@ -10,44 +8,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .errors import UsageError
-
-
-def _check_width(width: int, *values: int) -> None:
-    if width < 0:
-        raise UsageError(f"width must be nonnegative, got {width}")
-    for v in values:
-        if v < 0 or v >> width:
-            raise UsageError(f"value {v} does not fit in width {width}")
-
-
-def bit_or(x: int, y: int, width: int) -> int:
-    """Bitwise OR: result bit j = max(x_j, y_j)."""
-    _check_width(width, x, y)
-    return x | y
-
-
-def bit_and(x: int, y: int, width: int) -> int:
-    """Bitwise AND: result bit j = min(x_j, y_j)."""
-    _check_width(width, x, y)
-    return x & y
-
-
-def in_2_shadow(x: int, y: int, width: int) -> bool:
-    """True iff x_i <= y_i for every bit position i (x lies in the 2-shadow of y)."""
-    _check_width(width, x, y)
-    return x & ~y == 0
-
-
-def binom_mod2(x: int, y: int) -> int:
-    """C(x, y) mod 2, which is 1 iff y lies in the 2-shadow of x (Lucas at p=2).
-
-    Only the base-2 case is implemented.
-    """
-    if x < 0 or y < 0:
-        raise UsageError("binomial arguments must be nonnegative")
-    if y > x:
-        return 0
-    return 1 if y & ~x == 0 else 0
 
 
 def enumerate_2_shadow(y: int) -> Iterator[int]:

@@ -205,15 +205,6 @@ def count_bad_closed_form(ell_prime: int, d: int) -> int:
     return ((1 << (d + 1)) - 1) ** ell_prime
 
 
-def count_bad_naive_bound(family: CosetFamily) -> int:
-    """The coarse bound t*q on the bad count.
-
-    Reported, never asserted: the exact count can exceed it (49 > 48 at q=16,
-    h=5) because [0, q-1] contains t+1 multiples of h, not t.
-    """
-    return family.t * family.q
-
-
 def classification_rows(
     family: CosetFamily,
     ell_prime: int | None = None,

@@ -93,8 +93,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     csv_path = _out_path(config, f"classify_q{q}_h{h}.csv")
     _classify.write_classification_csv(csv_path, rows)
 
-    parts = [f"q={q}", f"h={h}", f"t={t}", f"bad={exact}",
-             f"naive_bound={_classify.count_bad_naive_bound(family)}"]
+    # (t+1)*q bounds the bad count, for the reason given in cmd_plan.
+    parts = [f"q={q}", f"h={h}", f"t={t}", f"bad={exact}", f"bad_bound={(t + 1) * q}"]
     status = 0
     if config.ell_prime is not None:
         closed = _classify.count_bad_closed_form(config.ell_prime, config.d)

@@ -21,16 +21,7 @@ from ._io import atomic_write_text
 from .classify import Monomial, is_bad_coset_criterion
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec
-from .linalg import (
-    BATCH_BYTES,
-    GF2Echelon,
-    bitset_to_array,
-    gf2_echelon,
-    ints_to_packed,
-    pack_rows,
-    packed_to_ints,
-    unpack_rows,
-)
+from .linalg import BATCH_BYTES, gf2_echelon, pack_rows, unpack_rows
 
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
 
@@ -99,15 +90,20 @@ class WedgeLiftedCode:
 
     exact_dimension is q^2 minus the parity rank — measured, not inferred from
     the good-monomial count, which is only a lower bound on the dimension.
-    In dimension-only mode parity_rows and kernel_basis are None.
+
+    parity_rows is the reduced row-echelon basis of the wedge checks sorted by
+    pivot, (redundancy, words) packed uint64 rows (see linalg); that basis is
+    unique, so it does not depend on how the rows were batched. kernel_basis
+    is the packed (exact_dimension, words) kernel, one vector per free column.
+    Both are read-only, and None in dimension-only mode.
     """
 
     field: FieldSpec
     family: CosetFamily
     good_monomials: tuple[Monomial, ...]
     exact_dimension: int
-    parity_rows: tuple[int, ...] | None
-    kernel_basis: tuple[int, ...] | None
+    parity_rows: np.ndarray | None
+    kernel_basis: np.ndarray | None
 
     @property
     def length(self) -> int:
@@ -130,16 +126,18 @@ class WedgeLiftedCode:
     def parity_check_matrix(self) -> np.ndarray:
         if self.parity_rows is None:
             raise UsageError("code was built in dimension-only mode")
-        n = self.length
-        return np.stack([bitset_to_array(r, n) for r in self.parity_rows])
+        return unpack_rows(self.parity_rows, self.length)
 
 
 def _guard_full_build(family: CosetFamily, memory_guard_bytes: int) -> None:
+    """The largest dense arrays of a full build: the float32 R^T of the
+    annihilation check (q^2 x r, with redundancy r <= (t+1)*q) and the uint16
+    generator matrix callers export (at most q^2 x q^2)."""
     q = family.q
-    estimated = family.t * q * q * q * q  # uint8 parity matrix bytes
-    if q > 256 or estimated > memory_guard_bytes:
+    estimated = max(4 * q * q * (family.t + 1) * q, 2 * q**4)
+    if estimated > memory_guard_bytes:
         raise MemoryGuardError(
-            f"full parity matrix for q={q}, t={family.t} needs ~{estimated} bytes "
+            f"full build for q={q}, t={family.t} needs ~{estimated} bytes "
             f"(guard {memory_guard_bytes}); build with dimension_only=True"
         )
 
@@ -150,14 +148,13 @@ def build_code(
     dimension_only: bool = False,
     memory_guard_bytes: int = DEFAULT_MEMORY_GUARD_BYTES,
 ) -> WedgeLiftedCode:
-    """Assemble parity checks, measure the exact dimension by rank, and (in
-    full mode) keep the rows, extract a kernel basis, and assert that every
-    good-monomial evaluation is annihilated by every wedge.
+    """Stream the wedge checks through one packed elimination, measure the
+    exact dimension by rank, and (in full mode) keep the reduced rows, read
+    the kernel basis from them, and assert that every good-monomial
+    evaluation is annihilated by every wedge.
 
     The parity rows are 0/1, so elimination over F_q never leaves {0, 1} and
-    the F_q rank equals the GF(2) rank. One packed elimination gives the rank
-    and, in full mode, the reduced rows from which the kernel and the
-    annihilation check are read.
+    the F_q rank equals the GF(2) rank.
     """
     spec = family.field
     q = spec.q
@@ -165,24 +162,18 @@ def build_code(
     if not dimension_only:
         _guard_full_build(family, memory_guard_bytes)
     good = good_monomials(family)
-
-    if dimension_only:
-        echelon = gf2_echelon(iter_parity_rows(family), n)
-        rows: tuple[int, ...] | None = None
-        kernel: tuple[int, ...] | None = None
-    else:
-        blocks = list(iter_parity_rows(family))
-        echelon = gf2_echelon(blocks, n)
-        rows = tuple(r for block in blocks for r in packed_to_ints(block))
-        del blocks
-        kernel = tuple(r for block in echelon.kernel() for r in packed_to_ints(block))
-        _check_good_annihilated(spec, good, echelon)
-
+    echelon = gf2_echelon(iter_parity_rows(family), n)
     dimension = n - echelon.rank
     if dimension < len(good):
         raise InvariantError(
             f"dimension {dimension} below good-monomial count {len(good)}"
         )
+    rows = kernel = None
+    if not dimension_only:
+        rows = echelon.reduced()
+        kernel = np.concatenate(list(echelon.kernel()))
+        kernel.flags.writeable = False
+        _check_good_annihilated(spec, good, rows)
     return WedgeLiftedCode(
         field=spec,
         family=family,
@@ -194,7 +185,7 @@ def build_code(
 
 
 def _check_good_annihilated(
-    spec: FieldSpec, good: tuple[Monomial, ...], echelon: GF2Echelon
+    spec: FieldSpec, good: tuple[Monomial, ...], reduced: np.ndarray
 ) -> None:
     """G . R^T = 0 on every bit plane of the good-monomial evaluations G,
     where R are the reduced parity rows.
@@ -206,7 +197,7 @@ def _check_good_annihilated(
     """
     q, ell = spec.q, spec.ell
     n = q * q
-    reduced_t = unpack_rows(echelon.rows, n).T.astype(np.float32)
+    reduced_t = unpack_rows(reduced, n).T.astype(np.float32)
     # bit_planes[j][v] = bit j of the field element v, as a float32 0/1.
     bit_planes = ((np.arange(q) >> np.arange(ell)[:, None]) & 1).astype(np.float32)
     step = max(1, BATCH_BYTES // (4 * n))
@@ -258,12 +249,11 @@ class BinaryTraceCode:
     """tr(C): the parent code mapped coordinate-wise through the trace to GF(2)."""
 
     parent: WedgeLiftedCode
-    binary_generators: tuple[int, ...]
+    binary_generators: np.ndarray  # packed, read-only, in reduced row-echelon form
     binary_dimension: int
 
     def generator_matrix(self) -> np.ndarray:
-        n = self.parent.length
-        return np.stack([bitset_to_array(r, n) for r in self.binary_generators])
+        return unpack_rows(self.binary_generators, self.parent.length)
 
 
 def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
@@ -283,12 +273,11 @@ def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
 
     def traced_rows():
         for start in range(0, len(code.kernel_basis), step):
-            g = unpack_rows(ints_to_packed(code.kernel_basis[start : start + step], n), n)
+            g = unpack_rows(code.kernel_basis[start : start + step], n)
             for table in trace_of_multiple:
                 yield pack_rows(table[g])
 
-    reduced = gf2_echelon(traced_rows(), n)
-    generators = tuple(packed_to_ints(reduced.rows[np.argsort(reduced.pivots)]))
+    generators = gf2_echelon(traced_rows(), n).reduced()
     dim = len(generators)
     if not code.exact_dimension <= dim <= spec.ell * code.exact_dimension:
         raise InvariantError(

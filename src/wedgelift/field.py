@@ -83,6 +83,7 @@ class FieldSpec:
     generator: int
     antilog: np.ndarray = dataclass_field(repr=False)
     log: np.ndarray = dataclass_field(repr=False)
+    _tables: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -146,32 +147,38 @@ class FieldSpec:
 
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table (lazily built and cached)."""
-        return _mul_table_cached(self)
+        return self._cached("mul", _build_mul_table)
 
     def power_table(self) -> np.ndarray:
         """Full q x q power table, row n = pow_vector(n): entry [n, t] = t^n,
         with 0^0 = 1 (lazily built and cached)."""
-        return _power_table_cached(self)
+        return self._cached("power", _build_power_table)
 
     def trace_table(self) -> np.ndarray:
         """Vector of trace2(t) over all t, indexed by t."""
-        return _trace_table_cached(self)
+        return self._cached("trace", _build_trace_table)
+
+    def _cached(self, name: str, build) -> np.ndarray:
+        # Tables live on the instance, so they are freed with it.
+        table = self._tables.get(name)
+        if table is None:
+            table = build(self)
+            table.setflags(write=False)
+            self._tables[name] = table
+        return table
 
 
-@lru_cache(maxsize=None)
-def _mul_table_cached(spec: FieldSpec) -> np.ndarray:
+def _build_mul_table(spec: FieldSpec) -> np.ndarray:
     q = spec.q
     if q > 4096:
         raise UsageError(f"multiplication table for q={q} exceeds the desk-scale guard")
     table = np.zeros((q, q), dtype=np.uint16)
     exp = (spec.log[1:, None] + spec.log[None, 1:]) % (q - 1)
     table[1:, 1:] = spec.antilog[exp]
-    table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=None)
-def _power_table_cached(spec: FieldSpec) -> np.ndarray:
+def _build_power_table(spec: FieldSpec) -> np.ndarray:
     q = spec.q
     if q > 4096:
         raise UsageError(f"power table for q={q} exceeds the desk-scale guard")
@@ -179,15 +186,11 @@ def _power_table_cached(spec: FieldSpec) -> np.ndarray:
     table[0] = 1
     exp = (np.arange(1, q)[:, None] * spec.log[None, 1:]) % (q - 1)
     table[1:, 1:] = spec.antilog[exp]
-    table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=None)
-def _trace_table_cached(spec: FieldSpec) -> np.ndarray:
-    table = np.array([spec.trace2(t) for t in range(spec.q)], dtype=np.uint8)
-    table.setflags(write=False)
-    return table
+def _build_trace_table(spec: FieldSpec) -> np.ndarray:
+    return np.array([spec.trace2(t) for t in range(spec.q)], dtype=np.uint8)
 
 
 def _smallest_generator(ell: int, modulus: int) -> int:
@@ -264,6 +267,8 @@ class CosetFamily:
 
     @property
     def t(self) -> int:
+        """The coset count (q-1)/h: the number of disjoint repair groups per
+        coordinate. The paper's t = N^(1/(2d)) is one more, (q-1)/h + 1."""
         return len(self.cosets)
 
     @property

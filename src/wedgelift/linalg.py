@@ -88,16 +88,15 @@ class GF2Echelon:
         self._pad_mask = np.uint64(((1 << pad) - 1) << (64 - pad)) if pad else None
 
     @property
-    def rows(self) -> np.ndarray:
-        """Basis rows in the order their pivots were found (read-only view)."""
-        view = self._rows[: self.rank]
-        view.flags.writeable = False
-        return view
-
-    @property
     def pivots(self) -> np.ndarray:
-        """Pivot column of each basis row, aligned with `rows`."""
+        """Pivot column of each basis row, in the order the rows were found."""
         return np.array(self._pivots, dtype=np.int64)
+
+    def reduced(self) -> np.ndarray:
+        """The basis sorted by pivot (the unique RREF), as a read-only copy."""
+        rows = self._rows[np.argsort(self.pivots)]
+        rows.flags.writeable = False
+        return rows
 
     def _add_batch(self, block: np.ndarray) -> None:
         """Extend the row space by a C-contiguous (rows, words) block, which

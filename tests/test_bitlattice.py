@@ -1,8 +1,10 @@
-"""Bit-pattern arithmetic: fixed examples, oracles, and algebraic properties.
+"""Bit patterns: the 2-shadow enumeration, checked against independent oracles.
 
-The binomial parity function is checked against two independent oracles (a
-Pascal-triangle recurrence mod 2 and exact integer binomials) before anything
-downstream is allowed to depend on it.
+The coset criterion sums over the 2-shadow of a & b because C(x, y) is odd
+exactly when y lies in the 2-shadow of x (Lucas at p = 2). That fact is
+checked against a Pascal-triangle recurrence mod 2 and exact integer
+binomials, and enumerate_2_shadow is checked against both the bitwise
+definition and the binomial parities.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedgelift import (
-    UsageError,
-    binom_mod2,
-    bit_and,
-    bit_or,
-    enumerate_2_shadow,
-    in_2_shadow,
-)
+from wedgelift import UsageError, enumerate_2_shadow
 
 WIDTH = 12
 BOUND = 1 << WIDTH
+
+
+def odd_binomials(x: int) -> list[int]:
+    """Every y with C(x, y) odd, increasing, by exact integer binomials."""
+    return [y for y in range(x + 1) if math.comb(x, y) % 2]
 
 
 # ---------------------------------------------------------------------------
@@ -32,28 +32,20 @@ BOUND = 1 << WIDTH
 # ---------------------------------------------------------------------------
 
 
-def test_bit_or_and_examples() -> None:
-    assert bit_or(0b1010, 0b0110, 4) == 0b1110
-    assert bit_and(0b1010, 0b0110, 4) == 0b0010
-    assert bit_or(0, 0, 0) == 0
-    assert bit_and(0b1111, 0b1111, 4) == 0b1111
-
-
 def test_in_2_shadow_examples() -> None:
-    assert in_2_shadow(0b0010, 0b1010, 4)
-    assert in_2_shadow(0, 0b1010, 4)
-    assert in_2_shadow(0b1010, 0b1010, 4)
-    assert not in_2_shadow(0b0100, 0b1010, 4)
-    assert not in_2_shadow(0b1011, 0b1010, 4)
+    shadow = set(enumerate_2_shadow(0b1010))
+    assert {0b0010, 0, 0b1010} <= shadow
+    assert 0b0100 not in shadow
+    assert 0b1011 not in shadow
 
 
 def test_binom_mod2_examples() -> None:
     # Row x=5 of Pascal's triangle: 1 5 10 10 5 1 -> parities 1 1 0 0 1 1.
-    assert [binom_mod2(5, y) for y in range(6)] == [1, 1, 0, 0, 1, 1]
-    assert binom_mod2(0, 0) == 1
-    assert binom_mod2(4, 2) == 0
-    assert binom_mod2(7, 3) == 1
-    assert binom_mod2(3, 7) == 0  # y > x
+    assert list(enumerate_2_shadow(5)) == [0, 1, 4, 5]
+    assert odd_binomials(5) == [0, 1, 4, 5]
+    assert list(enumerate_2_shadow(0)) == [0]
+    assert 2 not in set(enumerate_2_shadow(4))
+    assert 3 in set(enumerate_2_shadow(7))
 
 
 def test_enumerate_2_shadow_examples() -> None:
@@ -63,16 +55,6 @@ def test_enumerate_2_shadow_examples() -> None:
 
 
 def test_width_violations_raise() -> None:
-    with pytest.raises(UsageError):
-        bit_or(16, 0, 4)
-    with pytest.raises(UsageError):
-        bit_and(0, 16, 4)
-    with pytest.raises(UsageError):
-        in_2_shadow(0, -1, 4)
-    with pytest.raises(UsageError):
-        bit_or(0, 0, -1)
-    with pytest.raises(UsageError):
-        binom_mod2(-1, 0)
     with pytest.raises(UsageError):
         list(enumerate_2_shadow(-1))
 
@@ -93,7 +75,7 @@ def test_binom_mod2_against_pascal_recurrence() -> None:
             nxt = row.copy()
             nxt[1:] ^= row[:-1]
             row = nxt
-        # binom_mod2(x, y) = 1 iff y & ~x == 0, vectorized over all y
+        # C(x, y) mod 2 = 1 iff y & ~x == 0, vectorized over all y
         claimed = ((claimed_x & ~x) == 0).astype(np.uint8)
         claimed[x + 1 :] = 0
         if not np.array_equal(row, claimed):
@@ -102,8 +84,7 @@ def test_binom_mod2_against_pascal_recurrence() -> None:
 
 def test_binom_mod2_against_math_comb_exhaustive() -> None:
     for x in range(257):
-        for y in range(x + 1):
-            assert binom_mod2(x, y) == math.comb(x, y) % 2
+        assert list(enumerate_2_shadow(x)) == odd_binomials(x)
 
 
 def test_binom_mod2_against_math_comb_random() -> None:
@@ -111,8 +92,8 @@ def test_binom_mod2_against_math_comb_random() -> None:
     for _ in range(2000):
         x = int(rng.integers(0, BOUND + 1))
         y = int(rng.integers(0, BOUND + 1))
-        # math.comb returns 0 for y > x, matching the convention here.
-        assert binom_mod2(x, y) == math.comb(x, y) % 2
+        # math.comb returns 0 for y > x, and no submask of x exceeds x.
+        assert (y in set(enumerate_2_shadow(x))) == bool(math.comb(x, y) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +104,11 @@ ints12 = st.integers(min_value=0, max_value=BOUND - 1)
 
 
 @given(x=ints12, y=ints12)
-def test_or_plus_and_equals_sum(x: int, y: int) -> None:
-    assert bit_or(x, y, WIDTH) + bit_and(x, y, WIDTH) == x + y
-
-
-@given(x=ints12, y=ints12)
 def test_shadow_iff_and_fixes_x(x: int, y: int) -> None:
-    member = in_2_shadow(x, y, WIDTH)
-    assert member == (bit_and(x, y, WIDTH) == x)
-    assert member == (bit_or(x, y, WIDTH) == y)
-    assert member == bool(binom_mod2(y, x))
-
-
-@given(x=ints12, y=ints12, z=ints12)
-def test_or_and_lattice_laws(x: int, y: int, z: int) -> None:
-    assert bit_or(x, y, WIDTH) == bit_or(y, x, WIDTH)
-    assert bit_and(x, bit_or(y, z, WIDTH), WIDTH) == bit_or(
-        bit_and(x, y, WIDTH), bit_and(x, z, WIDTH), WIDTH
-    )
-    assert bit_or(x, bit_and(x, y, WIDTH), WIDTH) == x
+    member = x in set(enumerate_2_shadow(y))
+    assert member == (x & y == x)
+    assert member == (x | y == y)
+    assert member == bool(math.comb(y, x) % 2)
 
 
 @settings(max_examples=60)
@@ -149,7 +116,7 @@ def test_or_and_lattice_laws(x: int, y: int, z: int) -> None:
 def test_enumerate_2_shadow_properties(y: int) -> None:
     subs = list(enumerate_2_shadow(y))
     assert len(subs) == 1 << bin(y).count("1")
-    assert all(in_2_shadow(s, y, 10) for s in subs)
+    assert all(s & ~y == 0 for s in subs)
     assert subs == sorted(subs)
     assert len(set(subs)) == len(subs)
     assert subs[0] == 0 and subs[-1] == y

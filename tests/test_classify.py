@@ -17,7 +17,6 @@ from wedgelift import (
     UsageError,
     count_bad,
     count_bad_closed_form,
-    count_bad_naive_bound,
     is_bad_block_criterion,
     is_bad_coset_criterion,
     is_good_oracle,
@@ -369,15 +368,14 @@ def test_closed_form_matches_count_wherever_block_applies() -> None:
 
 
 def test_naive_bound_relation_recorded() -> None:
-    """The t*q bound is an observation, not an invariant: it holds for some
-    families and fails for others; the corrected (t+1)*q bound holds for all.
+    """The coset-count product t*q is no bound: the bad count stays under it
+    for some families and exceeds it for others; (t+1)*q bounds them all.
     Both relations are frozen per family."""
     violations = set()
     for (q, h), count in BAD_COUNTS.items():
         spec = make_field(q.bit_length() - 1)
         family = make_coset_family(spec, h)
         t = family.t
-        assert count_bad_naive_bound(family) == t * q
         assert count <= (t + 1) * q, "corrected bound must always hold"
         if count > t * q:
             violations.add((q, h))

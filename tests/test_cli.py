@@ -29,7 +29,7 @@ def test_classify_coset_params(capsys, tmp_path) -> None:
         "--out-dir", str(tmp_path),
     )
     assert status == 0
-    assert "q=16 h=5 t=3 bad=49 naive_bound=48" in out
+    assert "q=16 h=5 t=3 bad=49 bad_bound=64" in out
     assert "oracle_disagreements=0" in out
     csv = (tmp_path / "classify_q16_h5.csv").read_text().splitlines()
     assert csv[0] == "a,b,bad,criterion_used"
@@ -76,7 +76,7 @@ def test_classify_full_group_summary(capsys, tmp_path) -> None:
         "--out-dir", str(tmp_path),
     )
     assert status == 0
-    assert "q=16 h=15 t=1 bad=31 naive_bound=16" in out
+    assert "q=16 h=15 t=1 bad=31 bad_bound=32" in out
 
 
 def test_classify_usage_errors(capsys, tmp_path) -> None:
@@ -117,7 +117,7 @@ def test_build_small_full(capsys, tmp_path) -> None:
     gen = (tmp_path / "generator_q4_h3.txt").read_text().splitlines()
     assert gen[0] == "# q=4 rows=9 cols=16"
     par = (tmp_path / "parity_q4_h3.txt").read_text().splitlines()
-    assert par[0] == "# q=4 rows=16 cols=16"
+    assert par[0] == "# q=4 rows=6 cols=16"
 
 
 def test_build_binary_gf16(capsys, tmp_path) -> None:

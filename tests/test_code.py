@@ -2,8 +2,11 @@
 
 Every frozen dimension below was recomputed through two additional
 eliminators (dense numpy GF(2) and dense GF(2^ell)) before being fixed as a
-constant, so the packed rank path never certifies itself; its kernel and
-trace generators are compared bit for bit with the big-int reference.
+constant, so the packed rank path never certifies itself; its parity rows,
+kernel and trace generators are compared bit for bit with the big-int
+reference. Checks against the wedges take the raw rows of iter_parity_rows
+as big ints, not the code's reduced rows, so they do not lean on the packed
+elimination.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from wedgelift import (
     trace_code,
 )
 import wedgelift.code as code_module
+import wedgelift.linalg as linalg_module
 from wedgelift._io import atomic_write_text
 from wedgelift.classify import Monomial, restriction_grid
 from wedgelift.code import (
@@ -47,6 +51,12 @@ from wedgelift.linalg import (
 )
 
 from test_linalg import numpy_gf2_rank
+
+
+def wedge_rows(family) -> list[int]:
+    """Every raw wedge indicator row of the family, as a big-int bitset."""
+    return [r for block in iter_parity_rows(family) for r in packed_to_ints(block)]
+
 
 # (q, h) -> (good monomials, exact dimension). The dimension exceeds the
 # good-monomial count by exactly 1 at every desk-scale instantiation.
@@ -148,7 +158,7 @@ def test_dimensions_frozen(code4_3, code16_5, code16_15, code64_9) -> None:
 
 def test_rank_cross_checked_by_dense_eliminators(code4_3, code16_5, code16_15) -> None:
     for code in (code4_3, code16_5, code16_15):
-        parity = code.parity_check_matrix()
+        parity = np.stack([bitset_to_array(r, code.length) for r in wedge_rows(code.family)])
         # Dense GF(2) elimination, no bitsets involved.
         assert numpy_gf2_rank(parity) == code.redundancy
         # Dense elimination over the big field: same rank for a 0/1 matrix.
@@ -157,28 +167,30 @@ def test_rank_cross_checked_by_dense_eliminators(code4_3, code16_5, code16_15) -
 
 def test_kernel_basis_properties(code16_5) -> None:
     code = code16_5
-    basis = code.kernel_basis
-    assert basis is not None
+    assert code.kernel_basis is not None
+    basis = packed_to_ints(code.kernel_basis)
     assert len(basis) == code.exact_dimension
     assert gf2_rank(basis) == code.exact_dimension
     n = code.length
+    rows = wedge_rows(code.family)
     for vec in basis[:: 16]:
         assert vec < 1 << n
-        for row in code.parity_rows:
+        for row in rows:
             assert bin(vec & row).count("1") % 2 == 0
 
 
 def test_nullspace_sampling_gf4(code4_3, rng) -> None:
     # Random GF(2) combinations of the kernel basis stay annihilated by all
     # 16 parity rows (sampled nullspace enumeration).
-    basis = code4_3.kernel_basis
+    basis = packed_to_ints(code4_3.kernel_basis)
+    rows = wedge_rows(code4_3.family)
     for _ in range(50):
         picks = rng.integers(0, 2, size=len(basis))
         vec = 0
         for bit, b in zip(picks, basis):
             if bit:
                 vec ^= b
-        for row in code4_3.parity_rows:
+        for row in rows:
             assert bin(vec & row).count("1") % 2 == 0
 
 
@@ -188,7 +200,7 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) 
     column, and the RREF of the trace rows tr(2^j * g)."""
     for code in (code4_3, code16_5, code16_15):
         n = code.length
-        rref = gf2_rref(code.parity_rows)
+        rref = gf2_rref(wedge_rows(code.family))
         kernel = []
         for f in range(n):
             if f not in rref:
@@ -197,7 +209,7 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) 
                     if row >> f & 1:
                         v |= 1 << col
                 kernel.append(v)
-        assert code.kernel_basis == tuple(kernel)
+        assert packed_to_ints(code.kernel_basis) == kernel
 
         spec = code.field
         raw = [
@@ -207,7 +219,7 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) 
         ]
         traced = gf2_rref(raw)
         binary = trace_code(code)
-        assert binary.binary_generators == tuple(traced[c] for c in sorted(traced))
+        assert packed_to_ints(binary.binary_generators) == [traced[c] for c in sorted(traced)]
 
 
 def test_annihilation_check_fires_on_a_bad_monomial(fam16_5, monkeypatch) -> None:
@@ -227,7 +239,7 @@ def test_generator_rows_lie_in_kernel(code16_5) -> None:
     code = code16_5
     gen = code.generator_matrix()
     n = code.length
-    supports = [np.nonzero(bitset_to_array(r, n))[0] for r in code.parity_rows]
+    supports = [np.nonzero(bitset_to_array(r, n))[0] for r in wedge_rows(code.family)]
     for row in gen[:: 13]:
         for support in supports:
             assert np.bitwise_xor.reduce(row[support]) == 0
@@ -240,6 +252,38 @@ def test_good_monomial_grids_vanish_sampled(code64_9, rng) -> None:
         m = code.good_monomials[int(i)]
         for coset in code.family.cosets:
             assert not restriction_grid(code.field, coset, m).any()
+
+
+@pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15"])
+def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
+    """parity_rows is the big-int RREF of every raw wedge row, sorted by
+    pivot, as a read-only (redundancy, words) packed array; the kernel basis
+    and the trace generators are read-only too."""
+    code = request.getfixturevalue(name)
+    n = code.length
+    rref = gf2_rref(wedge_rows(code.family))
+    expected = [rref[c] for c in sorted(rref)]
+    assert code.parity_rows.shape == (code.redundancy, -(-n // 64))
+    assert code.parity_rows.dtype == np.uint64
+    assert packed_to_ints(code.parity_rows) == expected
+    assert np.array_equal(
+        code.parity_check_matrix(), np.stack([bitset_to_array(r, n) for r in expected])
+    )
+    for rows in (code.parity_rows, code.kernel_basis, trace_code(code).binary_generators):
+        assert not rows.flags.writeable
+
+
+def test_parity_export_does_not_depend_on_batching(fam16_5, monkeypatch, tmp_path) -> None:
+    """With 40-row elimination batches (3 blocks each, not one batch of all
+    768 rows) the exported parity file is byte for byte the same."""
+    default = tmp_path / "default.txt"
+    export_matrix(default, build_code(fam16_5).parity_check_matrix(), q=16)
+    monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8 * 4 * 40)
+    monkeypatch.setattr(code_module, "BATCH_BYTES", 8 * 4 * 40)
+    small = tmp_path / "small.txt"
+    export_matrix(small, build_code(fam16_5).parity_check_matrix(), q=16)
+    assert small.read_text().splitlines()[0] == "# q=16 rows=48 cols=256"
+    assert small.read_bytes() == default.read_bytes()
 
 
 def test_dimension_only_build(fam16_5, code16_5) -> None:
@@ -255,10 +299,21 @@ def test_memory_guard() -> None:
     family = make_coset_family(spec, 255)
     with pytest.raises(MemoryGuardError, match="dimension_only"):
         build_code(family)
-    # A generous explicit guard cannot be bypassed by accident: the estimate
-    # scales with t * q^4.
+    # A generous explicit guard cannot be bypassed by accident: the dense
+    # generator matrix alone takes 2 * q^4 bytes (8 GiB at q = 256).
     with pytest.raises(MemoryGuardError):
         build_code(family, memory_guard_bytes=1 << 30)
+
+
+def test_memory_guard_boundary(fam16_5) -> None:
+    """At q16h5 (t = 3) the estimate is the dense generator matrix, 2 * 16^4
+    bytes, above the check's float32 R^T bound 4 * 16^2 * (3 + 1) * 16: the
+    build passes at exactly the estimate and raises one byte below it."""
+    estimate = 2 * 16**4
+    assert estimate > 4 * 16**2 * (3 + 1) * 16
+    assert build_code(fam16_5, memory_guard_bytes=estimate).redundancy == 48
+    with pytest.raises(MemoryGuardError, match="dimension_only"):
+        build_code(fam16_5, memory_guard_bytes=estimate - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +373,7 @@ def test_encode_random_messages_satisfy_checks(code16_5, rng) -> None:
     code = code16_5
     k = len(code.good_monomials)
     n = code.length
-    supports = [np.nonzero(bitset_to_array(r, n))[0] for r in code.parity_rows]
+    supports = [np.nonzero(bitset_to_array(r, n))[0] for r in wedge_rows(code.family)]
     for _ in range(5):
         msg = rng.integers(0, 16, size=k)
         word = encode(code, msg)
@@ -347,15 +402,15 @@ def test_trace_dimension_equals_parent(code4_3, code16_5, code16_15, code64_9) -
 
 
 def test_trace_rows_orthogonal_to_wedges(trace16_5) -> None:
-    parent = trace16_5.parent
-    for gen in trace16_5.binary_generators:
-        for row in parent.parity_rows:
+    rows = wedge_rows(trace16_5.parent.family)
+    for gen in packed_to_ints(trace16_5.binary_generators):
+        for row in rows:
             assert bin(gen & row).count("1") % 2 == 0
 
 
 def test_trace_rows_orthogonal_to_wedges_sampled_gf64(trace64_9, rng) -> None:
-    rows = trace64_9.parent.parity_rows
-    gens = trace64_9.binary_generators
+    rows = wedge_rows(trace64_9.parent.family)
+    gens = packed_to_ints(trace64_9.binary_generators)
     for _ in range(200):
         g = gens[int(rng.integers(len(gens)))]
         r = rows[int(rng.integers(len(rows)))]

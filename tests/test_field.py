@@ -7,7 +7,9 @@ summation against the case-split formula they feed.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +145,20 @@ def test_make_field_bounds() -> None:
 
 def test_make_field_is_cached() -> None:
     assert make_field(4) is make_field(4)
+
+
+def test_tables_are_freed_with_their_field() -> None:
+    """Cached tables do not keep a field alive once make_field forgets it."""
+    make_field.cache_clear()  # a fresh spec that no other test holds
+    spec = make_field(5)
+    spec.mul_table()
+    spec.power_table()
+    spec.trace_table()
+    ref = weakref.ref(spec)
+    del spec
+    make_field.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_generator_is_smallest() -> None:
