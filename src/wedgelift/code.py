@@ -5,6 +5,9 @@ Codewords live in F_q^(q^2) with coordinate order row-major in the point
 kernel of the wedge parity checks; each check is the 0/1 indicator of a wedge
 point set (odd coset size collapses the line multiset to an indicator, which
 is what lets one representation serve both the F_q code and the binary code).
+Because the checks are 0/1, C = F_q ⊗ C_2 with C_2 = C ∩ F_2^n the GF(2)
+kernel, and the binary trace code tr(C) is C_2 itself (Delsarte 1975), so one
+elimination gives both codes.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class WedgeLiftedCode:
     parity_rows is the reduced row-echelon basis of the wedge checks sorted by
     pivot, (redundancy, words) packed uint64 rows (see linalg); that basis is
     unique, so it does not depend on how the rows were batched. kernel_basis
-    is the packed (exact_dimension, words) kernel, one vector per free column.
+    is the packed (exact_dimension, words) reduced row-echelon basis of the
+    GF(2) kernel, equally unique, which is also the trace code's generators.
     Both are read-only, and None in dimension-only mode.
     """
 
@@ -257,36 +261,19 @@ class BinaryTraceCode:
 
 
 def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
-    """Span of { trace(beta * g) : g in the kernel basis, beta in the
-    polynomial basis of F_q }, row-reduced over GF(2).
+    """tr(C), which is the binary kernel C ∩ F_2^n of the parent's checks.
 
-    The sandwich dim C <= dim tr(C) <= ell * dim C is asserted.
+    C is cut out by 0/1 checks, so the GF(2) kernel basis g_i spans C over
+    F_q, and for binary g_i, tr(sum c_i g_i) = sum tr(c_i) g_i with tr onto
+    F_2: tr(C) = C ∩ F_2^n (the trace code of a Galois-closed code is its
+    subfield subcode). Its generators are the parent's kernel_basis, already
+    in reduced row-echelon form, and dim tr(C) = dim C.
     """
     if code.kernel_basis is None:
         raise UsageError("trace code needs a full build (kernel basis missing)")
-    spec = code.field
-    n = code.length
-    # trace_of_multiple[j][v] = trace(beta_j * v), beta_j = 1 << j the
-    # polynomial basis of F_q.
-    trace_of_multiple = spec.trace_table()[spec.mul_table()[1 << np.arange(spec.ell)]]
-    step = max(1, BATCH_BYTES // (n * spec.ell))
-
-    def traced_rows():
-        for start in range(0, len(code.kernel_basis), step):
-            g = unpack_rows(code.kernel_basis[start : start + step], n)
-            for table in trace_of_multiple:
-                yield pack_rows(table[g])
-
-    generators = gf2_echelon(traced_rows(), n).reduced()
-    dim = len(generators)
-    if not code.exact_dimension <= dim <= spec.ell * code.exact_dimension:
-        raise InvariantError(
-            f"trace dimension {dim} outside [{code.exact_dimension}, "
-            f"{spec.ell * code.exact_dimension}]"
-        )
-    if n - dim > code.redundancy:
-        raise InvariantError("binary redundancy exceeds the parent redundancy")
-    return BinaryTraceCode(parent=code, binary_generators=generators, binary_dimension=dim)
+    return BinaryTraceCode(
+        parent=code, binary_generators=code.kernel_basis, binary_dimension=code.exact_dimension
+    )
 
 
 def redundancy_exponent(d: int) -> float:
@@ -302,9 +289,11 @@ def export_matrix(path, matrix: np.ndarray, q: int) -> None:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise UsageError("matrix must be two-dimensional")
+    if matrix.size and (matrix.min() < 0 or matrix.max() >= q):
+        raise UsageError(f"matrix entries must lie in [0, {q})")
+    hexes = [format(v, "x") for v in range(q)]
     lines = [f"# q={q} rows={matrix.shape[0]} cols={matrix.shape[1]}"]
-    for row in matrix:
-        lines.append(" ".join(format(int(v), "x") for v in row))
+    lines += [" ".join(map(hexes.__getitem__, row)) for row in matrix.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

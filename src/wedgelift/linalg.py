@@ -2,10 +2,8 @@
 
 The library eliminates over GF(2) with `GF2Echelon`: rows packed into uint64
 words (column j at bit j % 64 of word j // 64), reduced block by block against
-a basis kept in fully reduced row-echelon form. The big-int bitset functions
-`gf2_rank` and `gf2_rref` (column j at bit j of a Python int) are independent
-reference implementations that the tests compare against; no library code
-calls them.
+a basis kept in fully reduced row-echelon form. It also decides which kernel
+basis the library exposes: the unique reduced row-echelon one.
 
 For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
 operations on unit pivots stay in the subfield), which is why one GF(2) path
@@ -47,19 +45,6 @@ def unpack_rows(words: np.ndarray, ncols: int) -> np.ndarray:
     """Inverse of pack_rows: (rows, ncols) uint8 0/1 matrix."""
     raw = np.ascontiguousarray(words, dtype=WORD).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=ncols, bitorder="little")
-
-
-def packed_to_ints(words: np.ndarray) -> list[int]:
-    """Big-int bitset of every packed row."""
-    words = np.ascontiguousarray(words, dtype=WORD)
-    return [int.from_bytes(row.tobytes(), "little") for row in words]
-
-
-def ints_to_packed(rows: Iterable[int], ncols: int) -> np.ndarray:
-    """Packed words of big-int bitset rows (each below 2**ncols)."""
-    nbytes = 8 * _words(ncols)
-    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    return np.frombuffer(raw, dtype=WORD).reshape(-1, _words(ncols)).copy()
 
 
 class GF2Echelon:
@@ -138,18 +123,28 @@ class GF2Echelon:
         self.rank += 1
 
     def kernel(self) -> Iterator[np.ndarray]:
-        """Packed basis of {v : v . r = 0 for every row r}, in blocks.
+        """Packed basis of {v : v . r = 0 for every row r}, in blocks: the
+        unique reduced row-echelon basis of the kernel, pivot = lowest set
+        column, rows in increasing pivot.
 
-        One vector per free (non-pivot) column f < ncols, in increasing f:
-        the unit vector at f plus, for each basis row with bit f set, that
-        row's pivot column. Blocks hold about BATCH_BYTES of unpacked bits.
+        The r basis rows are eliminated again with their column order
+        reversed, which gives the reduced basis whose pivots are the
+        *highest* set columns. For each free column f of that basis the
+        kernel vector is the unit vector at f plus the pivot column of every
+        row with bit f set; those pivots all lie above f, so f is the
+        vector's lowest set column, and no other vector has bit f. Blocks
+        hold about BATCH_BYTES of unpacked bits.
         """
         n = self.ncols
-        pivots = self.pivots
+        flipped = unpack_rows(self._rows[: self.rank], n)[:, ::-1]
+        mirror = gf2_echelon([pack_rows(flipped)], n)
+        # In reversed coordinates: pivots and free columns of the mirror.
+        pivots = mirror.pivots
         free = np.ones(n, dtype=bool)
         free[pivots] = False
-        free_cols = np.flatnonzero(free)
-        rows = self._rows[: self.rank]
+        # Decreasing reversed column = increasing original column.
+        free_cols = np.flatnonzero(free)[::-1]
+        rows = mirror._rows[: mirror.rank]
         step = max(1, BATCH_BYTES // max(n, 1))
         for start in range(0, free_cols.size, step):
             f = free_cols[start : start + step]
@@ -158,7 +153,7 @@ class GF2Echelon:
             # bits of column f in every basis row: (rank, len(f)) -> transposed
             at_f = (rows[:, f >> 6] >> (f & 63).astype(np.uint64)) & np.uint64(1)
             bits[:, pivots] = at_f.T
-            yield pack_rows(bits)
+            yield pack_rows(bits[:, ::-1])
 
 
 def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
@@ -178,53 +173,6 @@ def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
     if pending:
         echelon._add_batch(np.concatenate(pending, dtype=WORD))
     return echelon
-
-
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank of the 0/1 matrix whose rows are bitsets."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots[_low_bit(row)] = row
-    return len(pivots)
-
-
-def gf2_rref(rows: Iterable[int]) -> dict[int, int]:
-    """Fully reduced row-echelon form: {pivot column: row bitset}.
-
-    Each pivot column appears in exactly one row.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots[_low_bit(row)] = row
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        rest = row & ~(1 << col)
-        while rest:
-            c = _low_bit(rest)
-            if c in pivots:
-                row ^= pivots[c]
-                rest = row & ~(1 << col)
-            else:
-                rest &= rest - 1
-        pivots[col] = row
-    return pivots
-
-
-def bitset_to_array(bits: int, ncols: int) -> np.ndarray:
-    """Unpack a row bitset to a length-ncols uint8 0/1 vector."""
-    nbytes = (ncols + 7) // 8
-    raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:ncols]
-
-
-def array_to_bitset(vec: np.ndarray) -> int:
-    """Pack a 0/1 vector into a row bitset (column j -> bit j)."""
-    packed = np.packbits(vec.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 def gfq_rank(matrix: np.ndarray, spec: FieldSpec) -> int:
@@ -258,16 +206,3 @@ def gfq_rank(matrix: np.ndarray, spec: FieldSpec) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def _reduce(row: int, pivots: dict[int, int]) -> int:
-    while row:
-        col = _low_bit(row)
-        if col not in pivots:
-            return row
-        row ^= pivots[col]
-    return 0
-
-
-def _low_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1

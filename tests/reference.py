@@ -1,0 +1,146 @@
+"""Reference implementations the tests compare the library against.
+
+None of this is library code. The big-int bitset eliminators (column j at
+bit j of a Python int) and the dense numpy one share no code with the packed
+`linalg.GF2Echelon`; `traced_span` is the trace code by its definition, the
+GF(2) span of tr(2^j * g) over a kernel basis, which the library no longer
+computes because tr(C) is the binary kernel itself.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable
+
+import numpy as np
+
+from wedgelift.linalg import BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, unpack_rows
+
+
+# ---------------------------------------------------------------------------
+# Row formats
+# ---------------------------------------------------------------------------
+
+
+def packed_to_ints(words: np.ndarray) -> list[int]:
+    """Big-int bitset of every packed row."""
+    words = np.ascontiguousarray(words, dtype=WORD)
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+def ints_to_packed(rows: Iterable[int], ncols: int) -> np.ndarray:
+    """Packed words of big-int bitset rows (each below 2**ncols)."""
+    nbytes = 8 * _words(ncols)
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(raw, dtype=WORD).reshape(-1, _words(ncols)).copy()
+
+
+def bitset_to_array(bits: int, ncols: int) -> np.ndarray:
+    """Unpack a row bitset to a length-ncols uint8 0/1 vector."""
+    nbytes = (ncols + 7) // 8
+    raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:ncols]
+
+
+def array_to_bitset(vec: np.ndarray) -> int:
+    """Pack a 0/1 vector into a row bitset (column j -> bit j)."""
+    packed = np.packbits(vec.astype(np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+# ---------------------------------------------------------------------------
+# Eliminators
+# ---------------------------------------------------------------------------
+
+
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank of the 0/1 matrix whose rows are bitsets."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = _reduce(row, pivots)
+        if row:
+            pivots[_low_bit(row)] = row
+    return len(pivots)
+
+
+def gf2_rref(rows: Iterable[int]) -> dict[int, int]:
+    """Fully reduced row-echelon form: {pivot column: row bitset}.
+
+    Each pivot column appears in exactly one row.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = _reduce(row, pivots)
+        if row:
+            pivots[_low_bit(row)] = row
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        rest = row & ~(1 << col)
+        while rest:
+            c = _low_bit(rest)
+            if c in pivots:
+                row ^= pivots[c]
+                rest = row & ~(1 << col)
+            else:
+                rest &= rest - 1
+        pivots[col] = row
+    return pivots
+
+
+def _reduce(row: int, pivots: dict[int, int]) -> int:
+    while row:
+        col = _low_bit(row)
+        if col not in pivots:
+            return row
+        row ^= pivots[col]
+    return 0
+
+
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def numpy_gf2_rank(matrix: np.ndarray) -> int:
+    """Independent dense GF(2) elimination (no bitsets)."""
+    work = (matrix.astype(np.uint8) & 1).copy()
+    nrows, ncols = work.shape
+    r = 0
+    for c in range(ncols):
+        hits = np.nonzero(work[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        work[[r, p]] = work[[p, r]]
+        clear = np.nonzero(work[:, c])[0]
+        for i in clear:
+            if i != r:
+                work[i] ^= work[r]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+# ---------------------------------------------------------------------------
+# Trace code by definition
+# ---------------------------------------------------------------------------
+
+
+def traced_span(code) -> np.ndarray:
+    """Packed RREF of the GF(2) span of tr(beta * g), g in the code's kernel
+    basis, beta in the polynomial basis 2^j of F_q; the Delsarte sandwich
+    dim C <= dim tr(C) <= ell * dim C is asserted."""
+    spec = code.field
+    n = code.length
+    # trace_of_multiple[j][v] = trace(2^j * v)
+    trace_of_multiple = spec.trace_table()[spec.mul_table()[1 << np.arange(spec.ell)]]
+    step = max(1, BATCH_BYTES // (n * spec.ell))
+
+    def traced_rows():
+        for start in range(0, len(code.kernel_basis), step):
+            g = unpack_rows(code.kernel_basis[start : start + step], n)
+            for table in trace_of_multiple:
+                yield pack_rows(table[g])
+
+    generators = gf2_echelon(traced_rows(), n).reduced()
+    assert code.exact_dimension <= len(generators) <= spec.ell * code.exact_dimension
+    return generators

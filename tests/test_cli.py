@@ -132,6 +132,49 @@ def test_build_binary_gf16(capsys, tmp_path) -> None:
     assert header == "# q=16 rows=208 cols=256"
 
 
+# sha256 of every file `build --ell 4 --subgroup-order 5 --binary` writes.
+BUILD_Q16_H5_SHA256 = {
+    "binary_generator_q16_h5.txt": "417336a35f7a0c213d26643cca88b03df53e38fabf3082c4b168fbcc6c55b924",
+    "descriptor_q16_h5.json": "6bff74c9930f422ecdb9b7ac71dfa16ebf12bdb0d3b4cfcc0df9ea9f06ea3734",
+    "generator_q16_h5.txt": "3cce467f056f1123683131720ebb9ef5048e2ae6e77012398dc60cd1b1ca08f0",
+    "parity_q16_h5.txt": "154d57d2609365cfe5e6ebc78ec27f105cf3f060ca0a90769c49e0d6c4267fe2",
+}
+
+
+def test_build_and_verify_binary_exports_pinned(capsys, tmp_path) -> None:
+    """Every file of `build --binary` and the binary report of
+    `verify --binary` at q16h5 are pinned byte for byte by sha256, so a
+    change of kernel basis or of the export format cannot slip through."""
+    build_dir, verify_dir = tmp_path / "build", tmp_path / "verify"
+    status, out, _ = run(
+        capsys, "build", "--ell", "4", "--subgroup-order", "5", "--binary",
+        "--out-dir", str(build_dir),
+    )
+    assert status == 0
+    assert out == (
+        "N=256 q=16 h=5 t=3 good=207 bad=49 dimension=208 redundancy=48\n"
+        "binary_dimension=208 binary_redundancy=48\n"
+    )
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in build_dir.iterdir()
+    }
+    assert digests == BUILD_Q16_H5_SHA256
+    status, out, _ = run(
+        capsys, "verify", "--ell", "4", "--subgroup-order", "5", "--binary",
+        "--out-dir", str(verify_dir),
+    )
+    assert status == 0
+    assert out == (
+        "q=16 h=5 t=3 trials=100 checks=76800 failures=0\n"
+        "binary checks=76800 failures=0\n"
+        "parallel_reads coordinate=0 k=3 value=13 agree=yes\n"
+    )
+    report = (verify_dir / "verify_binary_q16_h5.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "9c90b38cd5f299144c8260f41abffeec91abb97446722d837b37fc32abe40585"
+    )
+
+
 def test_build_dimension_only(capsys, tmp_path) -> None:
     status, out, _ = run(
         capsys, "build", "--ell", "4", "--subgroup-order", "15",

@@ -41,16 +41,17 @@ from wedgelift.code import (
     iter_parity_rows,
     write_descriptor,
 )
-from wedgelift.linalg import (
+from wedgelift.linalg import gfq_rank
+
+from reference import (
     array_to_bitset,
     bitset_to_array,
     gf2_rank,
     gf2_rref,
-    gfq_rank,
+    numpy_gf2_rank,
     packed_to_ints,
+    traced_span,
 )
-
-from test_linalg import numpy_gf2_rank
 
 
 def wedge_rows(family) -> list[int]:
@@ -194,10 +195,13 @@ def test_nullspace_sampling_gf4(code4_3, rng) -> None:
             assert bin(vec & row).count("1") % 2 == 0
 
 
-def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) -> None:
-    """kernel_basis and binary_generators are bit-identical to the big-int
-    path: the RREF of the parity rows by gf2_rref, a kernel vector per free
-    column, and the RREF of the trace rows tr(2^j * g)."""
+def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, code64_9) -> None:
+    """kernel_basis is the big-int RREF of the kernel vectors read off the
+    gf2_rref of the parity rows (a unit vector per free column plus pivot
+    bits), and binary_generators is bit-identical to the RREF of the trace
+    rows tr(2^j * g), the trace code by its definition. At q32h31 and q64h9,
+    where the big-int path is too slow, the trace rows are eliminated by the
+    packed reference instead."""
     for code in (code4_3, code16_5, code16_15):
         n = code.length
         rref = gf2_rref(wedge_rows(code.family))
@@ -209,7 +213,8 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) 
                     if row >> f & 1:
                         v |= 1 << col
                 kernel.append(v)
-        assert packed_to_ints(code.kernel_basis) == kernel
+        kernel_rref = gf2_rref(kernel)
+        assert packed_to_ints(code.kernel_basis) == [kernel_rref[c] for c in sorted(kernel_rref)]
 
         spec = code.field
         raw = [
@@ -220,6 +225,9 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15) 
         traced = gf2_rref(raw)
         binary = trace_code(code)
         assert packed_to_ints(binary.binary_generators) == [traced[c] for c in sorted(traced)]
+
+    for code in (build_code(make_coset_family(make_field(5), 31)), code64_9):
+        assert np.array_equal(trace_code(code).binary_generators, traced_span(code))
 
 
 def test_annihilation_check_fires_on_a_bad_monomial(fam16_5, monkeypatch) -> None:
@@ -394,8 +402,8 @@ def test_encode_validates_messages(code4_3) -> None:
 
 
 def test_trace_dimension_equals_parent(code4_3, code16_5, code16_15, code64_9) -> None:
-    # Measured equality at every instantiation (the kernel has a 0/1 basis);
-    # the construction only guarantees dim C <= dim tr(C) <= ell * dim C.
+    # tr(C) = C ∩ F_2^n because C has a 0/1 kernel basis; the traced span of
+    # test_kernel_and_trace_match_big_int_reference checks it by definition.
     for code in (code4_3, code16_5, code16_15, code64_9):
         tc = trace_code(code)
         assert tc.binary_dimension == code.exact_dimension
@@ -477,6 +485,13 @@ def test_export_matrix_golden(tmp_path) -> None:
     path = tmp_path / "m.txt"
     export_matrix(path, np.array([[0, 1, 15], [10, 11, 2]]), q=16)
     assert path.read_text() == "# q=16 rows=2 cols=3\n0 1 f\na b 2\n"
+
+
+def test_export_matrix_rejects_entries_outside_the_field(tmp_path) -> None:
+    for bad in ([[0, 16]], [[-1, 0]]):
+        with pytest.raises(UsageError, match=r"\[0, 16\)"):
+            export_matrix(tmp_path / "m.txt", np.array(bad), q=16)
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_descriptor_golden(tmp_path, code4_3) -> None:

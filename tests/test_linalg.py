@@ -1,9 +1,10 @@
 """GF(2) elimination (packed and big-int bitsets) and the dense GF(2^ell) eliminator.
 
 The packed eliminator the library uses is compared against the big-int
-reference (`gf2_rank`, `gf2_rref`), and both against a from-scratch numpy
-row-reduction; the subfield identity (0/1 matrices keep their rank over the
-extension field) is *tested* against the dense eliminator rather than assumed.
+reference (`gf2_rank`, `gf2_rref` in tests/reference.py), and both against a
+from-scratch numpy row-reduction; the subfield identity (0/1 matrices keep
+their rank over the extension field) is *tested* against the dense
+eliminator rather than assumed.
 """
 
 from __future__ import annotations
@@ -14,40 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgelift import make_field
-from wedgelift.linalg import (
-    GF2Echelon,
+from wedgelift.linalg import GF2Echelon, gf2_echelon, gfq_rank, pack_rows, unpack_rows
+
+from reference import (
     array_to_bitset,
     bitset_to_array,
-    gf2_echelon,
     gf2_rank,
     gf2_rref,
-    gfq_rank,
     ints_to_packed,
-    pack_rows,
+    numpy_gf2_rank,
     packed_to_ints,
-    unpack_rows,
 )
-
-
-def numpy_gf2_rank(matrix: np.ndarray) -> int:
-    """Independent dense GF(2) elimination (no bitsets)."""
-    work = (matrix.astype(np.uint8) & 1).copy()
-    nrows, ncols = work.shape
-    r = 0
-    for c in range(ncols):
-        hits = np.nonzero(work[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        work[[r, p]] = work[[p, r]]
-        clear = np.nonzero(work[:, c])[0]
-        for i in clear:
-            if i != r:
-                work[i] ^= work[r]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def random_bit_matrix(rng: np.random.Generator, nrows: int, ncols: int) -> np.ndarray:
@@ -145,7 +123,9 @@ def test_nullspace_properties() -> None:
         bitsets = rows_to_bitsets(m)
         basis = packed_kernel(bitsets, ncols)
         assert len(basis) == ncols - gf2_rank(bitsets)
-        assert basis == sorted(basis)
+        # The kernel's own RREF, rows in increasing pivot (lowest set bit).
+        rref = gf2_rref(basis)
+        assert basis == [rref[c] for c in sorted(rref)]
         for vec in basis:
             assert vec < (1 << ncols)
             for row in bitsets:
@@ -205,7 +185,9 @@ def test_packed_matches_references_random() -> None:
 
 def test_packed_q4h3_width_padding_never_free() -> None:
     """q = 4: 16 columns inside one 64-bit word; the 48 padding columns are
-    neither pivots nor free columns of the kernel."""
+    neither pivots nor free columns of the kernel. The kernel's pivots
+    (lowest set bits) are the columns below 16 that are not the highest set
+    column of a row in the highest-pivot RREF of the rows."""
     from wedgelift import make_coset_family, make_field
     from wedgelift.code import iter_parity_rows
 
@@ -218,9 +200,11 @@ def test_packed_q4h3_width_padding_never_free() -> None:
     assert packed_rref(echelon) == gf2_rref(rows)
     assert all(p < 16 for p in echelon.pivots)
     free = sorted(set(range(16)) - set(echelon.pivots.tolist()))
+    top = {15 - c for c in gf2_rref(int(f"{r:016b}"[::-1], 2) for r in rows)}
     kernel = packed_kernel(rows, 16)
     assert len(kernel) == len(free) == 10
-    assert all(v < 1 << 16 and v >> f & 1 for v, f in zip(kernel, free))
+    assert all(v < 1 << 16 for v in kernel)
+    assert [(v & -v).bit_length() - 1 for v in kernel] == sorted(set(range(16)) - top)
 
 
 def test_packed_empty_and_zero_rows() -> None:
