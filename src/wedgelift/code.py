@@ -7,7 +7,9 @@ point set (odd coset size collapses the line multiset to an indicator, which
 is what lets one representation serve both the F_q code and the binary code).
 Because the checks are 0/1, C = F_q ⊗ C_2 with C_2 = C ∩ F_2^n the GF(2)
 kernel, and the binary trace code tr(C) is C_2 itself (Delsarte 1975), so one
-elimination gives both codes.
+elimination gives both codes. Every wedge is a translate of a wedge at the
+origin, so that elimination starts from one seed row per coset and closes
+their span under translation (linalg.translation_closure).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ._io import atomic_write_text
 from .classify import Monomial, is_bad_coset_criterion
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec
-from .linalg import BATCH_BYTES, gf2_echelon, pack_rows, unpack_rows
+from .linalg import BATCH_BYTES, pack_rows, translation_closure, unpack_rows
 
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
 
@@ -68,23 +70,23 @@ def good_monomials(family: CosetFamily) -> tuple[Monomial, ...]:
 
 
 def iter_parity_rows(family: CosetFamily) -> Iterator[np.ndarray]:
-    """Packed indicator rows of every wedge point set: one (q, words) block of
-    uint64 words per (coset, x), rows y = 0..q-1, blocks ordered (coset, x)."""
+    """Packed indicator row of each coset's wedge at (0, 0), the points
+    (t, alpha*t) for t in F_q and alpha in the coset: one (1, words) block of
+    uint64 words per coset, in coset order.
+
+    These seed the parity row space. The wedge at (x, y) is the wedge at
+    (0, 0) moved by (x, y): (t, alpha*t) goes to (t ^ x, alpha*t ^ y), that is
+    coordinate j to j ^ (x*q + y). So the translates of the seeds are exactly
+    the t*q^2 wedge checks.
+    """
     spec = family.field
     q = spec.q
     mul = spec.mul_table()
     ts = np.arange(q, dtype=np.intp)
-    yy = ts[None, None, :]
-    row_start = yy * (q * q)
     for coset in family.cosets:
-        slopes = np.array(coset, dtype=np.intp)[:, None]
-        for x in range(q):
-            # Row y holds the points (t, alpha*(t+x) + y), t in F_q, alpha in
-            # the coset, at bit t*q + (alpha*(t+x) ^ y) = (t*q + alpha*(t+x)) ^ y.
-            line = ts * q + mul[slopes, ts ^ x]
-            bits = np.zeros((q, q * q), dtype=np.uint8)
-            bits.reshape(-1)[((line[:, :, None] ^ yy) + row_start).reshape(-1)] = 1
-            yield pack_rows(bits)
+        bits = np.zeros((1, q * q), dtype=np.uint8)
+        bits[0, ts * q + mul[np.array(coset, dtype=np.intp)[:, None], ts]] = 1
+        yield pack_rows(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +135,25 @@ class WedgeLiftedCode:
         return unpack_rows(self.parity_rows, self.length)
 
 
-def _guard_full_build(family: CosetFamily, memory_guard_bytes: int) -> None:
-    """The largest dense arrays of a full build: the float32 R^T of the
-    annihilation check (q^2 x r, with redundancy r <= (t+1)*q) and the uint16
-    generator matrix callers export (at most q^2 x q^2)."""
+def _guard_build(family: CosetFamily, dimension_only: bool, memory_guard_bytes: int) -> None:
+    """The largest arrays of a build. Every build holds the packed parity
+    basis: r rows of q^2/8 bytes, where r <= bad <= (t+1)*q (the dimension is
+    at least the good-monomial count, and bad monomials need b - i to be one
+    of the t+1 multiples of h in [0, q-1]). A full build also holds the
+    float32 R^T of the annihilation check (q^2 x r) and the uint16 generator
+    matrix callers export (at most q^2 x q^2)."""
     q = family.q
-    estimated = max(4 * q * q * (family.t + 1) * q, 2 * q**4)
+    rows = (family.t + 1) * q
+    estimated = rows * q * q // 8
+    if dimension_only:
+        mode, hint = "dimension-only", ""
+    else:
+        mode, hint = "full", "; build with dimension_only=True"
+        estimated = max(estimated, 4 * q * q * rows, 2 * q**4)
     if estimated > memory_guard_bytes:
         raise MemoryGuardError(
-            f"full build for q={q}, t={family.t} needs ~{estimated} bytes "
-            f"(guard {memory_guard_bytes}); build with dimension_only=True"
+            f"{mode} build for q={q}, t={family.t} needs ~{estimated} bytes "
+            f"(guard {memory_guard_bytes}){hint}"
         )
 
 
@@ -152,10 +163,15 @@ def build_code(
     dimension_only: bool = False,
     memory_guard_bytes: int = DEFAULT_MEMORY_GUARD_BYTES,
 ) -> WedgeLiftedCode:
-    """Stream the wedge checks through one packed elimination, measure the
-    exact dimension by rank, and (in full mode) keep the reduced rows, read
-    the kernel basis from them, and assert that every good-monomial
-    evaluation is annihilated by every wedge.
+    """Eliminate the wedge checks, measure the exact dimension by rank, and
+    (in full mode) keep the reduced rows, read the kernel basis from them,
+    and assert that every good-monomial evaluation is annihilated by every
+    wedge.
+
+    The wedge checks are the translates of one seed per coset, so their row
+    space is the translation closure of the seeds: the elimination takes the
+    t seeds and the translates of each basis row by the 2*ell index bits
+    (t + 2*ell*r rows, 4 111 at q64h9), never the t*q^2 wedge rows (28 672).
 
     The parity rows are 0/1, so elimination over F_q never leaves {0, 1} and
     the F_q rank equals the GF(2) rank.
@@ -163,10 +179,9 @@ def build_code(
     spec = family.field
     q = spec.q
     n = q * q
-    if not dimension_only:
-        _guard_full_build(family, memory_guard_bytes)
+    _guard_build(family, dimension_only, memory_guard_bytes)
     good = good_monomials(family)
-    echelon = gf2_echelon(iter_parity_rows(family), n)
+    echelon = translation_closure(iter_parity_rows(family), n)
     dimension = n - echelon.rank
     if dimension < len(good):
         raise InvariantError(

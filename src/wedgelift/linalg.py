@@ -4,6 +4,8 @@ The library eliminates over GF(2) with `GF2Echelon`: rows packed into uint64
 words (column j at bit j % 64 of word j // 64), reduced block by block against
 a basis kept in fully reduced row-echelon form. It also decides which kernel
 basis the library exposes: the unique reduced row-echelon one.
+`translation_closure` grows such a basis from a few seed rows to the smallest
+row space that also holds every translate j -> j ^ c of its rows.
 
 For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
 operations on unit pivots stay in the subfield), which is why one GF(2) path
@@ -156,12 +158,17 @@ class GF2Echelon:
             yield pack_rows(bits[:, ::-1])
 
 
+def _batch_rows(words: int) -> int:
+    """Rows of `words` uint64 words that make one elimination batch."""
+    return max(1, BATCH_BYTES // (8 * max(words, 1)))
+
+
 def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
     """Eliminate a stream of packed (rows, words) row blocks, regrouped into
     batches of about BATCH_BYTES so that each pass over the basis covers many
     rows. The blocks themselves are not modified."""
     echelon = GF2Echelon(ncols)
-    batch_rows = max(1, BATCH_BYTES // (8 * max(echelon.words, 1)))
+    batch_rows = _batch_rows(echelon.words)
     pending: list[np.ndarray] = []
     held = 0
     for block in blocks:
@@ -172,6 +179,61 @@ def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
             pending, held = [], 0
     if pending:
         echelon._add_batch(np.concatenate(pending, dtype=WORD))
+    return echelon
+
+
+# _SWAP_MASKS[i]: the bits of a word whose bit index has bit i clear.
+_SWAP_MASKS = tuple(
+    np.uint64(m)
+    for m in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
+)
+
+
+def translate_rows(rows: np.ndarray, bit: int) -> np.ndarray:
+    """Packed rows with column j moved to column j ^ 2^bit, as a new array.
+
+    For bit >= 6 that swaps whole words, w -> w ^ 2^(bit-6); below it swaps
+    the bit pairs (b, b + 2^bit) inside each word. The caller keeps 2^bit
+    below the column count, so no bit moves into the padding.
+    """
+    if bit >= 6:
+        return rows[:, np.arange(rows.shape[1]) ^ (1 << (bit - 6))]
+    shift, mask = np.uint64(1 << bit), _SWAP_MASKS[bit]
+    return ((rows >> shift) & mask) | ((rows & mask) << shift)
+
+
+def translation_closure(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
+    """Basis of the smallest row space that holds the seed rows of `blocks`
+    and is invariant under every translation j -> j ^ c of the ncols (a power
+    of two) columns.
+
+    The seeds are eliminated as by gf2_echelon. Then each basis row, in the
+    order the rows arrived, is moved by each of the log2(ncols) translations
+    j -> j ^ 2^i (they generate all of them), and the translates are
+    eliminated, about BATCH_BYTES at a time; rows they add join the queue.
+    Every row is translated once, as it stands when its turn comes, which is
+    after it was appended. Those translated versions are independent (each
+    has its own pivot bit, and the rows translated after it are zero there),
+    so they span the final space S, and their translates all lie in S: S is
+    invariant, and no invariant space holding the seeds is smaller.
+    """
+    if ncols < 1 or ncols & (ncols - 1):
+        raise ValueError(f"ncols must be a power of two, got {ncols}")
+    echelon = gf2_echelon(blocks, ncols)
+    bits = ncols.bit_length() - 1
+    step = max(1, _batch_rows(echelon.words) // max(bits, 1))
+    done = 0
+    while bits and done < echelon.rank:
+        rows = echelon._rows[done : min(done + step, echelon.rank)]
+        echelon._add_batch(np.concatenate([translate_rows(rows, i) for i in range(bits)]))
+        done += len(rows)
     return echelon
 
 

@@ -2,14 +2,16 @@
 
 None of this is library code. The big-int bitset eliminators (column j at
 bit j of a Python int) and the dense numpy one share no code with the packed
-`linalg.GF2Echelon`; `traced_span` is the trace code by its definition, the
-GF(2) span of tr(2^j * g) over a kernel basis, which the library no longer
+`linalg.GF2Echelon`; `iter_wedge_rows` lists every wedge check one by one,
+which the library no longer does because it closes one seed per coset under
+translation; `traced_span` is the trace code by its definition, the GF(2)
+span of tr(2^j * g) over a kernel basis, which the library no longer
 computes because tr(C) is the binary kernel itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -118,6 +120,36 @@ def numpy_gf2_rank(matrix: np.ndarray) -> int:
         if r == nrows:
             break
     return r
+
+
+# ---------------------------------------------------------------------------
+# Wedge checks by enumeration
+# ---------------------------------------------------------------------------
+
+
+def iter_wedge_rows(family) -> Iterator[np.ndarray]:
+    """Packed indicator rows of every wedge point set: one (q, words) block of
+    uint64 words per (coset, x), rows y = 0..q-1, blocks ordered (coset, x)."""
+    spec = family.field
+    q = spec.q
+    mul = spec.mul_table()
+    ts = np.arange(q, dtype=np.intp)
+    yy = ts[None, None, :]
+    row_start = yy * (q * q)
+    for coset in family.cosets:
+        slopes = np.array(coset, dtype=np.intp)[:, None]
+        for x in range(q):
+            # Row y holds the points (t, alpha*(t+x) + y), t in F_q, alpha in
+            # the coset, at bit t*q + (alpha*(t+x) ^ y) = (t*q + alpha*(t+x)) ^ y.
+            line = ts * q + mul[slopes, ts ^ x]
+            bits = np.zeros((q, q * q), dtype=np.uint8)
+            bits.reshape(-1)[((line[:, :, None] ^ yy) + row_start).reshape(-1)] = 1
+            yield pack_rows(bits)
+
+
+def wedge_rows(family) -> list[int]:
+    """Every wedge indicator row of the family, as a big-int bitset."""
+    return [r for block in iter_wedge_rows(family) for r in packed_to_ints(block)]
 
 
 # ---------------------------------------------------------------------------

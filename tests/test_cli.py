@@ -186,6 +186,18 @@ def test_build_dimension_only(capsys, tmp_path) -> None:
     assert not (tmp_path / "generator_q16_h15.txt").exists()
 
 
+def test_build_dimension_only_q256(capsys, tmp_path) -> None:
+    status, out, _ = run(
+        capsys, "build", "--dimension-only", "--ell", "8", "--subgroup-order", "255",
+        "--out-dir", str(tmp_path),
+    )
+    assert status == 0
+    assert out == (
+        "N=65536 q=256 h=255 t=1 good=65025 bad=511 dimension=65026 redundancy=510\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["descriptor_q256_h255.json"]
+
+
 def test_build_reruns_byte_identical(capsys, tmp_path) -> None:
     argv = ["build", "--ell", "2", "--subgroup-order", "3", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -209,6 +221,18 @@ def test_build_memory_guard_exit_code(capsys, tmp_path) -> None:
     )
     assert status == 3
     assert "resource guard:" in err and "dimension_only" in err
+
+
+def test_build_dimension_only_memory_guard_exit_code(capsys, tmp_path) -> None:
+    """q = 4096, t = 1: the parity basis bound, 2 * 4096 rows of 2 MiB, is
+    16 GiB, over the default 2 GiB guard; the build stops before any work."""
+    status, out, err = run(
+        capsys, "build", "--dimension-only", "--ell", "12", "--subgroup-order", "4095",
+        "--out-dir", str(tmp_path),
+    )
+    assert status == 3 and out == ""
+    assert "resource guard: dimension-only build for q=4096, t=1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Every frozen dimension below was recomputed through two additional
 eliminators (dense numpy GF(2) and dense GF(2^ell)) before being fixed as a
 constant, so the packed rank path never certifies itself; its parity rows,
 kernel and trace generators are compared bit for bit with the big-int
-reference. Checks against the wedges take the raw rows of iter_parity_rows
-as big ints, not the code's reduced rows, so they do not lean on the packed
-elimination.
+reference. Checks against the wedges take every wedge row from the
+reference enumerator as big ints, not the code's reduced rows or its
+translation closure, so they do not lean on the packed elimination.
 """
 
 from __future__ import annotations
@@ -41,22 +41,20 @@ from wedgelift.code import (
     iter_parity_rows,
     write_descriptor,
 )
-from wedgelift.linalg import gfq_rank
+from wedgelift.classify import count_bad
+from wedgelift.linalg import gf2_echelon, gfq_rank
 
 from reference import (
     array_to_bitset,
     bitset_to_array,
     gf2_rank,
     gf2_rref,
+    iter_wedge_rows,
     numpy_gf2_rank,
     packed_to_ints,
     traced_span,
+    wedge_rows,
 )
-
-
-def wedge_rows(family) -> list[int]:
-    """Every raw wedge indicator row of the family, as a big-int bitset."""
-    return [r for block in iter_parity_rows(family) for r in packed_to_ints(block)]
 
 
 # (q, h) -> (good monomials, exact dimension). The dimension exceeds the
@@ -116,7 +114,7 @@ def test_parity_rows_are_wedge_indicators(f16) -> None:
     from wedgelift.classify import Wedge
 
     family = make_coset_family(f16, 5)
-    blocks = list(iter_parity_rows(family))
+    blocks = list(iter_wedge_rows(family))
     # One (q, q^2/64) block of uint64 words per (coset, x).
     assert len(blocks) == 3 * 16
     assert all(b.shape == (16, 4) and b.dtype == np.uint64 for b in blocks)
@@ -135,6 +133,41 @@ def test_parity_rows_are_wedge_indicators(f16) -> None:
                 idx += 1
     # Every row has the wedge cardinality.
     assert {bin(r).count("1") for r in rows} == {5 * 15 + 1}
+
+
+def test_seed_rows_are_the_wedges_at_the_origin(f16) -> None:
+    """iter_parity_rows yields one (1, words) block per coset: the wedge at
+    (0, 0), which is the reference enumerator's row (coset, x=0, y=0)."""
+    family = make_coset_family(f16, 5)
+    seeds = list(iter_parity_rows(family))
+    assert len(seeds) == family.t == 3
+    assert all(b.shape == (1, 4) and b.dtype == np.uint64 for b in seeds)
+    origin = [block[:1] for block in iter_wedge_rows(family)][::16]
+    assert [packed_to_ints(b) for b in seeds] == [packed_to_ints(b) for b in origin]
+
+
+# Every odd h | q - 1 for q <= 32, and two families at q = 64.
+CLOSURE_FAMILIES = [
+    (ell, h)
+    for ell in range(1, 6)
+    for h in range(1, 1 << ell, 2)
+    if ((1 << ell) - 1) % h == 0
+] + [(6, 9), (6, 63)]
+
+
+@pytest.mark.parametrize("ell,h", CLOSURE_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in CLOSURE_FAMILIES])
+def test_closure_rref_equals_rref_of_every_wedge(ell, h, code64_9) -> None:
+    """parity_rows, found from t seeds by translation closure, is the RREF of
+    all t*q^2 wedge rows of the reference enumerator: by big-int gf2_rref up
+    to q = 16, by the packed elimination of the whole stream above."""
+    family = make_coset_family(make_field(ell), h)
+    code = code64_9 if (ell, h) == (6, 9) else build_code(family)
+    if ell <= 4:
+        rref = gf2_rref(wedge_rows(family))
+        assert packed_to_ints(code.parity_rows) == [rref[c] for c in sorted(rref)]
+    else:
+        assert np.array_equal(code.parity_rows, gf2_echelon(iter_wedge_rows(family), code.length).reduced())
+    assert code.redundancy == len(code.parity_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +315,9 @@ def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
 
 
 def test_parity_export_does_not_depend_on_batching(fam16_5, monkeypatch, tmp_path) -> None:
-    """With 40-row elimination batches (3 blocks each, not one batch of all
-    768 rows) the exported parity file is byte for byte the same."""
+    """With 40-row elimination batches (the 8 translates of 5 basis rows
+    each, not all translates of every row found so far) the exported parity
+    file is byte for byte the same."""
     default = tmp_path / "default.txt"
     export_matrix(default, build_code(fam16_5).parity_check_matrix(), q=16)
     monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8 * 4 * 40)
@@ -300,6 +334,16 @@ def test_dimension_only_build(fam16_5, code16_5) -> None:
     assert code.parity_rows is None and code.kernel_basis is None
     with pytest.raises(UsageError, match="dimension-only"):
         code.parity_check_matrix()
+
+
+@pytest.mark.parametrize("ell,h,redundancy", [(7, 127, 254), (8, 255, 510)], ids=["q128h127", "q256h255"])
+def test_exact_redundancy_beyond_q64(ell, h, redundancy) -> None:
+    """Dimension-only redundancies at q = 128 and q = 256, first measured by
+    eliminating every wedge row (5.4 s and 155 s); they equal bad - 1."""
+    family = make_coset_family(make_field(ell), h)
+    code = build_code(family, dimension_only=True)
+    assert code.redundancy == redundancy
+    assert code.redundancy == count_bad(family) - 1
 
 
 def test_memory_guard() -> None:
@@ -322,6 +366,18 @@ def test_memory_guard_boundary(fam16_5) -> None:
     assert build_code(fam16_5, memory_guard_bytes=estimate).redundancy == 48
     with pytest.raises(MemoryGuardError, match="dimension_only"):
         build_code(fam16_5, memory_guard_bytes=estimate - 1)
+
+
+def test_dimension_only_memory_guard_boundary(fam16_5) -> None:
+    """A dimension-only build holds the packed parity basis: at most
+    (t + 1) * q rows of q^2 / 8 bytes, 64 * 32 bytes at q16h5 (t = 3). It
+    builds at exactly that estimate and raises one byte below it."""
+    estimate = (3 + 1) * 16 * 16**2 // 8
+    code = build_code(fam16_5, dimension_only=True, memory_guard_bytes=estimate)
+    assert code.redundancy == 48
+    assert code.redundancy * 16**2 // 8 <= estimate
+    with pytest.raises(MemoryGuardError, match="dimension-only build"):
+        build_code(fam16_5, dimension_only=True, memory_guard_bytes=estimate - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +458,14 @@ def test_encode_validates_messages(code4_3) -> None:
 
 
 def test_trace_dimension_equals_parent(code4_3, code16_5, code16_15, code64_9) -> None:
-    # tr(C) = C ∩ F_2^n because C has a 0/1 kernel basis; the traced span of
-    # test_kernel_and_trace_match_big_int_reference checks it by definition.
+    # tr(C) = C ∩ F_2^n because C has a 0/1 kernel basis. At q16h5 and
+    # q32h31 the dimension is also compared with the rank of the traced span
+    # tr(2^j * g), the trace code by its definition.
     for code in (code4_3, code16_5, code16_15, code64_9):
         tc = trace_code(code)
         assert tc.binary_dimension == code.exact_dimension
+    for code in (code16_5, build_code(make_coset_family(make_field(5), 31))):
+        assert trace_code(code).binary_dimension == len(traced_span(code))
 
 
 def test_trace_rows_orthogonal_to_wedges(trace16_5) -> None:

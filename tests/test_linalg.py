@@ -4,7 +4,9 @@ The packed eliminator the library uses is compared against the big-int
 reference (`gf2_rank`, `gf2_rref` in tests/reference.py), and both against a
 from-scratch numpy row-reduction; the subfield identity (0/1 matrices keep
 their rank over the extension field) is *tested* against the dense
-eliminator rather than assumed.
+eliminator rather than assumed. The packed translate is compared with an
+unpacked column permutation, and the translation closure with the RREF of
+every translate of its seeds.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgelift import make_field
-from wedgelift.linalg import GF2Echelon, gf2_echelon, gfq_rank, pack_rows, unpack_rows
+from wedgelift.linalg import (
+    GF2Echelon,
+    gf2_echelon,
+    gfq_rank,
+    pack_rows,
+    translate_rows,
+    translation_closure,
+    unpack_rows,
+)
 
 from reference import (
     array_to_bitset,
@@ -23,6 +33,7 @@ from reference import (
     gf2_rank,
     gf2_rref,
     ints_to_packed,
+    iter_wedge_rows,
     numpy_gf2_rank,
     packed_to_ints,
 )
@@ -188,11 +199,10 @@ def test_packed_q4h3_width_padding_never_free() -> None:
     neither pivots nor free columns of the kernel. The kernel's pivots
     (lowest set bits) are the columns below 16 that are not the highest set
     column of a row in the highest-pivot RREF of the rows."""
-    from wedgelift import make_coset_family, make_field
-    from wedgelift.code import iter_parity_rows
+    from wedgelift import make_coset_family
 
     family = make_coset_family(make_field(2), 3)
-    blocks = list(iter_parity_rows(family))
+    blocks = list(iter_wedge_rows(family))
     assert all(b.shape == (4, 1) for b in blocks)
     rows = [r for b in blocks for r in packed_to_ints(b)]
     echelon = gf2_echelon(blocks, 16)
@@ -239,6 +249,67 @@ def test_packed_leaves_input_and_validates() -> None:
         gf2_echelon([np.zeros((1, 3), dtype=np.uint64)], 70)
     with pytest.raises(ValueError, match="past column 70"):
         gf2_echelon([np.array([[0, 1 << 6]], dtype=np.uint64)], 70)
+
+
+# ---------------------------------------------------------------------------
+# Translation closure
+# ---------------------------------------------------------------------------
+
+
+def test_translate_rows_is_the_column_permutation() -> None:
+    """Bit i of the column index flipped, against the unpacked permutation
+    j -> j ^ 2^i, at widths below, at and above one word."""
+    rng = np.random.default_rng(21)
+    for ncols in (4, 16, 64, 256, 4096):
+        m = random_bit_matrix(rng, 5, ncols)
+        packed = pack_rows(m)
+        for i in range(ncols.bit_length() - 1):
+            moved = translate_rows(packed, i)
+            assert moved.dtype == np.uint64 and moved.shape == packed.shape
+            assert np.array_equal(unpack_rows(moved, ncols), m[:, np.arange(ncols) ^ (1 << i)])
+            assert np.array_equal(translate_rows(moved, i), packed)
+        assert np.array_equal(packed, pack_rows(m))
+
+
+def seeds_below_full_closure(rng: np.random.Generator, nseeds: int, ncols: int) -> np.ndarray:
+    """Random rows times (1 + T_i) for up to two index bits i (T_i the
+    translate by 2^i), so that their translates span at most a half or a
+    quarter of the columns, not all of them as random rows of odd weight do."""
+    m = random_bit_matrix(rng, nseeds, ncols)
+    bits = ncols.bit_length() - 1
+    for i in rng.permutation(bits)[:2]:
+        m ^= m[:, np.arange(ncols) ^ (1 << int(i))]
+    return m
+
+
+def test_translation_closure_is_rref_of_every_translate() -> None:
+    """The closure of a few seeds is the RREF of all their translates
+    j -> j ^ c, c in [0, ncols)."""
+    rng = np.random.default_rng(22)
+    ranks = set()
+    for ncols in (1, 2, 16, 64, 256):
+        for nseeds in (1, 2, 3):
+            m = seeds_below_full_closure(rng, nseeds, ncols)
+            every = m[:, np.arange(ncols)[:, None] ^ np.arange(ncols)].transpose(0, 2, 1)
+            reference = gf2_rref(rows_to_bitsets(every.reshape(-1, ncols)))
+            closure = translation_closure([pack_rows(m)], ncols)
+            assert packed_rref(closure) == reference
+            ranks.add((ncols, closure.rank))
+    assert any(0 < r < n // 2 for n, r in ranks)
+
+
+def test_translation_closure_batches_and_validates(monkeypatch) -> None:
+    """With one translated row per batch the closure is the same, and a
+    width that is not a power of two is refused."""
+    import wedgelift.linalg as linalg_module
+
+    rng = np.random.default_rng(23)
+    m = seeds_below_full_closure(rng, 2, 128)
+    expected = packed_rref(translation_closure([pack_rows(m)], 128))
+    monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8)
+    assert packed_rref(translation_closure([pack_rows(m)], 128)) == expected
+    with pytest.raises(ValueError, match="power of two"):
+        translation_closure([], 96)
 
 
 # ---------------------------------------------------------------------------
