@@ -18,6 +18,7 @@ from .classify import (
     is_bad_coset_criterion,
     is_good_oracle,
     is_good_oracle_sampled,
+    oracle_good_mask,
     wedge_point_set,
     wedge_restriction,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "is_irreducible",
     "make_coset_family",
     "make_field",
+    "oracle_good_mask",
     "plan_dyadic_parameters",
     "redundancy_exponent",
     "simulate_parallel_reads",

@@ -7,10 +7,11 @@ every line; because |C| is odd and the characteristic is 2, this equals the sum
 over the wedge's point set. A monomial is good for a coset family when every
 restriction, over all cosets and all q^2 points, vanishes.
 
-The brute-force oracle evaluates that definition directly (vectorized with
-index tables derived from the distributive law only). The coset criterion and
-the block criterion decide badness arithmetically from the exponent bits; they
-are validated against the oracle, never the other way around.
+The brute-force oracle evaluates that definition directly (vectorized over a
+chunk of monomials with index tables derived from the distributive law only).
+The coset criterion and the block criterion decide badness arithmetically from
+the exponent bits; they are validated against the oracle, never the other way
+around.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .bitlattice import enumerate_2_shadow
 from .errors import OracleBudgetError, UsageError
 from .field import CosetFamily, FieldSpec
+from .linalg import BATCH_BYTES
 from ._io import atomic_write_text
 
 DEFAULT_ORACLE_BUDGET = 10**9
@@ -84,26 +86,49 @@ def wedge_restriction(
     return total
 
 
-def restriction_grid(
-    spec: FieldSpec, coset: tuple[int, ...], m: Monomial
-) -> np.ndarray:
-    """All q^2 wedge restrictions of X^a Y^b for one coset, indexed [x, y].
+def _check_monomials(monomials, q: int) -> np.ndarray:
+    """(M, 2) array of exponent pairs, each exponent in [0, q-1]."""
+    exps = np.asarray(monomials, dtype=np.intp).reshape(-1, 2)
+    outside = ((exps < 0) | (exps > q - 1)).any(axis=1)
+    if outside.any():
+        _check_monomial(Monomial(*exps[outside.argmax()].tolist()), q)
+    return exps
+
+
+def _grid_chunk(q: int) -> int:
+    """Monomials per gather: the chunk's (M, q, q) index array holds about
+    BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (8 * q * q))
+
+
+def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.ndarray:
+    """All q^2 wedge restrictions of every X^a Y^b for one coset, as an
+    (M, q, q) array indexed [monomial, x, y]; monomials is a sequence of M
+    exponent pairs.
 
     Uses only distributivity: with G_alpha[s] = sum_T T^a (alpha*T + s)^b,
-    the restriction at (x, y) is sum_alpha G_alpha[alpha*x + y].
+    the restriction at (x, y) is sum_alpha G_alpha[alpha*x + y]. For a chunk
+    of monomials, G_alpha is one gather from the multiplication table at
+    (T^a, (alpha*T + s)^b), XOR-reduced over T.
     """
-    a, b = _check_monomial(m, spec.q)
     q = spec.q
+    exps = _check_monomials(monomials, q)
     mul = spec.mul_table()
-    xa = spec.pow_vector(a)
-    yb = spec.pow_vector(b)
-    s = np.arange(q, dtype=np.uint16)
-    grid = np.zeros((q, q), dtype=np.uint16)
-    for alpha in coset:
-        shifted = mul[alpha][:, None] ^ s[None, :]
-        g_alpha = np.bitwise_xor.reduce(mul[xa[:, None], yb[shifted]], axis=0)
-        grid ^= g_alpha[shifted]
-    return grid
+    flat_mul = mul.ravel()  # flat_mul[(u << ell) | v] = u * v
+    powers = spec.power_table()
+    s = np.arange(q)
+    grids = np.zeros((len(exps), q, q), dtype=np.uint16)
+    step = _grid_chunk(q)
+    for start in range(0, len(exps), step):
+        a, b = exps[start : start + step].T
+        xa = (powers[a].astype(np.intp) << spec.ell)[:, :, None]
+        yb = powers[b]
+        grid = grids[start : start + step]
+        for alpha in coset:
+            shifted = mul[alpha][:, None] ^ s[None, :]  # [T, s] -> alpha*T + s
+            g_alpha = np.bitwise_xor.reduce(flat_mul.take(xa | yb[:, shifted]), axis=1)
+            grid ^= g_alpha[:, shifted]
+    return grids
 
 
 def oracle_cost(family: CosetFamily) -> int:
@@ -113,21 +138,37 @@ def oracle_cost(family: CosetFamily) -> int:
     return q * q * family.t * (h * (q - 1) + 1)
 
 
-def is_good_oracle(
-    family: CosetFamily, m: Monomial, budget: int = DEFAULT_ORACLE_BUDGET
-) -> bool:
-    """Brute force: true iff every wedge restriction of X^a Y^b vanishes."""
-    cost = oracle_cost(family)
+def oracle_good_mask(
+    family: CosetFamily, monomials, budget: int = DEFAULT_ORACLE_BUDGET
+) -> np.ndarray:
+    """Brute force: for each X^a Y^b, true iff every wedge restriction vanishes.
+
+    The budget covers oracle_cost for every monomial. Cosets are checked in
+    turn, each on the monomials no earlier coset found bad.
+    """
+    cost = oracle_cost(family) * len(monomials)
     if cost > budget:
         raise OracleBudgetError(
             f"oracle infeasible: {cost} evaluations exceed budget {budget}; "
             f"sample wedges instead"
         )
-    m = _check_monomial(m, family.q)
+    exps = _check_monomials(monomials, family.q)
+    good = np.ones(len(exps), dtype=bool)
+    step = _grid_chunk(family.q)
     for coset in family.cosets:
-        if restriction_grid(family.field, coset, m).any():
-            return False
-    return True
+        alive = np.flatnonzero(good)
+        for start in range(0, len(alive), step):
+            chunk = alive[start : start + step]
+            grids = restriction_grid(family.field, coset, exps[chunk])
+            good[chunk] = ~grids.reshape(len(chunk), -1).any(axis=1)
+    return good
+
+
+def is_good_oracle(
+    family: CosetFamily, m: Monomial, budget: int = DEFAULT_ORACLE_BUDGET
+) -> bool:
+    """Brute force: true iff every wedge restriction of X^a Y^b vanishes."""
+    return bool(oracle_good_mask(family, [m], budget)[0])
 
 
 def is_good_oracle_sampled(

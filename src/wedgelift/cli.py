@@ -106,11 +106,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # whole sweep fits the evaluation budget (all q=16 families do by default).
     sweep_cost = _classify.oracle_cost(family) * q * q
     if sweep_cost <= config.budget:
-        mismatches = sum(
-            _classify.is_good_oracle(family, _classify.Monomial(a, b), config.budget)
-            != (bad == 0)
-            for a, b, bad, _ in rows
-        )
+        good = _classify.oracle_good_mask(family, [r[:2] for r in rows], config.budget)
+        mismatches = sum(g != (bad == 0) for g, (_, _, bad, _) in zip(good, rows))
         parts.append(f"oracle_disagreements={mismatches}")
         if mismatches:
             status = 1

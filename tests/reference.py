@@ -6,7 +6,9 @@ bit j of a Python int) and the dense numpy one share no code with the packed
 which the library no longer does because it closes one seed per coset under
 translation; `traced_span` is the trace code by its definition, the GF(2)
 span of tr(2^j * g) over a kernel basis, which the library no longer
-computes because tr(C) is the binary kernel itself.
+computes because tr(C) is the binary kernel itself; `restriction_grid_reference`
+is the oracle's grid for one monomial with one gather per slope, where the
+library gathers a whole chunk of monomials at once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from wedgelift.classify import Monomial, _check_monomial
 from wedgelift.linalg import BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, unpack_rows
 
 
@@ -176,3 +179,28 @@ def traced_span(code) -> np.ndarray:
     generators = gf2_echelon(traced_rows(), n).reduced()
     assert code.exact_dimension <= len(generators) <= spec.ell * code.exact_dimension
     return generators
+
+
+# ---------------------------------------------------------------------------
+# Wedge restrictions of one monomial, slope by slope
+# ---------------------------------------------------------------------------
+
+
+def restriction_grid_reference(spec, coset: tuple[int, ...], m: Monomial) -> np.ndarray:
+    """All q^2 wedge restrictions of X^a Y^b for one coset, indexed [x, y].
+
+    Uses only distributivity: with G_alpha[s] = sum_T T^a (alpha*T + s)^b,
+    the restriction at (x, y) is sum_alpha G_alpha[alpha*x + y].
+    """
+    a, b = _check_monomial(m, spec.q)
+    q = spec.q
+    mul = spec.mul_table()
+    xa = spec.pow_vector(a)
+    yb = spec.pow_vector(b)
+    s = np.arange(q, dtype=np.uint16)
+    grid = np.zeros((q, q), dtype=np.uint16)
+    for alpha in coset:
+        shifted = mul[alpha][:, None] ^ s[None, :]
+        g_alpha = np.bitwise_xor.reduce(mul[xa[:, None], yb[shifted]], axis=0)
+        grid ^= g_alpha[shifted]
+    return grid

@@ -26,14 +26,18 @@ from wedgelift import (
     wedge_point_set,
     wedge_restriction,
 )
+import wedgelift.classify as classify_module
 from wedgelift.classify import (
     Monomial,
     Wedge,
     classification_rows,
     oracle_cost,
+    oracle_good_mask,
     restriction_grid,
     write_classification_csv,
 )
+
+from reference import restriction_grid_reference
 
 # Exhaustively recomputed bad-monomial counts for every subgroup order of
 # every field up to GF(64), frozen after the oracle/criterion agreement tests
@@ -197,7 +201,7 @@ def test_good_monomial_restricts_to_zero_everywhere(f16: FieldSpec) -> None:
     m = Monomial(14, 1)  # good: a|b = 15 but no submask of a&b=0 is = 1 mod 5
     assert not is_bad_coset_criterion(m, 5, 4)
     for coset in family.cosets:
-        grid = restriction_grid(f16, coset, m)
+        grid = restriction_grid(f16, coset, [m])
         assert not grid.any()
 
 
@@ -207,10 +211,42 @@ def test_restriction_grid_matches_scalar_restriction(f16: FieldSpec) -> None:
     for _ in range(25):
         m = Monomial(int(rng.integers(16)), int(rng.integers(16)))
         coset = family.cosets[int(rng.integers(3))]
-        grid = restriction_grid(f16, coset, m)
+        grid = restriction_grid(f16, coset, [m])[0]
         x, y = int(rng.integers(16)), int(rng.integers(16))
         scalar = wedge_restriction(f16, [((m.a, m.b), 1)], Wedge(coset, (x, y)))
         assert int(grid[x, y]) == scalar
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("ell, h", [(2, 3), (4, 1), (4, 3), (4, 5), (4, 15), (5, 31), (6, 9)])
+def test_restriction_grid_matches_reference(ell: int, h: int, chunk, monkeypatch) -> None:
+    """The batched grids equal the slope-by-slope reference bit for bit,
+    dtype included, on a random batch of 40 monomials that holds a = 0 and
+    b = 0 (0^0 = 1). The batch crosses chunk boundaries at q = 64 with the
+    default chunk (16 monomials) and everywhere with a 5-monomial chunk."""
+    spec = make_field(ell)
+    q = spec.q
+    if chunk is not None:
+        monkeypatch.setattr(classify_module, "BATCH_BYTES", 8 * q * q * chunk)
+    assert (classify_module._grid_chunk(q) < 40) == (chunk is not None or q == 64)
+    rng = np.random.default_rng(100 * ell + h)
+    monomials = rng.integers(q, size=(40, 2))
+    monomials[:4] = [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
+    monomials[4:8, 0] = 0
+    monomials[8:12, 1] = 0
+    for coset in make_coset_family(spec, h).cosets:
+        grids = restriction_grid(spec, coset, monomials)
+        assert grids.shape == (40, q, q) and grids.dtype == np.uint16  # as the reference's
+        for m, grid in zip(monomials, grids):
+            expected = restriction_grid_reference(spec, coset, Monomial(*map(int, m)))
+            assert np.array_equal(grid, expected), (q, h, m)
+
+
+def test_restriction_grid_rejects_bad_exponents(f16: FieldSpec) -> None:
+    coset = make_coset_family(f16, 5).cosets[0]
+    assert restriction_grid(f16, coset, []).shape == (0, 16, 16)
+    with pytest.raises(UsageError, match=r"got \(16, 2\)"):
+        restriction_grid(f16, coset, [(1, 1), (16, 2), (-1, 0)])
 
 
 @pytest.mark.parametrize("ell, orders", [(4, (1, 3, 5, 15)), (6, (3, 9, 21))])
@@ -311,13 +347,10 @@ def test_oracle_full_grid_gf64_sampled_monomials(fam64_9: CosetFamily) -> None:
     coset criterion on every one."""
     rng = np.random.default_rng(22)
     q = 64
-    for _ in range(500):
-        m = Monomial(int(rng.integers(q)), int(rng.integers(q)))
-        good = all(
-            not restriction_grid(fam64_9.field, coset, m).any()
-            for coset in fam64_9.cosets
-        )
-        assert good == (not is_bad_coset_criterion(m, 9, 6)), m
+    monomials = [Monomial(int(rng.integers(q)), int(rng.integers(q))) for _ in range(500)]
+    good = oracle_good_mask(fam64_9, monomials, budget=oracle_cost(fam64_9) * 500)
+    for m, g in zip(monomials, good):
+        assert g == (not is_bad_coset_criterion(m, 9, 6)), m
 
 
 def test_sampled_oracle_api_gf64(fam64_9: CosetFamily) -> None:
@@ -345,6 +378,42 @@ def test_oracle_budget_guard(fam16_5: CosetFamily) -> None:
         is_good_oracle(fam16_5, Monomial(1, 1), budget=cost - 1)
     # At exactly the cost the call is allowed.
     assert is_good_oracle(fam16_5, Monomial(1, 1), budget=cost)
+
+
+def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeypatch) -> None:
+    """With 7-monomial chunks the q16h5 sweep over its 3 cosets takes many
+    gathers and still equals the coset criterion on all 256 monomials; each
+    coset after the first sees only the monomials no earlier coset found
+    bad. The budget covers the cost of every monomial in the batch."""
+    monkeypatch.setattr(classify_module, "BATCH_BYTES", 8 * 16 * 16 * 7)
+    seen = []
+    real = classify_module.restriction_grid
+
+    def recording(spec, coset, monomials):
+        seen.append((coset, [tuple(map(int, m)) for m in monomials]))
+        return real(spec, coset, monomials)
+
+    monkeypatch.setattr(classify_module, "restriction_grid", recording)
+    monomials = [Monomial(a, b) for a in range(16) for b in range(16)]
+    bad = np.array([is_bad_coset_criterion(m, 5, 4) for m in monomials])
+    cost = oracle_cost(fam16_5) * len(monomials)
+    good = oracle_good_mask(fam16_5, monomials, budget=cost)
+    assert good.dtype == bool and np.array_equal(good, ~bad)
+
+    assert all(len(batch) <= 7 for _, batch in seen)
+    survivors, sizes = monomials, []
+    for coset in fam16_5.cosets:
+        checked = [m for c, batch in seen if c == coset for m in batch]
+        assert checked == survivors
+        sizes.append(len(checked))
+        nonzero = real(fam16_5.field, coset, checked).reshape(len(checked), -1).any(axis=1)
+        survivors = [m for m, z in zip(checked, nonzero) if not z]
+    assert len(survivors) == 256 - 49
+    assert sizes[0] == 256 > sizes[1] >= sizes[2]
+
+    with pytest.raises(OracleBudgetError, match="oracle infeasible"):
+        oracle_good_mask(fam16_5, monomials, budget=cost - 1)
+    assert oracle_good_mask(fam16_5, [], budget=0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

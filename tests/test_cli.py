@@ -68,6 +68,33 @@ def test_classify_gf64_with_raised_budget(capsys, tmp_path) -> None:
     assert status == 0
     assert "bad=127" in out
     assert "oracle_disagreements=0" in out
+    csv = tmp_path / "classify_q64_h63.csv"
+    assert out == f"q=64 h=63 t=1 bad=127 bad_bound=128 oracle_disagreements=0 csv={csv}\n"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "00e9659d3134aa699ce729dd09ea7027fc165dce09837e50db3762fec8ad771e"
+    )
+
+
+def test_classify_q32_sweep_at_exact_budget_pinned(capsys, tmp_path) -> None:
+    """A budget of exactly oracle_cost * q^2 admits the whole exhaustive
+    sweep; stdout and the CSV are pinned byte for byte."""
+    budget = 32 * 32 * (31 * 31 + 1) * 32 * 32
+    status, out, _ = run(
+        capsys, "classify", "--ell", "5", "--subgroup-order", "31",
+        "--budget", str(budget), "--out-dir", str(tmp_path),
+    )
+    assert status == 0
+    csv = tmp_path / "classify_q32_h31.csv"
+    assert out == f"q=32 h=31 t=1 bad=63 bad_bound=64 oracle_disagreements=0 csv={csv}\n"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "025c1683f12d913012ad41e6ebaeefcc5a8ecc79d8a4b1f0720654c2f036119b"
+    )
+    status, out, _ = run(
+        capsys, "classify", "--ell", "5", "--subgroup-order", "31",
+        "--budget", str(budget - 1), "--out-dir", str(tmp_path),
+    )
+    assert status == 0
+    assert "oracle=skipped-budget" in out
 
 
 def test_classify_full_group_summary(capsys, tmp_path) -> None:
