@@ -69,23 +69,33 @@ def good_monomials(family: CosetFamily) -> tuple[Monomial, ...]:
     )
 
 
+def _origin_wedges(family: CosetFamily) -> np.ndarray:
+    """Sorted coordinate indices t*q + alpha*t of each coset's wedge at (0, 0),
+    t in F_q and alpha in the coset: a (t, h*(q-1) + 1) array, one row per
+    coset, which starts with the origin, index 0, then holds the h points of
+    each column t = 1..q-1 in turn."""
+    q, t = family.q, family.t
+    ts = np.arange(q, dtype=np.intp)
+    slopes = np.array(family.cosets, dtype=np.intp)
+    ys = family.field.mul_table()[slopes[:, None, :], ts[:, None]]
+    on_wedge = np.zeros((t, q, q), dtype=bool)
+    on_wedge[np.arange(t)[:, None, None], ts[:, None], ys] = True
+    return on_wedge.reshape(t, q * q).nonzero()[1].reshape(t, -1)
+
+
 def iter_parity_rows(family: CosetFamily) -> Iterator[np.ndarray]:
-    """Packed indicator row of each coset's wedge at (0, 0), the points
-    (t, alpha*t) for t in F_q and alpha in the coset: one (1, words) block of
-    uint64 words per coset, in coset order.
+    """Packed indicator row of each coset's wedge at (0, 0): one (1, words)
+    block of uint64 words per coset, in coset order.
 
     These seed the parity row space. The wedge at (x, y) is the wedge at
     (0, 0) moved by (x, y): (t, alpha*t) goes to (t ^ x, alpha*t ^ y), that is
     coordinate j to j ^ (x*q + y). So the translates of the seeds are exactly
     the t*q^2 wedge checks.
     """
-    spec = family.field
-    q = spec.q
-    mul = spec.mul_table()
-    ts = np.arange(q, dtype=np.intp)
-    for coset in family.cosets:
+    q = family.q
+    for seed in _origin_wedges(family):
         bits = np.zeros((1, q * q), dtype=np.uint8)
-        bits[0, ts * q + mul[np.array(coset, dtype=np.intp)[:, None], ts]] = 1
+        bits[0, seed] = 1
         yield pack_rows(bits)
 
 
@@ -140,8 +150,7 @@ def _guard_build(family: CosetFamily, dimension_only: bool, memory_guard_bytes: 
     basis: r rows of q^2/8 bytes, where r <= bad <= (t+1)*q (the dimension is
     at least the good-monomial count, and bad monomials need b - i to be one
     of the t+1 multiples of h in [0, q-1]). A full build also holds the
-    float32 R^T of the annihilation check (q^2 x r) and the uint16 generator
-    matrix callers export (at most q^2 x q^2)."""
+    uint16 generator matrix callers export (at most q^2 x q^2)."""
     q = family.q
     rows = (family.t + 1) * q
     estimated = rows * q * q // 8
@@ -149,7 +158,7 @@ def _guard_build(family: CosetFamily, dimension_only: bool, memory_guard_bytes: 
         mode, hint = "dimension-only", ""
     else:
         mode, hint = "full", "; build with dimension_only=True"
-        estimated = max(estimated, 4 * q * q * rows, 2 * q**4)
+        estimated = max(estimated, 2 * q**4)
     if estimated > memory_guard_bytes:
         raise MemoryGuardError(
             f"{mode} build for q={q}, t={family.t} needs ~{estimated} bytes "
@@ -165,8 +174,8 @@ def build_code(
 ) -> WedgeLiftedCode:
     """Eliminate the wedge checks, measure the exact dimension by rank, and
     (in full mode) keep the reduced rows, read the kernel basis from them,
-    and assert that every good-monomial evaluation is annihilated by every
-    wedge.
+    and assert on the t wedges at the origin (_check_good_annihilated) that
+    every good-monomial evaluation is annihilated by every wedge.
 
     The wedge checks are the translates of one seed per coset, so their row
     space is the translation closure of the seeds: the elimination takes the
@@ -190,9 +199,9 @@ def build_code(
     rows = kernel = None
     if not dimension_only:
         rows = echelon.reduced()
-        kernel = np.concatenate(list(echelon.kernel()))
+        kernel = echelon.kernel()
         kernel.flags.writeable = False
-        _check_good_annihilated(spec, good, rows)
+        _check_good_annihilated(family, good)
     return WedgeLiftedCode(
         field=spec,
         family=family,
@@ -203,33 +212,45 @@ def build_code(
     )
 
 
-def _check_good_annihilated(
-    spec: FieldSpec, good: tuple[Monomial, ...], reduced: np.ndarray
-) -> None:
-    """G . R^T = 0 on every bit plane of the good-monomial evaluations G,
-    where R are the reduced parity rows.
+def _check_good_annihilated(family: CosetFamily, good: tuple[Monomial, ...]) -> None:
+    """Raise InvariantError unless every good monomial sums to zero over
+    every wedge, which the t wedges at the origin decide exactly.
 
-    A wedge sum of field values vanishes iff each of its ell bit planes has
-    even weight on the wedge, and the 0/1 parity rows span over GF(2) what
-    they span over F_q, so this is exactly "every good monomial satisfies
-    every wedge check". The counts are < q^2 <= 2^24, exact in float32.
+    Translation by c is the coordinate permutation j -> j ^ c and maps each
+    seed to its wedge at c, so <g, wedge at c> = <g translated by c, seed>.
+    By Lucas, (X + x0)^a (Y + y0)^b = sum over bit subsets a' of a and b' of
+    b of x0^(a-a') y0^(b-b') X^a' Y^b': a good set closed under 2-shadows
+    spans a translation-invariant space. So it suffices that every good
+    monomial sums to zero over every seed, and that clearing one exponent
+    bit keeps a monomial good. The monomials of C pass the second half: C is
+    translation-invariant, and distinct monomials of degree < q are
+    independent functions.
     """
+    spec = family.field
     q, ell = spec.q, spec.ell
-    n = q * q
-    reduced_t = unpack_rows(reduced, n).T.astype(np.float32)
-    # bit_planes[j][v] = bit j of the field element v, as a float32 0/1.
-    bit_planes = ((np.arange(q) >> np.arange(ell)[:, None]) & 1).astype(np.float32)
-    step = max(1, BATCH_BYTES // (4 * n))
-    for start in range(0, len(good), step):
-        chunk = good[start : start + step]
-        values = _eval_monomials(spec, chunk)
-        for plane in bit_planes:
-            odd = ((plane[values] @ reduced_t).astype(np.int64) & 1).any(axis=1)
-            if odd.any():
-                m = chunk[int(odd.nonzero()[0][0])]
-                raise InvariantError(
-                    f"good monomial {tuple(m)} violates a wedge parity check"
-                )
+    mul, powers = spec.mul_table(), spec.power_table()
+    a, b = _exponents(good)
+    for seed in _origin_wedges(family):
+        # column[e, x] = sum of y^e over the seed's points (x, y): the origin
+        # alone at x = 0, then the h points of each column x = 1..q-1.
+        column = np.empty((q, q), dtype=mul.dtype)
+        column[:, 0] = powers[:, 0]
+        ys = (seed[1:] & (q - 1)).reshape(q - 1, -1)
+        column[:, 1:] = np.bitwise_xor.reduce(powers[:, ys], axis=2)
+        odd = np.bitwise_xor.reduce(mul[powers[a], column[b]], axis=1).nonzero()[0]
+        if odd.size:
+            raise InvariantError(
+                f"good monomial {tuple(good[odd[0]])} violates a wedge parity check"
+            )
+    is_good = np.zeros((q, q), dtype=bool)
+    is_good[a, b] = True
+    cleared = ~(1 << np.arange(ell))
+    a, b = a[:, None], b[:, None]
+    unclosed = np.flatnonzero(~(is_good[a & cleared, b] & is_good[a, b & cleared]).all(axis=1))
+    if unclosed.size:
+        raise InvariantError(
+            f"good monomial {tuple(good[unclosed[0]])} has a 2-shadow outside the good set"
+        )
 
 
 def encode(code: WedgeLiftedCode, message) -> np.ndarray:

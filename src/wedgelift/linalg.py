@@ -15,7 +15,7 @@ ranks over the big field without that argument.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -124,18 +124,18 @@ class GF2Echelon:
         self._masks.append(mask)
         self.rank += 1
 
-    def kernel(self) -> Iterator[np.ndarray]:
-        """Packed basis of {v : v . r = 0 for every row r}, in blocks: the
-        unique reduced row-echelon basis of the kernel, pivot = lowest set
-        column, rows in increasing pivot.
+    def kernel(self) -> np.ndarray:
+        """Packed (ncols - rank, words) basis of {v : v . r = 0 for every row
+        r}: the unique reduced row-echelon basis of the kernel, pivot = lowest
+        set column, rows in increasing pivot.
 
         The r basis rows are eliminated again with their column order
         reversed, which gives the reduced basis whose pivots are the
         *highest* set columns. For each free column f of that basis the
         kernel vector is the unit vector at f plus the pivot column of every
         row with bit f set; those pivots all lie above f, so f is the
-        vector's lowest set column, and no other vector has bit f. Blocks
-        hold about BATCH_BYTES of unpacked bits.
+        vector's lowest set column, and no other vector has bit f. The
+        vectors are unpacked about BATCH_BYTES of bits at a time.
         """
         n = self.ncols
         flipped = unpack_rows(self._rows[: self.rank], n)[:, ::-1]
@@ -147,6 +147,7 @@ class GF2Echelon:
         # Decreasing reversed column = increasing original column.
         free_cols = np.flatnonzero(free)[::-1]
         rows = mirror._rows[: mirror.rank]
+        kernel = np.empty((free_cols.size, self.words), dtype=WORD)
         step = max(1, BATCH_BYTES // max(n, 1))
         for start in range(0, free_cols.size, step):
             f = free_cols[start : start + step]
@@ -155,7 +156,8 @@ class GF2Echelon:
             # bits of column f in every basis row: (rank, len(f)) -> transposed
             at_f = (rows[:, f >> 6] >> (f & 63).astype(np.uint64)) & np.uint64(1)
             bits[:, pivots] = at_f.T
-            yield pack_rows(bits[:, ::-1])
+            kernel[start : start + f.size] = pack_rows(bits[:, ::-1])
+        return kernel
 
 
 def _batch_rows(words: int) -> int:

@@ -5,7 +5,9 @@ minus p itself: summing a codeword over it recovers the symbol at p, because
 the wedge parity check says the full point-set sum is zero and the
 characteristic is 2. Distinct cosets give disjoint groups — non-parallel lines
 through p meet only at p — so each coordinate has t independent repair sets,
-which is also what serves parallel (multi-server read) access patterns.
+which is also what serves parallel (multi-server read) access patterns. Every
+group is the same coset's group at the origin moved by p, so the plan is
+built, and its disjointness checked, from the t groups at the origin.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import BinaryTraceCode, WedgeLiftedCode, encode
+from .code import BinaryTraceCode, WedgeLiftedCode, _origin_wedges, encode
 from .errors import InvariantError, UsageError
-from .linalg import BATCH_BYTES
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,51 +38,25 @@ class RepairPlan:
 
 
 def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
-    """Construct all t groups for all q^2 coordinates and assert disjointness
-    exhaustively (an internal invariant that must never fire)."""
-    spec = code.field
-    family = code.family
-    q = spec.q
-    n = q * q
-    h = family.subgroup_order
-    mul = spec.mul_table()
-    size = h * (q - 1)
-    ys = np.arange(q, dtype=np.int32)
-    groups = np.empty((family.t, n, size), dtype=np.int32)
-    for j, coset in enumerate(family.cosets):
-        for x in range(q):
-            ts = np.delete(np.arange(q, dtype=np.int32), x)
-            block = np.empty((q, size), dtype=np.int32)
-            for k, alpha in enumerate(coset):
-                w = mul[alpha, ts ^ x].astype(np.int32)
-                block[:, k * (q - 1) : (k + 1) * (q - 1)] = (ts * q)[None, :] + (
-                    w[None, :] ^ ys[:, None]
-                )
-            groups[j, x * q : (x + 1) * q] = block
+    """Construct all t groups for all q^2 coordinates and assert that they
+    are disjoint (an internal invariant that must never fire).
+
+    Group j of coordinate p is coset j's wedge at the origin minus the
+    origin, moved by the translation j -> j ^ p. That translation is a
+    permutation that maps 0 to p, so the groups of every p are disjoint and
+    miss p exactly when the t origin wedges, without the origin, are
+    disjoint and miss 0: checking those t seeds checks all n coordinates.
+    """
+    seeds = _origin_wedges(code.family)[:, 1:].astype(np.int32)
+    if (seeds == 0).any():
+        raise InvariantError("a repair group contains its own coordinate")
+    merged = np.sort(seeds, axis=None)
+    if (merged[1:] == merged[:-1]).any():
+        raise InvariantError("repair groups of a coordinate are not disjoint")
+    groups = seeds[:, None, :] ^ np.arange(code.length, dtype=np.int32)[:, None]
     groups.sort(axis=2)
-    _check_disjoint(groups)
     groups.setflags(write=False)
     return RepairPlan(code=code, groups=groups)
-
-
-def _check_disjoint(groups: np.ndarray) -> None:
-    """Raise InvariantError unless, for every coordinate p, no group of p
-    contains p and the t groups of p are pairwise disjoint.
-
-    Exact, and run over chunks of coordinates whose groups take about
-    BATCH_BYTES, so the merged and sorted copy stays small.
-    """
-    t, n, size = groups.shape
-    step = max(1, BATCH_BYTES // (groups.itemsize * t * size))
-    for start in range(0, n, step):
-        chunk = groups[:, start : start + step]
-        count = chunk.shape[1]
-        coords = np.arange(start, start + count, dtype=groups.dtype)
-        if (chunk == coords[None, :, None]).any():
-            raise InvariantError("a repair group contains its own coordinate")
-        merged = np.sort(chunk.transpose(1, 0, 2).reshape(count, -1), axis=1)
-        if (merged[:, 1:] == merged[:, :-1]).any():
-            raise InvariantError("repair groups of a coordinate are not disjoint")
 
 
 def _group_sums(plan: RepairPlan, codeword: np.ndarray, j: int) -> np.ndarray:

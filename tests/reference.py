@@ -8,7 +8,12 @@ translation; `traced_span` is the trace code by its definition, the GF(2)
 span of tr(2^j * g) over a kernel basis, which the library no longer
 computes because tr(C) is the binary kernel itself; `restriction_grid_reference`
 is the oracle's grid for one monomial with one gather per slope, where the
-library gathers a whole chunk of monomials at once.
+library gathers a whole chunk of monomials at once;
+`check_good_annihilated_reference` tests every good monomial against every
+reduced parity row by float32 bit-plane products, where the library checks
+the t wedges at the origin; `repair_groups_reference` builds each repair
+group from its wedge's point set and checks every coordinate's groups, where
+the library translates and checks the t origin wedges.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from wedgelift.classify import Monomial, _check_monomial
+from wedgelift.code import _eval_monomials
+from wedgelift.errors import InvariantError
 from wedgelift.linalg import BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, unpack_rows
 
 
@@ -204,3 +211,88 @@ def restriction_grid_reference(spec, coset: tuple[int, ...], m: Monomial) -> np.
         g_alpha = np.bitwise_xor.reduce(mul[xa[:, None], yb[shifted]], axis=0)
         grid ^= g_alpha[shifted]
     return grid
+
+
+# ---------------------------------------------------------------------------
+# Good monomials against every reduced parity row
+# ---------------------------------------------------------------------------
+
+
+def check_good_annihilated_reference(spec, good: tuple[Monomial, ...], reduced: np.ndarray) -> None:
+    """G . R^T = 0 on every bit plane of the good-monomial evaluations G,
+    where R are the reduced parity rows.
+
+    A wedge sum of field values vanishes iff each of its ell bit planes has
+    even weight on the wedge, and the 0/1 parity rows span over GF(2) what
+    they span over F_q, so this is exactly "every good monomial satisfies
+    every wedge check". The counts are < q^2 <= 2^24, exact in float32.
+    """
+    q, ell = spec.q, spec.ell
+    n = q * q
+    reduced_t = unpack_rows(reduced, n).T.astype(np.float32)
+    # bit_planes[j][v] = bit j of the field element v, as a float32 0/1.
+    bit_planes = ((np.arange(q) >> np.arange(ell)[:, None]) & 1).astype(np.float32)
+    step = max(1, BATCH_BYTES // (4 * n))
+    for start in range(0, len(good), step):
+        chunk = good[start : start + step]
+        values = _eval_monomials(spec, chunk)
+        for plane in bit_planes:
+            odd = ((plane[values] @ reduced_t).astype(np.int64) & 1).any(axis=1)
+            if odd.any():
+                m = chunk[int(odd.nonzero()[0][0])]
+                raise InvariantError(
+                    f"good monomial {tuple(m)} violates a wedge parity check"
+                )
+
+
+# ---------------------------------------------------------------------------
+# Repair groups wedge by wedge
+# ---------------------------------------------------------------------------
+
+
+def repair_groups_reference(code) -> np.ndarray:
+    """groups[j, p]: the sorted indices of coset j's wedge at p minus p,
+    built per (coset, x, alpha) as the points (t, alpha*(t - x) + y), t != x,
+    and checked by check_disjoint_reference."""
+    spec = code.field
+    family = code.family
+    q = spec.q
+    n = q * q
+    h = family.subgroup_order
+    mul = spec.mul_table()
+    size = h * (q - 1)
+    ys = np.arange(q, dtype=np.int32)
+    groups = np.empty((family.t, n, size), dtype=np.int32)
+    for j, coset in enumerate(family.cosets):
+        for x in range(q):
+            ts = np.delete(np.arange(q, dtype=np.int32), x)
+            block = np.empty((q, size), dtype=np.int32)
+            for k, alpha in enumerate(coset):
+                w = mul[alpha, ts ^ x].astype(np.int32)
+                block[:, k * (q - 1) : (k + 1) * (q - 1)] = (ts * q)[None, :] + (
+                    w[None, :] ^ ys[:, None]
+                )
+            groups[j, x * q : (x + 1) * q] = block
+    groups.sort(axis=2)
+    check_disjoint_reference(groups)
+    return groups
+
+
+def check_disjoint_reference(groups: np.ndarray) -> None:
+    """Raise InvariantError unless, for every coordinate p, no group of p
+    contains p and the t groups of p are pairwise disjoint.
+
+    Exact, and run over chunks of coordinates whose groups take about
+    BATCH_BYTES, so the merged and sorted copy stays small.
+    """
+    t, n, size = groups.shape
+    step = max(1, BATCH_BYTES // (groups.itemsize * t * size))
+    for start in range(0, n, step):
+        chunk = groups[:, start : start + step]
+        count = chunk.shape[1]
+        coords = np.arange(start, start + count, dtype=groups.dtype)
+        if (chunk == coords[None, :, None]).any():
+            raise InvariantError("a repair group contains its own coordinate")
+        merged = np.sort(chunk.transpose(1, 0, 2).reshape(count, -1), axis=1)
+        if (merged[:, 1:] == merged[:, :-1]).any():
+            raise InvariantError("repair groups of a coordinate are not disjoint")

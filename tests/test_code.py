@@ -34,7 +34,8 @@ from wedgelift import (
 import wedgelift.code as code_module
 import wedgelift.linalg as linalg_module
 from wedgelift._io import atomic_write_text
-from wedgelift.classify import Monomial, restriction_grid
+from wedgelift.bitlattice import enumerate_2_shadow
+from wedgelift.classify import Monomial, Wedge, restriction_grid, wedge_point_set
 from wedgelift.code import (
     export_matrix,
     good_monomials,
@@ -47,6 +48,7 @@ from wedgelift.linalg import gf2_echelon, gfq_rank
 from reference import (
     array_to_bitset,
     bitset_to_array,
+    check_good_annihilated_reference,
     gf2_rank,
     gf2_rref,
     iter_wedge_rows,
@@ -264,13 +266,71 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, 
 
 
 def test_annihilation_check_fires_on_a_bad_monomial(fam16_5, monkeypatch) -> None:
-    """A bad monomial slipped into the good set makes the full build's exact
-    G . R^T check raise."""
+    """A bad monomial slipped into the good set makes the full build's seed
+    check raise."""
     bad = Monomial(15, 15)
     real = code_module.good_monomials(fam16_5)
     assert bad not in real
     monkeypatch.setattr(code_module, "good_monomials", lambda family: real[:100] + (bad,) + real[100:])
     with pytest.raises(InvariantError, match=r"good monomial \(15, 15\) violates"):
+        build_code(fam16_5)
+
+
+@pytest.mark.parametrize("ell,h", CLOSURE_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in CLOSURE_FAMILIES])
+def test_true_good_set_passes_seed_and_reference_checks(ell, h, code64_9) -> None:
+    """The good set passes the seed check (on the t wedges at the origin) and
+    the reference check against every reduced parity row."""
+    family = make_coset_family(make_field(ell), h)
+    code = code64_9 if (ell, h) == (6, 9) else build_code(family)
+    code_module._check_good_annihilated(family, code.good_monomials)
+    check_good_annihilated_reference(code.field, code.good_monomials, code.parity_rows)
+
+
+# (ell, h, stride): every bad monomial up to q = 16, every stride-th above.
+MUTATION_FAMILIES = [(4, 1, 1), (4, 3, 1), (4, 5, 1), (4, 15, 1), (5, 31, 9), (6, 9, 50)]
+
+
+@pytest.mark.parametrize(
+    "ell,h,stride", MUTATION_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h, _ in MUTATION_FAMILIES]
+)
+def test_seed_check_fires_on_the_shadow_of_a_bad_monomial(ell, h, stride, code64_9, monkeypatch) -> None:
+    """good | shadow(m), for a bad m, is closed under 2-shadows, so only the
+    seed sums can reject it: they must, the build must raise, and the
+    reference check must fail on the monomials it adds (the true good set
+    passes it on its own, see above)."""
+    family = make_coset_family(make_field(ell), h)
+    code = code64_9 if (ell, h) == (6, 9) else build_code(family)
+    q = family.q
+    good = set(code.good_monomials)
+    bad = [Monomial(a, b) for a in range(q) for b in range(q) if (a, b) not in good]
+    assert len(bad) == count_bad(family)
+    for m in bad[::stride]:
+        added = {Monomial(a, b) for a in enumerate_2_shadow(m.a) for b in enumerate_2_shadow(m.b)} - good
+        mutated = tuple(sorted(good | added))
+        with pytest.raises(InvariantError, match="violates a wedge parity check"):
+            code_module._check_good_annihilated(family, mutated)
+        with pytest.raises(InvariantError, match="violates a wedge parity check"):
+            check_good_annihilated_reference(code.field, tuple(sorted(added)), code.parity_rows)
+        monkeypatch.setattr(code_module, "good_monomials", lambda family: mutated)
+        with pytest.raises(InvariantError):
+            build_code(family)
+
+
+def test_closure_half_catches_a_bad_monomial_with_zero_seed_sums(fam16_5, monkeypatch) -> None:
+    """(1, 15) is bad but sums to zero over every wedge at the origin, so
+    only the 2-shadow closure rejects it: its shadow (0, 15) is bad."""
+    spec = fam16_5.field
+    m = Monomial(1, 15)
+    values = eval_monomial(spec, m)
+    for coset in fam16_5.cosets:
+        total = 0
+        for u, v in wedge_point_set(spec, Wedge(coset, (0, 0))):
+            total ^= int(values[u * 16 + v])
+        assert total == 0
+    real = code_module.good_monomials(fam16_5)
+    assert m not in real and Monomial(0, 15) not in real
+    monkeypatch.setattr(code_module, "good_monomials", lambda family: real + (m,))
+    with pytest.raises(InvariantError, match=r"good monomial \(1, 15\) has a 2-shadow outside"):
         build_code(fam16_5)
 
 
@@ -356,15 +416,18 @@ def test_memory_guard() -> None:
         build_code(family, memory_guard_bytes=1 << 30)
 
 
-def test_memory_guard_boundary(fam16_5) -> None:
-    """At q16h5 (t = 3) the estimate is the dense generator matrix, 2 * 16^4
-    bytes, above the check's float32 R^T bound 4 * 16^2 * (3 + 1) * 16: the
-    build passes at exactly the estimate and raises one byte below it."""
+def test_memory_guard_boundary(f16) -> None:
+    """A full build's estimate at q = 16 is the dense generator matrix,
+    2 * 16^4 bytes, above the packed parity basis bound (t + 1) * 16^3 / 8
+    for every t <= 15: the build passes at exactly the estimate and raises
+    one byte below it, at q16h5 (t = 3) and at q16h1 (t = 15)."""
     estimate = 2 * 16**4
-    assert estimate > 4 * 16**2 * (3 + 1) * 16
-    assert build_code(fam16_5, memory_guard_bytes=estimate).redundancy == 48
-    with pytest.raises(MemoryGuardError, match="dimension_only"):
-        build_code(fam16_5, memory_guard_bytes=estimate - 1)
+    for h, redundancy in [(5, 48), (1, 80)]:
+        family = make_coset_family(f16, h)
+        assert estimate > (family.t + 1) * 16**3 // 8
+        assert build_code(family, memory_guard_bytes=estimate).redundancy == redundancy
+        with pytest.raises(MemoryGuardError, match="dimension_only"):
+            build_code(family, memory_guard_bytes=estimate - 1)
 
 
 def test_dimension_only_memory_guard_boundary(fam16_5) -> None:

@@ -122,7 +122,7 @@ def test_rref_properties() -> None:
 
 def packed_kernel(bitsets: list[int], ncols: int) -> list[int]:
     echelon = gf2_echelon([ints_to_packed(bitsets, ncols)], ncols)
-    return [v for block in echelon.kernel() for v in packed_to_ints(block)]
+    return packed_to_ints(echelon.kernel())
 
 
 def test_nullspace_properties() -> None:
@@ -148,6 +148,14 @@ def test_nullspace_properties() -> None:
 def test_nullspace_trivial_cases() -> None:
     assert packed_kernel([], 3) == [0b001, 0b010, 0b100]
     assert packed_kernel([1 << j for j in range(4)], 4) == []
+
+
+def test_kernel_of_full_rank_rows_is_empty() -> None:
+    """A full-rank input has a (0, words) kernel, not an empty sequence."""
+    for ncols in (4, 64, 70):
+        echelon = gf2_echelon([ints_to_packed([1 << j for j in range(ncols)], ncols)], ncols)
+        kernel = echelon.kernel()
+        assert kernel.shape == (0, -(-ncols // 64)) and kernel.dtype == np.uint64
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +228,7 @@ def test_packed_q4h3_width_padding_never_free() -> None:
 def test_packed_empty_and_zero_rows() -> None:
     empty = gf2_echelon([], 70)
     assert empty.rank == 0 and empty.reduced().shape == (0, 2)
-    assert packed_to_ints(np.concatenate(list(empty.kernel()))) == [1 << j for j in range(70)]
+    assert packed_to_ints(empty.kernel()) == [1 << j for j in range(70)]
     zeros = eliminate(np.zeros((9, 70), dtype=np.uint8), cuts=[4])
     assert zeros.rank == 0 and packed_rref(zeros) == {}
     assert gf2_echelon([np.zeros((0, 1), dtype=np.uint64)], 10).rank == 0

@@ -8,6 +8,7 @@ import pytest
 from wedgelift import (
     InvariantError,
     UsageError,
+    build_code,
     build_repair_plan,
     encode,
     make_coset_family,
@@ -17,9 +18,12 @@ from wedgelift import (
     verify_drgp,
     wedge_point_set,
 )
+import wedgelift.repair as repair_module
 from wedgelift.classify import Wedge
-from wedgelift.linalg import BATCH_BYTES
-from wedgelift.repair import _check_disjoint, _group_sums
+from wedgelift.code import _origin_wedges
+from wedgelift.repair import _group_sums
+
+from reference import repair_groups_reference
 
 
 # ---------------------------------------------------------------------------
@@ -57,22 +61,44 @@ def test_groups_disjoint_and_cover(plan16_5) -> None:
         assert all_indices.size + 1 == 3 * 5 * (q - 1) + 1 == 226
 
 
-def test_disjointness_check_covers_every_chunk(plan64_9) -> None:
-    """The check runs over coordinate chunks; faults placed past the first
-    chunk, and in the last coordinate, still raise."""
-    t, n, size = plan64_9.groups.shape
-    chunk = BATCH_BYTES // (plan64_9.groups.itemsize * t * size)
-    assert 1 <= chunk < 4000
-    _check_disjoint(plan64_9.groups)
-    for p in (4000, n - 1):
-        overlap = plan64_9.groups.copy()
-        overlap[1, p, 0] = overlap[0, p, 5]
-        with pytest.raises(InvariantError, match="not disjoint"):
-            _check_disjoint(overlap)
-        own = plan64_9.groups.copy()
-        own[2, p, 3] = p
-        with pytest.raises(InvariantError, match="its own coordinate"):
-            _check_disjoint(own)
+@pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15", "q32h31", "code64_9"])
+def test_groups_equal_wedge_by_wedge_reference(name, request) -> None:
+    """Groups translated from the t origin wedges equal, in values and dtype,
+    the groups built per (coset, x, alpha), whose every coordinate the
+    reference checks for disjointness."""
+    if name == "q32h31":
+        code = build_code(make_coset_family(make_field(5), 31))
+    else:
+        code = request.getfixturevalue(name)
+    groups = build_repair_plan(code).groups
+    reference = repair_groups_reference(code)
+    assert groups.dtype == reference.dtype
+    assert np.array_equal(groups, reference)
+
+
+def _overlapping_seeds(family):
+    seeds = _origin_wedges(family)
+    seeds[1, 5] = seeds[0, 5]
+    return seeds
+
+
+def _seeds_holding_the_origin(family):
+    seeds = _origin_wedges(family)
+    seeds[2, 3] = 0
+    return seeds
+
+
+@pytest.mark.parametrize(
+    "faulty,message",
+    [(_overlapping_seeds, "not disjoint"), (_seeds_holding_the_origin, "its own coordinate")],
+    ids=["overlap", "own"],
+)
+def test_seed_fault_makes_the_plan_raise(code16_5, monkeypatch, faulty, message) -> None:
+    """The plan checks only the t origin wedges; a fault there is a fault in
+    the groups of every coordinate, and raises."""
+    monkeypatch.setattr(repair_module, "_origin_wedges", faulty)
+    with pytest.raises(InvariantError, match=message):
+        build_repair_plan(code16_5)
 
 
 def test_groups_are_sorted_and_readonly(plan16_5) -> None:
