@@ -48,14 +48,29 @@ def _check_monomial(m: Monomial, q: int) -> Monomial:
     return Monomial(a, b)
 
 
+def _log_mul(spec: FieldSpec, u, v):
+    """Elementwise product of field elements through the log/antilog tables,
+    in the memory of the operands rather than a q x q table."""
+    product = spec.antilog[(spec.log[u] + spec.log[v]) % (spec.q - 1)]
+    return np.where((u == 0) | (v == 0), 0, product)
+
+
+def _wedge_points(spec: FieldSpec, wedge: Wedge) -> np.ndarray:
+    """(h, q) array of the wedge's line points: entry [k, T] is the Y of
+    (T, alpha_k*(T - x) + y) for the k-th slope of the coset. Slopes and both
+    coordinates must be elements of F_q; numpy would wrap a negative index
+    where the field raises."""
+    x, y = wedge.point
+    spec._check(x, y, *wedge.coset)
+    slopes = np.array(wedge.coset, dtype=np.intp).reshape(-1, 1)
+    return _log_mul(spec, slopes, np.arange(spec.q) ^ x) ^ y
+
+
 def wedge_point_set(spec: FieldSpec, wedge: Wedge) -> frozenset[tuple[int, int]]:
     """Union of the wedge's lines: |coset|*(q-1) + 1 points containing wedge.point."""
-    x, y = wedge.point
-    points = set()
-    for alpha in wedge.coset:
-        for t in range(spec.q):
-            points.add((t, spec.mul(alpha, t ^ x) ^ y))
-    return frozenset(points)
+    ys = _wedge_points(spec, wedge)
+    ts = np.broadcast_to(np.arange(spec.q), ys.shape)
+    return frozenset(zip(ts.ravel().tolist(), ys.ravel().tolist()))
 
 
 def wedge_restriction(
@@ -68,21 +83,25 @@ def wedge_restriction(
     poly is a list of ((a, b), coefficient) pairs with exponents <= q-1.
     Because the coset size is odd and the characteristic is 2, this equals the
     sum over the wedge's point set (wedge_point_set); the tests check that.
+    Each term T^a Y^b is read off the antilog table at a*log T + b*log Y over
+    the wedge's (h, q) points (0 where T or Y is 0 under a positive exponent),
+    XOR-reduced and then scaled by its coefficient. Exponents are checked
+    first, then the wedge, then the coefficients.
     """
     for (a, b), _ in poly:
         _check_monomial(Monomial(a, b), spec.q)
-
-    def value(u: int, v: int) -> int:
-        acc = 0
-        for (a, b), coeff in poly:
-            acc ^= spec.mul(coeff, spec.mul(spec.pow(u, a), spec.pow(v, b)))
-        return acc
-
-    x, y = wedge.point
+    ys = _wedge_points(spec, wedge)
+    spec._check(*(coeff for _, coeff in poly))
+    log_y = spec.log[ys]
+    y_zero = np.nonzero(ys == 0)
     total = 0
-    for alpha in wedge.coset:
-        for t in range(spec.q):
-            total ^= value(t, spec.mul(alpha, t ^ x) ^ y)
+    for (a, b), coeff in poly:
+        values = spec.antilog[(a * spec.log + b * log_y) % (spec.q - 1)]
+        if a:
+            values[:, 0] = 0
+        if b:
+            values[y_zero] = 0
+        total ^= int(_log_mul(spec, coeff, np.bitwise_xor.reduce(values, axis=None)))
     return total
 
 

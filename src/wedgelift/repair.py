@@ -16,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import BinaryTraceCode, WedgeLiftedCode, _origin_wedges, encode
-from .errors import InvariantError, UsageError
+from .code import (
+    DEFAULT_MEMORY_GUARD_BYTES,
+    BinaryTraceCode,
+    WedgeLiftedCode,
+    _origin_wedges,
+    encode,
+)
+from .errors import InvariantError, MemoryGuardError, UsageError
+from .field import CosetFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +44,23 @@ class RepairPlan:
         return self.groups.shape[2]
 
 
+def _guard_plan(family: CosetFamily) -> None:
+    """The plan's int32 groups take t * q^2 * h(q-1) * 4 bytes, about 4 q^4:
+    62 MB at q64h9 and 17 GB at q = 256."""
+    q = family.q
+    estimated = family.t * q * q * family.subgroup_order * (q - 1) * 4
+    if estimated > DEFAULT_MEMORY_GUARD_BYTES:
+        raise MemoryGuardError(
+            f"repair plan for q={q}, t={family.t} needs ~{estimated} bytes "
+            f"(guard {DEFAULT_MEMORY_GUARD_BYTES})"
+        )
+
+
 def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
     """Construct all t groups for all q^2 coordinates and assert that they
-    are disjoint (an internal invariant that must never fire).
+    are disjoint (an internal invariant that must never fire). Raises
+    MemoryGuardError before allocating when the groups would exceed
+    DEFAULT_MEMORY_GUARD_BYTES.
 
     Group j of coordinate p is coset j's wedge at the origin minus the
     origin, moved by the translation j -> j ^ p. That translation is a
@@ -47,6 +68,7 @@ def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
     miss p exactly when the t origin wedges, without the origin, are
     disjoint and miss 0: checking those t seeds checks all n coordinates.
     """
+    _guard_plan(code.family)
     seeds = _origin_wedges(code.family)[:, 1:].astype(np.int32)
     if (seeds == 0).any():
         raise InvariantError("a repair group contains its own coordinate")

@@ -9,6 +9,10 @@ span of tr(2^j * g) over a kernel basis, which the library no longer
 computes because tr(C) is the binary kernel itself; `restriction_grid_reference`
 is the oracle's grid for one monomial with one gather per slope, where the
 library gathers a whole chunk of monomials at once;
+`wedge_point_set_reference` and `wedge_restriction_reference` walk one
+wedge point by point with scalar field calls, where the library gathers all
+of a wedge's points from the multiplication table at once, and
+`is_good_oracle_sampled_reference` is the sampled oracle over them;
 `check_good_annihilated_reference` tests every good monomial against every
 reduced parity row by float32 bit-plane products, where the library checks
 the t wedges at the origin; `repair_groups_reference` builds each repair
@@ -22,7 +26,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from wedgelift.classify import Monomial, _check_monomial
+from wedgelift.classify import Monomial, Wedge, _check_monomial
 from wedgelift.code import _eval_monomials
 from wedgelift.errors import InvariantError
 from wedgelift.linalg import BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, unpack_rows
@@ -211,6 +215,54 @@ def restriction_grid_reference(spec, coset: tuple[int, ...], m: Monomial) -> np.
         g_alpha = np.bitwise_xor.reduce(mul[xa[:, None], yb[shifted]], axis=0)
         grid ^= g_alpha[shifted]
     return grid
+
+
+# ---------------------------------------------------------------------------
+# One wedge, point by point
+# ---------------------------------------------------------------------------
+
+
+def wedge_point_set_reference(spec, wedge: Wedge) -> frozenset[tuple[int, int]]:
+    """Union of the wedge's lines, one scalar multiplication per point."""
+    x, y = wedge.point
+    points = set()
+    for alpha in wedge.coset:
+        for t in range(spec.q):
+            points.add((t, spec.mul(alpha, t ^ x) ^ y))
+    return frozenset(points)
+
+
+def wedge_restriction_reference(spec, poly, wedge: Wedge) -> int:
+    """Field sum of the polynomial over every line of the wedge, evaluating
+    each term at each point with scalar field calls."""
+    for (a, b), _ in poly:
+        _check_monomial(Monomial(a, b), spec.q)
+
+    def value(u: int, v: int) -> int:
+        acc = 0
+        for (a, b), coeff in poly:
+            acc ^= spec.mul(coeff, spec.mul(spec.pow(u, a), spec.pow(v, b)))
+        return acc
+
+    x, y = wedge.point
+    total = 0
+    for alpha in wedge.coset:
+        for t in range(spec.q):
+            total ^= value(t, spec.mul(alpha, t ^ x) ^ y)
+    return total
+
+
+def is_good_oracle_sampled_reference(family, m: Monomial, wedges: int, rng) -> bool:
+    """The sampled oracle over wedge_restriction_reference, drawing coset and
+    point in the library's order."""
+    spec = family.field
+    q = spec.q
+    for _ in range(wedges):
+        coset = family.cosets[int(rng.integers(family.t))]
+        point = (int(rng.integers(q)), int(rng.integers(q)))
+        if wedge_restriction_reference(spec, [((m.a, m.b), 1)], Wedge(coset, point)) != 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ from wedgelift.classify import (
     write_classification_csv,
 )
 
-from reference import restriction_grid_reference
+from reference import (
+    is_good_oracle_sampled_reference,
+    restriction_grid_reference,
+    wedge_point_set_reference,
+    wedge_restriction_reference,
+)
 
 # Exhaustively recomputed bad-monomial counts for every subgroup order of
 # every field up to GF(64), frozen after the oracle/criterion agreement tests
@@ -284,6 +289,153 @@ def test_line_sum_equals_point_set_sum(ell: int, orders: tuple[int, ...]) -> Non
             assert wedge_restriction(spec, poly, wedge) == point_sum
             nonzero += point_sum != 0
     assert nonzero > 0
+
+
+def _random_poly(rng, q: int, bad: list[tuple[int, int]]) -> list:
+    """One to four terms: a bad monomial with a coefficient != 1, random
+    terms whose coefficients may be 0, and sometimes a repeated exponent."""
+    poly = [(bad[int(rng.integers(len(bad)))], int(rng.integers(2, q)))]
+    poly += [
+        ((int(rng.integers(q)), int(rng.integers(q))), int(rng.integers(q)))
+        for _ in range(int(rng.integers(3)))
+    ]
+    if rng.integers(2):
+        poly.append((poly[int(rng.integers(len(poly)))][0], int(rng.integers(q))))
+    return poly
+
+
+@pytest.mark.parametrize(
+    "ell, h", [(2, 3), (4, 1), (4, 5), (4, 15), (5, 31), (6, 9), (6, 63)]
+)
+def test_wedge_functions_match_scalar_reference(ell: int, h: int) -> None:
+    """The gathered point set and restriction equal the point-by-point scalar
+    references on random wedges, for polynomials with several terms,
+    repeated exponents, coefficients 0 and != 1, and the empty polynomial."""
+    spec = make_field(ell)
+    q = spec.q
+    family = make_coset_family(spec, h)
+    bad = [(a, b) for a in range(q) for b in range(q)
+           if is_bad_coset_criterion(Monomial(a, b), h, ell)]
+    rng = np.random.default_rng(1000 * ell + h)
+    fixed = [[], [((q - 1, q - 1), 1)], [((q - 1, q - 1), 0)],
+             [((0, 0), 1), ((q - 1, q - 1), 1), ((q - 1, q - 1), 1)]]
+    polys = fixed + [_random_poly(rng, q, bad) for _ in range(12 if q < 64 else 4)]
+    nonzero = 0
+    for poly in polys:
+        coset = family.cosets[int(rng.integers(family.t))]
+        wedge = Wedge(coset, (int(rng.integers(q)), int(rng.integers(q))))
+        value = wedge_restriction(spec, poly, wedge)
+        assert value == wedge_restriction_reference(spec, poly, wedge), (poly, wedge)
+        assert wedge_point_set(spec, wedge) == wedge_point_set_reference(spec, wedge)
+        nonzero += value != 0
+    assert nonzero > 0
+
+
+def test_wedge_functions_past_the_table_guard() -> None:
+    """At q = 8192 the q x q field tables are refused, but the wedge
+    functions need only O(h*q) memory: on singleton cosets (q - 1 = 8191 is
+    prime, so h = 1) they and the sampled oracle match the scalar references."""
+    spec = make_field(13)
+    q = spec.q
+    with pytest.raises(UsageError, match="exceeds the desk-scale guard"):
+        spec.mul_table()
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        wedge = Wedge((int(rng.integers(1, q)),), (int(rng.integers(q)), int(rng.integers(q))))
+        poly = [((int(rng.integers(q)), int(rng.integers(q))), int(rng.integers(q)))
+                for _ in range(3)]
+        assert wedge_restriction(spec, poly, wedge) == wedge_restriction_reference(spec, poly, wedge)
+        assert wedge_point_set(spec, wedge) == wedge_point_set_reference(spec, wedge)
+    family = make_coset_family(spec, 1)
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for m in [Monomial(q - 1, q - 1), Monomial(5, 9), Monomial(0, 0)]:
+        answer = is_good_oracle_sampled(family, m, 2, ours)
+        assert answer == is_good_oracle_sampled_reference(family, m, 2, theirs), m
+    assert ours.integers(2**30) == theirs.integers(2**30)
+
+
+@pytest.mark.parametrize("ell, h", [(4, 5), (5, 31), (6, 9)])
+def test_sampled_oracle_matches_reference_loop(ell: int, h: int) -> None:
+    """On 200 seeded monomials the sampled oracle gives the reference loop's
+    answers and leaves its generator where the reference leaves its own:
+    the same draws, in the same order, with the same early return."""
+    spec = make_field(ell)
+    q = spec.q
+    family = make_coset_family(spec, h)
+    pick = np.random.default_rng(ell)
+    ours, theirs = np.random.default_rng(50 + ell), np.random.default_rng(50 + ell)
+    answers = []
+    for _ in range(200):
+        m = Monomial(int(pick.integers(q)), int(pick.integers(q)))
+        answer = is_good_oracle_sampled(family, m, 2, ours)
+        assert answer == is_good_oracle_sampled_reference(family, m, 2, theirs), m
+        assert ours.bit_generator.state == theirs.bit_generator.state, m
+        answers.append(answer)
+    assert True in answers and False in answers
+    assert ours.integers(2**30) == theirs.integers(2**30)
+
+
+def test_wedge_restriction_rejects_non_elements(f16: FieldSpec) -> None:
+    """Every input is checked before the gather, where numpy would wrap a
+    negative index or read past a table row: exponents in [0, q-1],
+    coefficients, slopes and both coordinates in [0, q)."""
+    coset = make_coset_family(f16, 5).cosets[1]
+    wedge = Wedge(coset, (3, 7))
+    for poly in ([((16, 1), 1)], [((1, -1), 1)], [((2, 3), 16)]):
+        with pytest.raises(UsageError):
+            wedge_restriction(f16, poly, wedge)
+    poly = [((15, 15), 1)]
+    bad_wedges = [Wedge(coset[:-1] + (16,), (3, 7))]
+    bad_wedges += [Wedge(coset, p) for p in [(16, 7), (-1, 7), (3, 16), (3, -1)]]
+    for bad in bad_wedges:
+        with pytest.raises(UsageError, match="is not an element of GF"):
+            wedge_restriction(f16, poly, bad)
+
+
+def test_wedge_restriction_names_the_first_bad_input(f16: FieldSpec) -> None:
+    """With two bad inputs, the one the scalar walk meets first is named, as
+    the reference does: every exponent before the wedge's slope or x, and
+    those before any coefficient."""
+    coset = make_coset_family(f16, 5).cosets[1]
+    cases = [
+        ([((1, 2), 17), ((16, 1), 1)], Wedge(coset, (3, 7))),
+        ([((1, 2), 17)], Wedge((18,) + coset[1:], (3, 7))),
+        ([((1, 2), 17)], Wedge(coset, (20, 7))),
+    ]
+    for poly, wedge in cases:
+        with pytest.raises(UsageError) as ours:
+            wedge_restriction(f16, poly, wedge)
+        with pytest.raises(UsageError) as theirs:
+            wedge_restriction_reference(f16, poly, wedge)
+        assert str(ours.value) == str(theirs.value), (poly, wedge)
+
+
+def test_wedge_point_set_rejects_y_outside_field(f16: FieldSpec) -> None:
+    """y is only XORed into the points, so it is checked like x: an
+    unchecked y = 16 or -1 would put every point off the plane."""
+    coset = make_coset_family(f16, 5).cosets[0]
+    for point in [(0, 16), (0, -1), (16, 0), (-1, 0)]:
+        with pytest.raises(UsageError, match="is not an element of GF"):
+            wedge_point_set(f16, Wedge(coset, point))
+    with pytest.raises(UsageError):
+        wedge_point_set(f16, Wedge((16,), (0, 0)))
+
+
+def test_wedge_functions_make_no_scalar_field_calls(f16: FieldSpec, monkeypatch) -> None:
+    """With the scalar FieldSpec ops made to fail, the wedge functions and
+    the sampled oracle still answer: they only gather from the tables."""
+    family = make_coset_family(f16, 5)
+    wedge = Wedge(family.cosets[2], (5, 9))
+    expected = wedge_restriction_reference(f16, [((15, 15), 3), ((7, 8), 1)], wedge)
+
+    def forbidden(*args):
+        raise AssertionError("scalar field call")
+
+    for op in ("add", "mul", "pow", "inv"):
+        monkeypatch.setattr(FieldSpec, op, forbidden)
+    assert wedge_restriction(f16, [((15, 15), 3), ((7, 8), 1)], wedge) == expected
+    assert len(wedge_point_set(f16, wedge)) == 5 * 15 + 1
+    assert is_good_oracle_sampled(family, Monomial(14, 1), 8, np.random.default_rng(3))
 
 
 # ---------------------------------------------------------------------------

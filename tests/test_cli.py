@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import wedgelift.repair as repair_module
 from wedgelift.cli import main
 
 
@@ -265,6 +266,23 @@ def test_build_dimension_only_memory_guard_exit_code(capsys, tmp_path) -> None:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+def test_verify_repair_plan_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
+    """verify builds a dimension-only code and then the repair plan, whose
+    own guard makes it exit 3. The guard is patched to one byte below the
+    q16h5 plan's 3 * 256 * 75 * 4 bytes, so no large plan is ever tried;
+    at the estimate itself verify passes."""
+    estimate = 3 * 256 * 75 * 4
+    argv = ["verify", "--ell", "4", "--subgroup-order", "5", "--trials", "1",
+            "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
+    status, out, err = run(capsys, *argv)
+    assert status == 3 and out == ""
+    assert f"resource guard: repair plan for q=16, t=3 needs ~{estimate} bytes" in err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_verify_passes_and_writes_report(capsys, tmp_path) -> None:

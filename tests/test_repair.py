@@ -7,6 +7,7 @@ import pytest
 
 from wedgelift import (
     InvariantError,
+    MemoryGuardError,
     UsageError,
     build_code,
     build_repair_plan,
@@ -37,6 +38,35 @@ def test_plan_shapes(plan16_5, plan64_9, code4_3) -> None:
     assert plan64_9.groups.shape == (7, 4096, 567)
     plan4 = build_repair_plan(code4_3)
     assert plan4.groups.shape == (1, 16, 9)
+
+
+def test_plan_memory_guard_boundary(code16_5, plan16_5, monkeypatch) -> None:
+    """The estimate t * q^2 * h(q-1) * 4 bytes is exactly the int32 groups'
+    size. One byte below it the plan raises before any work; at it the plan
+    is built."""
+    estimate = 3 * 256 * 75 * 4
+    assert plan16_5.groups.nbytes == estimate
+    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    plan = build_repair_plan(code16_5)
+    assert np.array_equal(plan.groups, plan16_5.groups)
+
+    def unreachable(family):
+        raise AssertionError("the guard must fire before the seeds are built")
+
+    monkeypatch.setattr(repair_module, "_origin_wedges", unreachable)
+    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
+    message = f"repair plan for q=16, t=3 needs ~{estimate} bytes"
+    with pytest.raises(MemoryGuardError, match=message):
+        build_repair_plan(code16_5)
+
+
+def test_plan_guard_refuses_q256() -> None:
+    """At q = 256, h = 255 the groups would take 65 536 * 65 025 * 4 bytes,
+    about 17 GB: the default guard refuses them. Only the guard is called,
+    so no plan is ever attempted."""
+    family = make_coset_family(make_field(8), 255)
+    with pytest.raises(MemoryGuardError, match="needs ~17045913600 bytes"):
+        repair_module._guard_plan(family)
 
 
 def test_groups_match_wedge_point_sets(plan16_5) -> None:
