@@ -158,15 +158,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # (and so a full build) is needed only for the trace code.
     code = _code.build_code(family, dimension_only=not config.binary)
     plan = _repair.build_repair_plan(code)
-    if config.inject_fault:
-        # Corrupt one parity-derived group: point one member of group 0 of
-        # coordinate 0 back at the coordinate itself.
-        tampered = plan.groups.copy()
-        tampered[0, 0, 0] = 0
-        plan = _repair.RepairPlan(code=code, groups=tampered)
 
     status = 0
-    report = _repair.verify_drgp(plan, config.trials, config.seed)
+    report = _repair._verify(plan, config.trials, config.seed, None, config.inject_fault)
     atomic_write_text(
         _out_path(config, f"verify_q{q}_h{h}.json"),
         json.dumps(report, indent=2) + "\n",
@@ -180,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if config.binary:
         binary = _code.trace_code(code)
-        report2 = _repair.verify_drgp(plan, config.trials, config.seed, binary=binary)
+        report2 = _repair._verify(plan, config.trials, config.seed, binary, config.inject_fault)
         atomic_write_text(
             _out_path(config, f"verify_binary_q{q}_h{h}.json"),
             json.dumps(report2, indent=2) + "\n",

@@ -147,10 +147,11 @@ class WedgeLiftedCode:
 
 def _guard_build(family: CosetFamily, dimension_only: bool, memory_guard_bytes: int) -> None:
     """The largest arrays of a build. Every build holds the packed parity
-    basis: r rows of q^2/8 bytes, where r <= bad <= (t+1)*q (the dimension is
-    at least the good-monomial count, and bad monomials need b - i to be one
-    of the t+1 multiples of h in [0, q-1]). A full build also holds the
-    uint16 generator matrix callers export (at most q^2 x q^2)."""
+    basis, allocated once with one row of q^2/8 bytes per bad monomial: the
+    rank is at most bad <= (t+1)*q (the dimension is at least the
+    good-monomial count, and bad monomials need b - i to be one of the t+1
+    multiples of h in [0, q-1]). A full build also holds the uint16
+    generator matrix callers export (at most q^2 x q^2)."""
     q = family.q
     rows = (family.t + 1) * q
     estimated = rows * q * q // 8
@@ -190,7 +191,9 @@ def build_code(
     n = q * q
     _guard_build(family, dimension_only, memory_guard_bytes)
     good = good_monomials(family)
-    echelon = translation_closure(iter_parity_rows(family), n)
+    # The rank is at most the bad count n - len(good) (the dimension is at
+    # least len(good), checked below), so the basis is allocated once.
+    echelon = translation_closure(iter_parity_rows(family), n, capacity=n - len(good))
     dimension = n - echelon.rank
     if dimension < len(good):
         raise InvariantError(

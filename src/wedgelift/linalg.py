@@ -60,15 +60,19 @@ class GF2Echelon:
     left are eliminated inside the batch row by row; each new pivot row is
     XORed into the later rows of the batch and into the basis rows that have
     its pivot bit.
+
+    The basis array starts with `capacity` rows and doubles, by copying, each
+    time the rank reaches its size; a caller that knows a bound on the rank
+    passes it, so the array is allocated once.
     """
 
-    def __init__(self, ncols: int) -> None:
+    def __init__(self, ncols: int, capacity: int = 64) -> None:
         if ncols < 0:
             raise ValueError(f"ncols must be nonnegative, got {ncols}")
         self.ncols = ncols
         self.words = _words(ncols)
         self.rank = 0
-        self._rows = np.zeros((64, self.words), dtype=WORD)
+        self._rows = np.zeros((max(capacity, 1), self.words), dtype=WORD)
         self._pivots: list[int] = []
         self._masks: list[np.uint64] = []
         pad = 64 * self.words - ncols
@@ -139,7 +143,7 @@ class GF2Echelon:
         """
         n = self.ncols
         flipped = unpack_rows(self._rows[: self.rank], n)[:, ::-1]
-        mirror = gf2_echelon([pack_rows(flipped)], n)
+        mirror = gf2_echelon([pack_rows(flipped)], n, capacity=self.rank)
         # In reversed coordinates: pivots and free columns of the mirror.
         pivots = mirror.pivots
         free = np.ones(n, dtype=bool)
@@ -165,11 +169,12 @@ def _batch_rows(words: int) -> int:
     return max(1, BATCH_BYTES // (8 * max(words, 1)))
 
 
-def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
+def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int, capacity: int = 64) -> GF2Echelon:
     """Eliminate a stream of packed (rows, words) row blocks, regrouped into
     batches of about BATCH_BYTES so that each pass over the basis covers many
-    rows. The blocks themselves are not modified."""
-    echelon = GF2Echelon(ncols)
+    rows. The blocks themselves are not modified. `capacity` is the basis's
+    initial row count (see GF2Echelon)."""
+    echelon = GF2Echelon(ncols, capacity)
     batch_rows = _batch_rows(echelon.words)
     pending: list[np.ndarray] = []
     held = 0
@@ -211,7 +216,9 @@ def translate_rows(rows: np.ndarray, bit: int) -> np.ndarray:
     return ((rows >> shift) & mask) | ((rows & mask) << shift)
 
 
-def translation_closure(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
+def translation_closure(
+    blocks: Iterable[np.ndarray], ncols: int, capacity: int = 64
+) -> GF2Echelon:
     """Basis of the smallest row space that holds the seed rows of `blocks`
     and is invariant under every translation j -> j ^ c of the ncols (a power
     of two) columns.
@@ -225,10 +232,11 @@ def translation_closure(blocks: Iterable[np.ndarray], ncols: int) -> GF2Echelon:
     has its own pivot bit, and the rows translated after it are zero there),
     so they span the final space S, and their translates all lie in S: S is
     invariant, and no invariant space holding the seeds is smaller.
+    `capacity` is the basis's initial row count (see GF2Echelon).
     """
     if ncols < 1 or ncols & (ncols - 1):
         raise ValueError(f"ncols must be a power of two, got {ncols}")
-    echelon = gf2_echelon(blocks, ncols)
+    echelon = gf2_echelon(blocks, ncols, capacity)
     bits = ncols.bit_length() - 1
     step = max(1, _batch_rows(echelon.words) // max(bits, 1))
     done = 0

@@ -5,9 +5,14 @@ minus p itself: summing a codeword over it recovers the symbol at p, because
 the wedge parity check says the full point-set sum is zero and the
 characteristic is 2. Distinct cosets give disjoint groups — non-parallel lines
 through p meet only at p — so each coordinate has t independent repair sets,
-which is also what serves parallel (multi-server read) access patterns. Every
-group is the same coset's group at the origin moved by p, so the plan is
-built, and its disjointness checked, from the t groups at the origin.
+which is also what serves parallel (multi-server read) access patterns.
+
+Every group is the same coset's group at the origin, its seed, moved by p
+(index j -> j ^ p), so the plan holds only the t seeds and checks their
+disjointness once. The sums over coset j's groups of every coordinate,
+S_j(p) = XOR of c[p ^ s] over s in seed_j, are an XOR (dyadic) convolution of
+the codeword with the seed's indicator, which verify_drgp computes by fast
+Walsh–Hadamard transforms instead of gathering every group.
 """
 
 from __future__ import annotations
@@ -16,73 +21,123 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import (
-    DEFAULT_MEMORY_GUARD_BYTES,
-    BinaryTraceCode,
-    WedgeLiftedCode,
-    _origin_wedges,
-    encode,
-)
-from .errors import InvariantError, MemoryGuardError, UsageError
-from .field import CosetFamily
+from .code import BinaryTraceCode, WedgeLiftedCode, _origin_wedges, encode
+from .errors import InvariantError, UsageError
+from .linalg import BATCH_BYTES
 
 
 @dataclass(frozen=True, eq=False)
 class RepairPlan:
-    """groups[j, p] = sorted indices of repair group j for coordinate p,
-    shape (t, q^2, h*(q-1))."""
+    """seeds[j] = the indices of coset j's repair group of coordinate 0,
+    sorted, read-only int32 of shape (t, h*(q-1)). Group j of coordinate p is
+    seeds[j] ^ p (see group)."""
 
     code: WedgeLiftedCode
-    groups: np.ndarray
+    seeds: np.ndarray
 
     @property
     def t(self) -> int:
-        return self.groups.shape[0]
+        return self.seeds.shape[0]
 
     @property
     def group_size(self) -> int:
-        return self.groups.shape[2]
+        return self.seeds.shape[1]
 
-
-def _guard_plan(family: CosetFamily) -> None:
-    """The plan's int32 groups take t * q^2 * h(q-1) * 4 bytes, about 4 q^4:
-    62 MB at q64h9 and 17 GB at q = 256."""
-    q = family.q
-    estimated = family.t * q * q * family.subgroup_order * (q - 1) * 4
-    if estimated > DEFAULT_MEMORY_GUARD_BYTES:
-        raise MemoryGuardError(
-            f"repair plan for q={q}, t={family.t} needs ~{estimated} bytes "
-            f"(guard {DEFAULT_MEMORY_GUARD_BYTES})"
-        )
+    def group(self, j: int, p: int) -> np.ndarray:
+        """Sorted indices of repair group j of coordinate p."""
+        if not 0 <= j < self.t:
+            raise UsageError(f"group {j} outside [0, {self.t})")
+        if not 0 <= p < self.code.length:
+            raise UsageError(f"coordinate {p} outside [0, {self.code.length})")
+        return np.sort(self.seeds[j] ^ p)
 
 
 def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
-    """Construct all t groups for all q^2 coordinates and assert that they
-    are disjoint (an internal invariant that must never fire). Raises
-    MemoryGuardError before allocating when the groups would exceed
-    DEFAULT_MEMORY_GUARD_BYTES.
+    """Take the t seeds and assert that every coordinate's groups are
+    pairwise disjoint and miss the coordinate (an internal invariant that
+    must never fire).
 
     Group j of coordinate p is coset j's wedge at the origin minus the
     origin, moved by the translation j -> j ^ p. That translation is a
     permutation that maps 0 to p, so the groups of every p are disjoint and
-    miss p exactly when the t origin wedges, without the origin, are
-    disjoint and miss 0: checking those t seeds checks all n coordinates.
+    miss p exactly when the t seeds are disjoint and miss 0: checking the
+    seeds checks all n coordinates.
     """
-    _guard_plan(code.family)
     seeds = _origin_wedges(code.family)[:, 1:].astype(np.int32)
     if (seeds == 0).any():
         raise InvariantError("a repair group contains its own coordinate")
     merged = np.sort(seeds, axis=None)
     if (merged[1:] == merged[:-1]).any():
         raise InvariantError("repair groups of a coordinate are not disjoint")
-    groups = seeds[:, None, :] ^ np.arange(code.length, dtype=np.int32)[:, None]
-    groups.sort(axis=2)
-    groups.setflags(write=False)
-    return RepairPlan(code=code, groups=groups)
+    seeds.setflags(write=False)
+    return RepairPlan(code=code, seeds=seeds)
 
 
-def _group_sums(plan: RepairPlan, codeword: np.ndarray, j: int) -> np.ndarray:
-    return np.bitwise_xor.reduce(codeword[plan.groups[j]], axis=1)
+def _transform(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform of each row of a C-contiguous
+    (rows, n) uint64 array, n a power of two, in place and modulo 2^64:
+    one butterfly (u, v) -> (u + v, u - v) per index bit."""
+    rows, n = a.shape
+    scratch = np.empty(rows * n // 2, dtype=a.dtype)
+    half = 1
+    while half < n:
+        pairs = a.reshape(rows, n // (2 * half), 2, half)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = scratch.reshape(lo.shape)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        half *= 2
+    return a
+
+
+def _seed_spectra(plan: RepairPlan) -> np.ndarray:
+    """The transforms of the t seed indicators, (t, n) uint64."""
+    n = plan.code.length
+    spectra = np.zeros((plan.t, n), dtype=np.uint64)
+    spectra[np.arange(plan.t)[:, None], plan.seeds] = 1
+    step = max(1, BATCH_BYTES // (8 * n))
+    for start in range(0, plan.t, step):
+        _transform(spectra[start : start + step])
+    return spectra
+
+
+def _group_sums(plan: RepairPlan, spectra: np.ndarray, codeword: np.ndarray) -> np.ndarray:
+    """sums[j, p] = XOR of codeword over group j of coordinate p, for every
+    j and p, as a (t, n) array of the codeword's dtype.
+
+    Bit b of sums[j] is the parity of the integer convolution of bit plane
+    b of the codeword with seed j's indicator. Its transform is the product
+    of the two transforms, and transforming twice multiplies by n = 2^k, so
+    transforming the product gives n times the convolution. Each convolution
+    value is at most the group size, below 2^w, so planes packed w bits apart
+    into one uint64 word, in slots i = 0, 1, ..., never carry into the next
+    slot: the parity of the plane in slot i is bit k + i*w of the result.
+    The arithmetic is modulo 2^64, which keeps every bit below 64 of that
+    nonnegative integer exact, so a word holds as many slots as keep
+    k + i*w < 64.
+    """
+    n = codeword.size
+    k = n.bit_length() - 1
+    w = plan.group_size.bit_length()
+    planes = int(codeword.max(initial=0)).bit_length()
+    per_word = (63 - k) // w + 1
+    packed = np.zeros((-(-planes // per_word), n), dtype=np.uint64)
+    for b in range(planes):
+        plane = (codeword >> b) & 1
+        packed[b // per_word] |= plane.astype(np.uint64) << np.uint64(b % per_word * w)
+    _transform(packed)
+    sums = np.zeros((plan.t, n), dtype=codeword.dtype)
+    step = max(1, BATCH_BYTES // (8 * n * max(len(packed), 1)))
+    for start in range(0, plan.t, step):
+        product = spectra[start : start + step, None, :] * packed
+        _transform(product.reshape(-1, n))
+        chunk = sums[start : start + step]
+        for b in range(planes):
+            shift = np.uint64(k + b % per_word * w)
+            bit = (product[:, b // per_word] >> shift) & np.uint64(1)
+            chunk |= bit.astype(codeword.dtype) << b
+    return sums
 
 
 def verify_drgp(
@@ -96,8 +151,22 @@ def verify_drgp(
     With `binary`, random GF(2) codewords of the trace code are used and the
     repair rule is the XOR sum; otherwise random F_q codewords via encode.
     Deterministic given the seed. Report: q, h, t, trials, checks, failures,
-    seed, with one failure record per (coordinate, group) miss.
+    seed, with one failure record per (coordinate, group) miss, ordered by
+    trial, then group, then coordinate.
     """
+    return _verify(plan, trials, rng_seed, binary, fault=False)
+
+
+def _verify(
+    plan: RepairPlan,
+    trials: int,
+    rng_seed: int,
+    binary: BinaryTraceCode | None,
+    fault: bool,
+) -> dict:
+    """verify_drgp, optionally with one corrupted group: with `fault`, member
+    min(seed_0) of group 0 of coordinate 0 is read at coordinate 0 instead,
+    so that group's sum is off by c[min(seed_0)] ^ c[0]."""
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     code = plan.code
@@ -105,6 +174,7 @@ def verify_drgp(
     rng = np.random.default_rng(rng_seed)
     if binary is not None:
         gen2 = binary.generator_matrix()
+    spectra = _seed_spectra(plan)
     failures: list[dict] = []
     checks = 0
     for _ in range(trials):
@@ -114,18 +184,19 @@ def verify_drgp(
         else:
             coeffs = rng.integers(0, 2, size=binary.binary_dimension)
             c = np.bitwise_xor.reduce(gen2[coeffs == 1], axis=0) if coeffs.any() else np.zeros(code.length, dtype=np.uint8)
-        for j in range(plan.t):
-            sums = _group_sums(plan, c, j)
-            checks += sums.size
-            for p in np.nonzero(sums != c)[0]:
-                failures.append(
-                    {
-                        "coordinate": int(p),
-                        "group": int(j),
-                        "expected": int(c[p]),
-                        "got": int(sums[p]),
-                    }
-                )
+        sums = _group_sums(plan, spectra, c)
+        if fault:
+            sums[0, 0] ^= c[plan.seeds[0, 0]] ^ c[0]
+        checks += sums.size
+        for j, p in zip(*np.nonzero(sums != c)):
+            failures.append(
+                {
+                    "coordinate": int(p),
+                    "group": int(j),
+                    "expected": int(c[p]),
+                    "got": int(sums[j, p]),
+                }
+            )
     return {
         "q": q,
         "h": code.family.subgroup_order,
@@ -151,10 +222,7 @@ def simulate_parallel_reads(
         raise UsageError(f"k={k} reads requested but the code has t={t} groups")
     if not 0 <= coordinate < plan.code.length:
         raise UsageError(f"coordinate {coordinate} outside [0, {plan.code.length})")
-    values = [
-        int(np.bitwise_xor.reduce(codeword[plan.groups[j, coordinate]]))
-        for j in range(k)
-    ]
+    values = np.bitwise_xor.reduce(codeword[plan.seeds[:k] ^ coordinate], axis=1).tolist()
     if len(set(values)) != 1:
         raise InvariantError(f"disjoint reads disagree: {values}")
     return values

@@ -17,7 +17,10 @@ of a wedge's points from the multiplication table at once, and
 reduced parity row by float32 bit-plane products, where the library checks
 the t wedges at the origin; `repair_groups_reference` builds each repair
 group from its wedge's point set and checks every coordinate's groups, where
-the library translates and checks the t origin wedges.
+the library translates and checks the t origin wedges, and
+`group_sums_reference` and `verify_failures_reference` sum a word over those
+groups by gathering every group's symbols, where the library convolves the
+word with the t origin wedges by Walsh–Hadamard transforms.
 """
 
 from __future__ import annotations
@@ -348,3 +351,23 @@ def check_disjoint_reference(groups: np.ndarray) -> None:
         merged = np.sort(chunk.transpose(1, 0, 2).reshape(count, -1), axis=1)
         if (merged[:, 1:] == merged[:, :-1]).any():
             raise InvariantError("repair groups of a coordinate are not disjoint")
+
+
+def group_sums_reference(groups: np.ndarray, word: np.ndarray, j: int) -> np.ndarray:
+    """sums[p] = XOR of word over groups[j, p], gathered group by group."""
+    return np.bitwise_xor.reduce(word[groups[j]], axis=1)
+
+
+def verify_failures_reference(groups: np.ndarray, words: Iterable[np.ndarray]) -> list[dict]:
+    """verify_drgp's failure records for the given words, one per
+    (word, group, coordinate) whose gathered sum misses the symbol, in that
+    order."""
+    failures = []
+    for c in words:
+        for j in range(groups.shape[0]):
+            sums = group_sums_reference(groups, c, j)
+            for p in np.nonzero(sums != c)[0]:
+                failures.append(
+                    {"coordinate": int(p), "group": j, "expected": int(c[p]), "got": int(sums[p])}
+                )
+    return failures

@@ -135,11 +135,11 @@ def test_acceptance_4_drgp_simulation(capsys) -> None:
     family = make_coset_family(make_field(4), 5)
     code = build_code(family)
     plan = build_repair_plan(code)  # asserts pairwise disjointness internally
-    shape_ok = plan.groups.shape == (3, 256, 75)
+    groups = [[plan.group(j, p) for j in range(plan.t)] for p in range(256)]
+    shape_ok = plan.t == 3 and all(g.shape == (75,) for gs in groups for g in gs)
     disjoint_ok = all(
-        len(set(plan.groups[:, p, :].ravel().tolist())) == 3 * 75
-        and p not in plan.groups[:, p, :]
-        for p in range(256)
+        len(set(np.concatenate(gs).tolist())) == 3 * 75 and p not in np.concatenate(gs)
+        for p, gs in enumerate(groups)
     )
     report_q = verify_drgp(plan, trials=100, rng_seed=0)
     report_2 = verify_drgp(plan, trials=100, rng_seed=1, binary=trace_code(code))

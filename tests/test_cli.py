@@ -9,7 +9,6 @@ import sys
 
 import pytest
 
-import wedgelift.repair as repair_module
 from wedgelift.cli import main
 
 
@@ -268,21 +267,30 @@ def test_build_dimension_only_memory_guard_exit_code(capsys, tmp_path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_verify_repair_plan_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
-    """verify builds a dimension-only code and then the repair plan, whose
-    own guard makes it exit 3. The guard is patched to one byte below the
-    q16h5 plan's 3 * 256 * 75 * 4 bytes, so no large plan is ever tried;
-    at the estimate itself verify passes."""
-    estimate = 3 * 256 * 75 * 4
-    argv = ["verify", "--ell", "4", "--subgroup-order", "5", "--trials", "1",
-            "--out-dir", str(tmp_path)]
-    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
-    status, out, err = run(capsys, *argv)
+def test_verify_q256_runs(capsys, tmp_path) -> None:
+    """q = 256, h = 255: verify builds the code dimension-only and repairs
+    from the one seed, with no per-coordinate groups to allocate."""
+    status, out, err = run(
+        capsys, "verify", "--ell", "8", "--subgroup-order", "255", "--trials", "1",
+        "--out-dir", str(tmp_path),
+    )
+    assert status == 0 and err == ""
+    assert out.splitlines()[0] == "q=256 h=255 t=1 trials=1 checks=65536 failures=0"
+    assert "agree=yes" in out
+    report = json.loads((tmp_path / "verify_q256_h255.json").read_text())
+    assert report["checks"] == 65536 and report["failures"] == []
+
+
+def test_verify_binary_q256_memory_guard_exit_code(capsys, tmp_path) -> None:
+    """The binary check needs the full build, whose own guard refuses q = 256
+    before any work."""
+    status, out, err = run(
+        capsys, "verify", "--ell", "8", "--subgroup-order", "255", "--binary",
+        "--trials", "1", "--out-dir", str(tmp_path),
+    )
     assert status == 3 and out == ""
-    assert f"resource guard: repair plan for q=16, t=3 needs ~{estimate} bytes" in err
+    assert "resource guard: full build for q=256" in err
     assert list(tmp_path.iterdir()) == []
-    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
-    assert run(capsys, *argv)[0] == 0
 
 
 def test_verify_passes_and_writes_report(capsys, tmp_path) -> None:

@@ -307,13 +307,19 @@ def test_translation_closure_is_rref_of_every_translate() -> None:
 
 
 def test_translation_closure_batches_and_validates(monkeypatch) -> None:
-    """With one translated row per batch the closure is the same, and a
-    width that is not a power of two is refused."""
+    """With one translated row per batch, and with a basis that starts at one
+    row and grows or starts at the rank and never grows, the closure is the
+    same; and a width that is not a power of two is refused."""
     import wedgelift.linalg as linalg_module
 
     rng = np.random.default_rng(23)
     m = seeds_below_full_closure(rng, 2, 128)
-    expected = packed_rref(translation_closure([pack_rows(m)], 128))
+    closure = translation_closure([pack_rows(m)], 128)
+    expected = packed_rref(closure)
+    for capacity in (0, 1, closure.rank):
+        sized = translation_closure([pack_rows(m)], 128, capacity=capacity)
+        assert packed_rref(sized) == expected
+    assert len(sized._rows) == closure.rank
     monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8)
     assert packed_rref(translation_closure([pack_rows(m)], 128)) == expected
     with pytest.raises(ValueError, match="power of two"):

@@ -7,7 +7,6 @@ import pytest
 
 from wedgelift import (
     InvariantError,
-    MemoryGuardError,
     UsageError,
     build_code,
     build_repair_plan,
@@ -22,9 +21,18 @@ from wedgelift import (
 import wedgelift.repair as repair_module
 from wedgelift.classify import Wedge
 from wedgelift.code import _origin_wedges
-from wedgelift.repair import _group_sums
+from wedgelift.repair import _group_sums, _seed_spectra, _verify
 
-from reference import repair_groups_reference
+from reference import (
+    group_sums_reference,
+    repair_groups_reference,
+    verify_failures_reference,
+)
+
+
+def sums_of(plan, word):
+    """Every group sum of every coordinate, (t, n), by the library's transform."""
+    return _group_sums(plan, _seed_spectra(plan), word)
 
 
 # ---------------------------------------------------------------------------
@@ -33,40 +41,18 @@ from reference import repair_groups_reference
 
 
 def test_plan_shapes(plan16_5, plan64_9, code4_3) -> None:
-    assert plan16_5.groups.shape == (3, 256, 75)
+    assert plan16_5.seeds.shape == (3, 75)
     assert plan16_5.t == 3 and plan16_5.group_size == 75
-    assert plan64_9.groups.shape == (7, 4096, 567)
+    assert plan16_5.group(2, 255).shape == (75,)
+    assert plan64_9.seeds.shape == (7, 567)
     plan4 = build_repair_plan(code4_3)
-    assert plan4.groups.shape == (1, 16, 9)
+    assert plan4.seeds.shape == (1, 9)
 
 
-def test_plan_memory_guard_boundary(code16_5, plan16_5, monkeypatch) -> None:
-    """The estimate t * q^2 * h(q-1) * 4 bytes is exactly the int32 groups'
-    size. One byte below it the plan raises before any work; at it the plan
-    is built."""
-    estimate = 3 * 256 * 75 * 4
-    assert plan16_5.groups.nbytes == estimate
-    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
-    plan = build_repair_plan(code16_5)
-    assert np.array_equal(plan.groups, plan16_5.groups)
-
-    def unreachable(family):
-        raise AssertionError("the guard must fire before the seeds are built")
-
-    monkeypatch.setattr(repair_module, "_origin_wedges", unreachable)
-    monkeypatch.setattr(repair_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
-    message = f"repair plan for q=16, t=3 needs ~{estimate} bytes"
-    with pytest.raises(MemoryGuardError, match=message):
-        build_repair_plan(code16_5)
-
-
-def test_plan_guard_refuses_q256() -> None:
-    """At q = 256, h = 255 the groups would take 65 536 * 65 025 * 4 bytes,
-    about 17 GB: the default guard refuses them. Only the guard is called,
-    so no plan is ever attempted."""
-    family = make_coset_family(make_field(8), 255)
-    with pytest.raises(MemoryGuardError, match="needs ~17045913600 bytes"):
-        repair_module._guard_plan(family)
+def test_group_rejects_out_of_range(plan16_5) -> None:
+    for j, p in [(3, 0), (-1, 0), (0, 256), (0, -1)]:
+        with pytest.raises(UsageError, match="outside"):
+            plan16_5.group(j, p)
 
 
 def test_groups_match_wedge_point_sets(plan16_5) -> None:
@@ -78,13 +64,13 @@ def test_groups_match_wedge_point_sets(plan16_5) -> None:
         for j, coset in enumerate(code.family.cosets):
             pts = wedge_point_set(spec, Wedge(coset, (x, y)))
             expected = sorted(u * q + v for (u, v) in pts if (u, v) != (x, y))
-            assert plan16_5.groups[j, p].tolist() == expected
+            assert plan16_5.group(j, p).tolist() == expected
 
 
 def test_groups_disjoint_and_cover(plan16_5) -> None:
     q = 16
     for p in range(256):
-        all_indices = plan16_5.groups[:, p, :].ravel()
+        all_indices = np.concatenate([plan16_5.group(j, p) for j in range(3)])
         assert len(set(all_indices.tolist())) == all_indices.size
         assert p not in all_indices
         # Union of the t groups plus the coordinate: t*h*(q-1) + 1 points.
@@ -93,17 +79,99 @@ def test_groups_disjoint_and_cover(plan16_5) -> None:
 
 @pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15", "q32h31", "code64_9"])
 def test_groups_equal_wedge_by_wedge_reference(name, request) -> None:
-    """Groups translated from the t origin wedges equal, in values and dtype,
-    the groups built per (coset, x, alpha), whose every coordinate the
+    """Every group translated from the t origin wedges equals, in values and
+    dtype, the group built per (coset, x, alpha), whose every coordinate the
     reference checks for disjointness."""
     if name == "q32h31":
         code = build_code(make_coset_family(make_field(5), 31))
     else:
         code = request.getfixturevalue(name)
-    groups = build_repair_plan(code).groups
+    plan = build_repair_plan(code)
     reference = repair_groups_reference(code)
-    assert groups.dtype == reference.dtype
-    assert np.array_equal(groups, reference)
+    assert np.array_equal(plan.seeds, reference[:, 0])
+    for j in range(plan.t):
+        for p in range(code.length):
+            group = plan.group(j, p)
+            assert group.dtype == reference.dtype
+            assert np.array_equal(group, reference[j, p])
+
+
+@pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15", "q32h31", "code64_9"])
+def test_transform_sums_equal_gathered_sums(name, request) -> None:
+    """The Walsh–Hadamard sums equal the sums gathered over the reference
+    groups, for F_q and binary codewords and for random words over F_q and
+    GF(2) (nonzero syndromes), in values and dtype."""
+    if name == "q32h31":
+        code = build_code(make_coset_family(make_field(5), 31))
+    else:
+        code = request.getfixturevalue(name)
+    plan = build_repair_plan(code)
+    spectra = _seed_spectra(plan)
+    groups = repair_groups_reference(code)
+    q, n = code.field.q, code.length
+    rng = np.random.default_rng(31)
+    binary = trace_code(code).generator_matrix()
+    words = [
+        encode(code, rng.integers(0, q, size=len(code.good_monomials))),
+        np.bitwise_xor.reduce(binary[rng.integers(0, 2, size=len(binary)) == 1], axis=0),
+        rng.integers(0, q, size=n).astype(np.uint8),
+        rng.integers(0, 2, size=n).astype(np.uint8),
+        np.full(n, q - 1, dtype=np.uint8),
+    ]
+    for word in words:
+        sums = _group_sums(plan, spectra, word)
+        assert sums.dtype == word.dtype
+        for j in range(plan.t):
+            assert np.array_equal(sums[j], group_sums_reference(groups, word, j))
+    codeword_sums = _group_sums(plan, spectra, words[0])
+    assert (codeword_sums == words[0]).all()
+    assert (_group_sums(plan, spectra, words[2]) != words[2]).any()
+
+
+def _words_drawn_by_verify(code, trials, seed, binary=None):
+    """The codewords verify_drgp draws for a seed, drawn the same way."""
+    rng = np.random.default_rng(seed)
+    if binary is None:
+        return [
+            encode(code, rng.integers(0, code.field.q, size=len(code.good_monomials)))
+            for _ in range(trials)
+        ]
+    gen2 = binary.generator_matrix()
+    return [
+        np.bitwise_xor.reduce(gen2[rng.integers(0, 2, size=len(gen2)) == 1], axis=0)
+        for _ in range(trials)
+    ]
+
+
+def test_verify_records_match_gathered_reference(plan16_5, monkeypatch) -> None:
+    """With encode patched to hand out corrupted words, the failure records
+    are the gathered reference's, record for record, in the order trial,
+    group, coordinate."""
+    code = plan16_5.code
+    words = _words_drawn_by_verify(code, 3, 8)
+    words[0][100] ^= 1
+    words[2][7] ^= 9
+    words[2][200] ^= 4
+    handed_out = iter([w.copy() for w in words])
+    monkeypatch.setattr(repair_module, "encode", lambda code, message: next(handed_out))
+    failures = verify_drgp(plan16_5, trials=3, rng_seed=8)["failures"]
+    assert len(failures) > 3 * 3
+    assert failures == verify_failures_reference(repair_groups_reference(code), words)
+
+
+def test_injected_fault_is_the_tampered_group(plan16_5, trace16_5) -> None:
+    """The private fault path fails exactly as repair over the reference
+    groups with member 0 of group 0 of coordinate 0 pointed at coordinate 0,
+    for F_q and binary codewords."""
+    code = plan16_5.code
+    tampered = repair_groups_reference(code)
+    tampered[0, 0, 0] = 0
+    for binary in (None, trace16_5):
+        report = _verify(plan16_5, 20, 2, binary, fault=True)
+        words = _words_drawn_by_verify(code, 20, 2, binary)
+        expected = verify_failures_reference(tampered, words)
+        assert expected and report["failures"] == expected
+        assert report["checks"] == 20 * 3 * 256
 
 
 def _overlapping_seeds(family):
@@ -132,9 +200,11 @@ def test_seed_fault_makes_the_plan_raise(code16_5, monkeypatch, faulty, message)
 
 
 def test_groups_are_sorted_and_readonly(plan16_5) -> None:
-    assert (np.diff(plan16_5.groups, axis=2) > 0).all()
+    assert (np.diff(plan16_5.seeds, axis=1) > 0).all()
+    for p in (0, 1, 77, 255):
+        assert (np.diff(plan16_5.group(1, p)) > 0).all()
     with pytest.raises(ValueError):
-        plan16_5.groups[0, 0, 0] = 1
+        plan16_5.seeds[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +246,9 @@ def test_every_group_repairs_a_fixed_codeword(plan16_5, rng) -> None:
     code = plan16_5.code
     msg = rng.integers(0, 16, size=len(code.good_monomials))
     c = encode(code, msg)
+    sums = sums_of(plan16_5, c)
     for j in range(3):
-        assert np.array_equal(_group_sums(plan16_5, c, j), c)
+        assert np.array_equal(sums[j], c)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +270,7 @@ def test_verify_binary_gf64(plan64_9, trace64_9) -> None:
 
 def test_binary_zero_codeword_trivially_repairs(plan16_5, trace16_5) -> None:
     c = np.zeros(256, dtype=np.uint8)
-    for j in range(3):
-        assert (_group_sums(plan16_5, c, j) == 0).all()
+    assert (sums_of(plan16_5, c) == 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +284,7 @@ def test_tampered_codeword_fails_verification(plan16_5, rng) -> None:
     c = encode(code, msg)
     c = c.copy()
     c[100] ^= 1  # not a codeword anymore
-    hit = 0
-    for j in range(3):
-        sums = _group_sums(plan16_5, c, j)
-        hit += int((sums != c).sum())
+    hit = int((sums_of(plan16_5, c) != c).sum())
     # Coordinate 100 now disagrees with all of its own groups, and it sits in
     # other coordinates' groups, so at least 3 + 3*75 checks cannot all pass.
     assert hit >= 3
@@ -257,7 +324,7 @@ def test_parallel_reads_survive_erasures(plan16_5, rng) -> None:
     true_value = int(c[p])
     damaged = c.copy()
     damaged[p] = 0  # erased
-    for idx in plan16_5.groups[2, p]:  # wipe the entire last group
+    for idx in plan16_5.group(2, p):  # wipe the entire last group
         damaged[idx] = 15
     values = simulate_parallel_reads(plan16_5, damaged, p, 2)  # groups 0 and 1
     assert values == [true_value, true_value]
@@ -267,7 +334,7 @@ def test_parallel_reads_detect_disagreement(plan16_5, rng) -> None:
     code = plan16_5.code
     c = encode(code, rng.integers(0, 16, size=len(code.good_monomials)))
     damaged = c.copy()
-    damaged[int(plan16_5.groups[0, 7, 0])] ^= 5  # corrupt one read path of p=7
+    damaged[int(plan16_5.group(0, 7)[0])] ^= 5  # corrupt one read path of p=7
     with pytest.raises(InvariantError, match="disagree"):
         simulate_parallel_reads(plan16_5, damaged, 7, 3)
 
@@ -286,7 +353,7 @@ def test_single_group_family(code4_3, rng) -> None:
 def test_full_group_family_gf16(code16_15) -> None:
     # h = q-1: one coset covering F_q^x, one repair group of size 225.
     plan = build_repair_plan(code16_15)
-    assert plan.groups.shape == (1, 256, 225)
+    assert plan.seeds.shape == (1, 225)
     report = verify_drgp(plan, trials=100, rng_seed=13)
     assert report["failures"] == [] and report["checks"] == 100 * 256
     report2 = verify_drgp(plan, trials=100, rng_seed=13, binary=trace_code(code16_15))
