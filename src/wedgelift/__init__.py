@@ -12,6 +12,7 @@ from .bitlattice import enumerate_2_shadow
 from .classify import (
     Monomial,
     Wedge,
+    bad_mask,
     count_bad,
     count_bad_closed_form,
     is_bad_block_criterion,
@@ -72,6 +73,7 @@ __all__ = [
     "UsageError",
     "Wedge",
     "WedgeLiftedCode",
+    "bad_mask",
     "build_code",
     "build_repair_plan",
     "count_bad",

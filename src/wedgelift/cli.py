@@ -89,7 +89,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     family = _family(config)
     q, h, t = family.q, family.subgroup_order, family.t
     rows = _classify.classification_rows(family, config.ell_prime, config.d)
-    exact = sum(r[2] for r in rows)
+    bad = _classify.bad_mask(family)
+    exact = int(bad.sum())
     csv_path = _out_path(config, f"classify_q{q}_h{h}.csv")
     _classify.write_classification_csv(csv_path, rows)
 
@@ -106,8 +107,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     # whole sweep fits the evaluation budget (all q=16 families do by default).
     sweep_cost = _classify.oracle_cost(family) * q * q
     if sweep_cost <= config.budget:
-        good = _classify.oracle_good_mask(family, [r[:2] for r in rows], config.budget)
-        mismatches = sum(g != (bad == 0) for g, (_, _, bad, _) in zip(good, rows))
+        monomials = np.indices((q, q)).reshape(2, -1).T
+        good = _classify.oracle_good_mask(family, monomials, config.budget)
+        mismatches = int(np.count_nonzero(good != ~bad.ravel()))
         parts.append(f"oracle_disagreements={mismatches}")
         if mismatches:
             status = 1
@@ -120,6 +122,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _resolve(args)
+    if config.binary and args.dimension_only:
+        raise UsageError("--binary needs the kernel of a full build; drop --dimension-only")
     family = _family(config)
     q, h, t = family.q, family.subgroup_order, family.t
     code = _code.build_code(family, dimension_only=args.dimension_only)

@@ -14,7 +14,6 @@ their span under translation (linalg.translation_closure).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from ._io import atomic_write_text
-from .classify import Monomial, is_bad_coset_criterion
+from .classify import Monomial, bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec
 from .linalg import BATCH_BYTES, pack_rows, translation_closure, unpack_rows
@@ -40,33 +39,14 @@ def eval_monomial(spec: FieldSpec, m: Monomial) -> np.ndarray:
     return grid.reshape(-1)
 
 
-def _exponents(monomials: tuple[Monomial, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent vectors (a, b) of a monomial sequence."""
-    flat = np.fromiter(
-        itertools.chain.from_iterable(monomials), dtype=np.intp, count=2 * len(monomials)
-    )
-    return flat[0::2], flat[1::2]
-
-
-def _eval_monomials(spec: FieldSpec, monomials: tuple[Monomial, ...]) -> np.ndarray:
-    """Evaluation vectors of the monomials as rows, in one gather:
-    row i is eval_monomial(spec, monomials[i])."""
+def _eval_monomials(spec: FieldSpec, monomials: np.ndarray) -> np.ndarray:
+    """Evaluation vectors of an (M, 2) array of exponent pairs as rows, in
+    one gather: row i is eval_monomial(spec, monomials[i])."""
     q = spec.q
     powers = spec.power_table()
-    a, b = _exponents(monomials)
+    a, b = monomials.T
     values = spec.mul_table()[powers[a][:, :, None], powers[b][:, None, :]]
     return values.reshape(len(monomials), q * q)
-
-
-def good_monomials(family: CosetFamily) -> tuple[Monomial, ...]:
-    """All good monomials by the coset criterion, in lexicographic order."""
-    q, h, ell = family.q, family.subgroup_order, family.field.ell
-    return tuple(
-        Monomial(a, b)
-        for a in range(q)
-        for b in range(q)
-        if not is_bad_coset_criterion(Monomial(a, b), h, ell)
-    )
 
 
 def _origin_wedges(family: CosetFamily) -> np.ndarray:
@@ -112,11 +92,14 @@ class WedgeLiftedCode:
     is the packed (exact_dimension, words) reduced row-echelon basis of the
     GF(2) kernel, equally unique, which is also the trace code's generators.
     Both are read-only, and None in dimension-only mode.
+
+    good_monomials is the read-only (M, 2) array argwhere(~bad_mask): the
+    good exponent pairs (a, b) in lexicographic order, encode's message order.
     """
 
     field: FieldSpec
     family: CosetFamily
-    good_monomials: tuple[Monomial, ...]
+    good_monomials: np.ndarray
     exact_dimension: int
     parity_rows: np.ndarray | None
     kernel_basis: np.ndarray | None
@@ -145,13 +128,14 @@ class WedgeLiftedCode:
         return unpack_rows(self.parity_rows, self.length)
 
 
-def _guard_build(family: CosetFamily, dimension_only: bool, memory_guard_bytes: int) -> None:
+def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
     """The largest arrays of a build. Every build holds the packed parity
     basis, allocated once with one row of q^2/8 bytes per bad monomial: the
     rank is at most bad <= (t+1)*q (the dimension is at least the
     good-monomial count, and bad monomials need b - i to be one of the t+1
     multiples of h in [0, q-1]). A full build also holds the uint16
-    generator matrix callers export (at most q^2 x q^2)."""
+    generator matrix callers export (at most q^2 x q^2). The limit is
+    DEFAULT_MEMORY_GUARD_BYTES, read at each call."""
     q = family.q
     rows = (family.t + 1) * q
     estimated = rows * q * q // 8
@@ -160,19 +144,14 @@ def _guard_build(family: CosetFamily, dimension_only: bool, memory_guard_bytes: 
     else:
         mode, hint = "full", "; build with dimension_only=True"
         estimated = max(estimated, 2 * q**4)
-    if estimated > memory_guard_bytes:
+    if estimated > DEFAULT_MEMORY_GUARD_BYTES:
         raise MemoryGuardError(
             f"{mode} build for q={q}, t={family.t} needs ~{estimated} bytes "
-            f"(guard {memory_guard_bytes}){hint}"
+            f"(guard {DEFAULT_MEMORY_GUARD_BYTES}){hint}"
         )
 
 
-def build_code(
-    family: CosetFamily,
-    *,
-    dimension_only: bool = False,
-    memory_guard_bytes: int = DEFAULT_MEMORY_GUARD_BYTES,
-) -> WedgeLiftedCode:
+def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLiftedCode:
     """Eliminate the wedge checks, measure the exact dimension by rank, and
     (in full mode) keep the reduced rows, read the kernel basis from them,
     and assert on the t wedges at the origin (_check_good_annihilated) that
@@ -189,8 +168,9 @@ def build_code(
     spec = family.field
     q = spec.q
     n = q * q
-    _guard_build(family, dimension_only, memory_guard_bytes)
-    good = good_monomials(family)
+    _guard_build(family, dimension_only)
+    good = np.argwhere(~bad_mask(family))
+    good.flags.writeable = False
     # The rank is at most the bad count n - len(good) (the dimension is at
     # least len(good), checked below), so the basis is allocated once.
     echelon = translation_closure(iter_parity_rows(family), n, capacity=n - len(good))
@@ -215,7 +195,7 @@ def build_code(
     )
 
 
-def _check_good_annihilated(family: CosetFamily, good: tuple[Monomial, ...]) -> None:
+def _check_good_annihilated(family: CosetFamily, good: np.ndarray) -> None:
     """Raise InvariantError unless every good monomial sums to zero over
     every wedge, which the t wedges at the origin decide exactly.
 
@@ -232,7 +212,7 @@ def _check_good_annihilated(family: CosetFamily, good: tuple[Monomial, ...]) -> 
     spec = family.field
     q, ell = spec.q, spec.ell
     mul, powers = spec.mul_table(), spec.power_table()
-    a, b = _exponents(good)
+    a, b = good.T
     for seed in _origin_wedges(family):
         # column[e, x] = sum of y^e over the seed's points (x, y): the origin
         # alone at x = 0, then the h points of each column x = 1..q-1.
@@ -243,7 +223,7 @@ def _check_good_annihilated(family: CosetFamily, good: tuple[Monomial, ...]) -> 
         odd = np.bitwise_xor.reduce(mul[powers[a], column[b]], axis=1).nonzero()[0]
         if odd.size:
             raise InvariantError(
-                f"good monomial {tuple(good[odd[0]])} violates a wedge parity check"
+                f"good monomial {tuple(good[odd[0]].tolist())} violates a wedge parity check"
             )
     is_good = np.zeros((q, q), dtype=bool)
     is_good[a, b] = True
@@ -252,7 +232,7 @@ def _check_good_annihilated(family: CosetFamily, good: tuple[Monomial, ...]) -> 
     unclosed = np.flatnonzero(~(is_good[a & cleared, b] & is_good[a, b & cleared]).all(axis=1))
     if unclosed.size:
         raise InvariantError(
-            f"good monomial {tuple(good[unclosed[0]])} has a 2-shadow outside the good set"
+            f"good monomial {tuple(good[unclosed[0]].tolist())} has a 2-shadow outside the good set"
         )
 
 
@@ -275,7 +255,7 @@ def encode(code: WedgeLiftedCode, message) -> np.ndarray:
         raise UsageError(f"message symbols must lie in [0, {q})")
     mul, powers = spec.mul_table(), spec.power_table()
     grid = np.zeros((q, q), dtype=mul.dtype)
-    grid[_exponents(code.good_monomials)] = msg
+    grid[tuple(code.good_monomials.T)] = msg
     word = np.zeros((q, q), dtype=mul.dtype)
     # Each gather below holds step * q^2 table entries.
     step = max(1, BATCH_BYTES // (mul.itemsize * q * q))

@@ -273,9 +273,9 @@ def is_good_oracle_sampled_reference(family, m: Monomial, wedges: int, rng) -> b
 # ---------------------------------------------------------------------------
 
 
-def check_good_annihilated_reference(spec, good: tuple[Monomial, ...], reduced: np.ndarray) -> None:
-    """G . R^T = 0 on every bit plane of the good-monomial evaluations G,
-    where R are the reduced parity rows.
+def check_good_annihilated_reference(spec, good: np.ndarray, reduced: np.ndarray) -> None:
+    """G . R^T = 0 on every bit plane of the evaluations G of the (M, 2)
+    array of good exponent pairs, where R are the reduced parity rows.
 
     A wedge sum of field values vanishes iff each of its ell bit planes has
     even weight on the wedge, and the 0/1 parity rows span over GF(2) what
@@ -296,7 +296,7 @@ def check_good_annihilated_reference(spec, good: tuple[Monomial, ...], reduced: 
             if odd.any():
                 m = chunk[int(odd.nonzero()[0][0])]
                 raise InvariantError(
-                    f"good monomial {tuple(m)} violates a wedge parity check"
+                    f"good monomial {tuple(m.tolist())} violates a wedge parity check"
                 )
 
 

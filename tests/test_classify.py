@@ -15,6 +15,7 @@ from wedgelift import (
     FieldSpec,
     OracleBudgetError,
     UsageError,
+    bad_mask,
     count_bad,
     count_bad_closed_form,
     is_bad_block_criterion,
@@ -586,6 +587,53 @@ def test_closed_form_matches_count_wherever_block_applies() -> None:
         closed = count_bad_closed_form(ell_prime, d)
         assert closed == ((1 << (d + 1)) - 1) ** ell_prime
         assert closed == count_bad(family) == BAD_COUNTS[q, h]
+
+
+def _odd_divisor_families(max_ell: int):
+    for ell in range(1, max_ell + 1):
+        q = 1 << ell
+        for h in range(1, q, 2):
+            if (q - 1) % h == 0:
+                yield ell, h
+
+
+# Every h | q - 1 for q <= 128, then q = 256 at h = 17 and h = 255.
+MASK_FAMILIES = list(_odd_divisor_families(7)) + [(8, 17), (8, 255)]
+
+
+@pytest.mark.parametrize("ell,h", MASK_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in MASK_FAMILIES])
+def test_bad_mask_equals_scalar_criterion(ell, h) -> None:
+    """The vectorised mask is the coset criterion on every one of the q^2
+    monomials, and read-only."""
+    q = 1 << ell
+    mask = bad_mask(make_coset_family(make_field(ell), h))
+    assert mask.shape == (q, q) and mask.dtype == bool
+    assert not mask.flags.writeable
+    expected = [
+        [is_bad_coset_criterion(Monomial(a, b), h, ell) for b in range(q)] for a in range(q)
+    ]
+    assert mask.tolist() == expected
+
+
+# (ell, h, ell_prime, d): every block family of q = 1024 and two of q = 4096.
+LARGE_BLOCK_FAMILIES = [
+    (10, 1, 10, 1), (10, 33, 5, 2), (10, 341, 2, 5), (10, 1023, 1, 10),
+    (12, 65, 6, 2), (12, 585, 3, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "ell,h,ell_prime,d", LARGE_BLOCK_FAMILIES,
+    ids=[f"q{1 << e}h{h}" for e, h, _, _ in LARGE_BLOCK_FAMILIES],
+)
+def test_bad_mask_sum_matches_closed_form_at_large_q(ell, h, ell_prime, d) -> None:
+    """Beyond the scalar criterion's reach the mask still counts
+    (2^(d+1) - 1)^ell' bad monomials: 16 807 at q1024h33, 29 791 at
+    q4096h585."""
+    q = 1 << ell
+    assert h == (q - 1) // ((1 << ell_prime) - 1) and ell_prime * d == ell
+    family = make_coset_family(make_field(ell), h)
+    assert int(bad_mask(family).sum()) == count_bad_closed_form(ell_prime, d)
 
 
 def test_naive_bound_relation_recorded() -> None:

@@ -225,6 +225,18 @@ def test_build_dimension_only_q256(capsys, tmp_path) -> None:
     assert [p.name for p in tmp_path.iterdir()] == ["descriptor_q256_h255.json"]
 
 
+def test_build_binary_with_dimension_only_is_a_usage_error(capsys, tmp_path) -> None:
+    """The trace code needs the kernel of a full build, so asking for both is
+    refused before anything is written."""
+    status, out, err = run(
+        capsys, "build", "--ell", "4", "--subgroup-order", "5", "--binary",
+        "--dimension-only", "--out-dir", str(tmp_path),
+    )
+    assert status == 2 and out == ""
+    assert "error:" in err and "--binary" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_reruns_byte_identical(capsys, tmp_path) -> None:
     argv = ["build", "--ell", "2", "--subgroup-order", "3", "--out-dir", str(tmp_path)]
     assert main(argv) == 0

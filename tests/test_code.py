@@ -38,11 +38,10 @@ from wedgelift.bitlattice import enumerate_2_shadow
 from wedgelift.classify import Monomial, Wedge, restriction_grid, wedge_point_set
 from wedgelift.code import (
     export_matrix,
-    good_monomials,
     iter_parity_rows,
     write_descriptor,
 )
-from wedgelift.classify import count_bad
+from wedgelift.classify import count_bad, is_bad_coset_criterion
 from wedgelift.linalg import gf2_echelon, gfq_rank
 
 from reference import (
@@ -265,13 +264,24 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, 
         assert np.array_equal(trace_code(code).binary_generators, traced_span(code))
 
 
-def test_annihilation_check_fires_on_a_bad_monomial(fam16_5, monkeypatch) -> None:
+def _patch_bad_mask(monkeypatch, good: set[tuple[int, int]], q: int) -> None:
+    """Make build_code read a mask whose good monomials are exactly `good`."""
+    mask = np.ones((q, q), dtype=bool)
+    mask[tuple(np.array(sorted(good)).T)] = False
+    monkeypatch.setattr(code_module, "bad_mask", lambda family: mask)
+
+
+def _good_set(code) -> set[tuple[int, int]]:
+    return set(map(tuple, code.good_monomials.tolist()))
+
+
+def test_annihilation_check_fires_on_a_bad_monomial(fam16_5, code16_5, monkeypatch) -> None:
     """A bad monomial slipped into the good set makes the full build's seed
     check raise."""
     bad = Monomial(15, 15)
-    real = code_module.good_monomials(fam16_5)
+    real = _good_set(code16_5)
     assert bad not in real
-    monkeypatch.setattr(code_module, "good_monomials", lambda family: real[:100] + (bad,) + real[100:])
+    _patch_bad_mask(monkeypatch, real | {bad}, 16)
     with pytest.raises(InvariantError, match=r"good monomial \(15, 15\) violates"):
         build_code(fam16_5)
 
@@ -301,22 +311,22 @@ def test_seed_check_fires_on_the_shadow_of_a_bad_monomial(ell, h, stride, code64
     family = make_coset_family(make_field(ell), h)
     code = code64_9 if (ell, h) == (6, 9) else build_code(family)
     q = family.q
-    good = set(code.good_monomials)
+    good = _good_set(code)
     bad = [Monomial(a, b) for a in range(q) for b in range(q) if (a, b) not in good]
     assert len(bad) == count_bad(family)
     for m in bad[::stride]:
         added = {Monomial(a, b) for a in enumerate_2_shadow(m.a) for b in enumerate_2_shadow(m.b)} - good
-        mutated = tuple(sorted(good | added))
+        mutated = good | added
         with pytest.raises(InvariantError, match="violates a wedge parity check"):
-            code_module._check_good_annihilated(family, mutated)
+            code_module._check_good_annihilated(family, np.array(sorted(mutated)))
         with pytest.raises(InvariantError, match="violates a wedge parity check"):
-            check_good_annihilated_reference(code.field, tuple(sorted(added)), code.parity_rows)
-        monkeypatch.setattr(code_module, "good_monomials", lambda family: mutated)
+            check_good_annihilated_reference(code.field, np.array(sorted(added)), code.parity_rows)
+        _patch_bad_mask(monkeypatch, mutated, q)
         with pytest.raises(InvariantError):
             build_code(family)
 
 
-def test_closure_half_catches_a_bad_monomial_with_zero_seed_sums(fam16_5, monkeypatch) -> None:
+def test_closure_half_catches_a_bad_monomial_with_zero_seed_sums(fam16_5, code16_5, monkeypatch) -> None:
     """(1, 15) is bad but sums to zero over every wedge at the origin, so
     only the 2-shadow closure rejects it: its shadow (0, 15) is bad."""
     spec = fam16_5.field
@@ -327,9 +337,9 @@ def test_closure_half_catches_a_bad_monomial_with_zero_seed_sums(fam16_5, monkey
         for u, v in wedge_point_set(spec, Wedge(coset, (0, 0))):
             total ^= int(values[u * 16 + v])
         assert total == 0
-    real = code_module.good_monomials(fam16_5)
+    real = _good_set(code16_5)
     assert m not in real and Monomial(0, 15) not in real
-    monkeypatch.setattr(code_module, "good_monomials", lambda family: real + (m,))
+    _patch_bad_mask(monkeypatch, real | {m}, 16)
     with pytest.raises(InvariantError, match=r"good monomial \(1, 15\) has a 2-shadow outside"):
         build_code(fam16_5)
 
@@ -405,18 +415,19 @@ def test_exact_redundancy_beyond_q64(ell, h, redundancy) -> None:
     assert code.redundancy == count_bad(family) - 1
 
 
-def test_memory_guard() -> None:
+def test_memory_guard(monkeypatch) -> None:
     spec = make_field(8)
     family = make_coset_family(spec, 255)
     with pytest.raises(MemoryGuardError, match="dimension_only"):
         build_code(family)
-    # A generous explicit guard cannot be bypassed by accident: the dense
-    # generator matrix alone takes 2 * q^4 bytes (8 GiB at q = 256).
+    # A generous guard cannot be bypassed by accident: the dense generator
+    # matrix alone takes 2 * q^4 bytes (8 GiB at q = 256).
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", 1 << 30)
     with pytest.raises(MemoryGuardError):
-        build_code(family, memory_guard_bytes=1 << 30)
+        build_code(family)
 
 
-def test_memory_guard_boundary(f16) -> None:
+def test_memory_guard_boundary(f16, monkeypatch) -> None:
     """A full build's estimate at q = 16 is the dense generator matrix,
     2 * 16^4 bytes, above the packed parity basis bound (t + 1) * 16^3 / 8
     for every t <= 15: the build passes at exactly the estimate and raises
@@ -425,21 +436,25 @@ def test_memory_guard_boundary(f16) -> None:
     for h, redundancy in [(5, 48), (1, 80)]:
         family = make_coset_family(f16, h)
         assert estimate > (family.t + 1) * 16**3 // 8
-        assert build_code(family, memory_guard_bytes=estimate).redundancy == redundancy
+        monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+        assert build_code(family).redundancy == redundancy
+        monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
         with pytest.raises(MemoryGuardError, match="dimension_only"):
-            build_code(family, memory_guard_bytes=estimate - 1)
+            build_code(family)
 
 
-def test_dimension_only_memory_guard_boundary(fam16_5) -> None:
+def test_dimension_only_memory_guard_boundary(fam16_5, monkeypatch) -> None:
     """A dimension-only build holds the packed parity basis: at most
     (t + 1) * q rows of q^2 / 8 bytes, 64 * 32 bytes at q16h5 (t = 3). It
     builds at exactly that estimate and raises one byte below it."""
     estimate = (3 + 1) * 16 * 16**2 // 8
-    code = build_code(fam16_5, dimension_only=True, memory_guard_bytes=estimate)
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    code = build_code(fam16_5, dimension_only=True)
     assert code.redundancy == 48
     assert code.redundancy * 16**2 // 8 <= estimate
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
     with pytest.raises(MemoryGuardError, match="dimension-only build"):
-        build_code(fam16_5, dimension_only=True, memory_guard_bytes=estimate - 1)
+        build_code(fam16_5, dimension_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +663,19 @@ def test_written_files_follow_umask(tmp_path) -> None:
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-def test_good_monomials_ordering(fam4_3) -> None:
-    goods = good_monomials(fam4_3)
-    assert goods == tuple(sorted(goods))
-    assert len(goods) == 9
-    assert Monomial(3, 3) not in goods
-    assert Monomial(0, 0) in goods
+def test_good_monomials_ordering(code4_3, code64_9) -> None:
+    """good_monomials is the read-only (M, 2) array of the good exponent
+    pairs, in lexicographic order: argwhere of the inverted bad mask."""
+    goods = code4_3.good_monomials
+    assert goods.shape == (9, 2)
+    assert not goods.flags.writeable
+    pairs = list(map(tuple, goods.tolist()))
+    assert pairs == sorted(pairs)
+    assert (3, 3) not in pairs
+    assert (0, 0) in pairs
+    for code in (code4_3, code64_9):
+        q, h, ell = code.field.q, code.family.subgroup_order, code.field.ell
+        assert code.good_monomials.tolist() == [
+            [a, b] for a in range(q) for b in range(q)
+            if not is_bad_coset_criterion(Monomial(a, b), h, ell)
+        ]
