@@ -16,8 +16,6 @@ around.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import NamedTuple
 
 import numpy as np
@@ -277,37 +275,43 @@ def count_bad_closed_form(ell_prime: int, d: int) -> int:
     return ((1 << (d + 1)) - 1) ** ell_prime
 
 
-def classification_rows(
+def classification(
     family: CosetFamily,
     ell_prime: int | None = None,
     d: int | None = None,
-) -> list[tuple[int, int, int, str]]:
-    """(a, b, bad, criterion_used) for all q^2 monomials in lexicographic order.
+) -> np.ndarray:
+    """Read-only (q, q) bool array, [a, b] true iff X^a Y^b is bad.
 
-    With ell_prime and d the block criterion is used (and its parameters must
-    match the family); otherwise the coset criterion.
+    With ell_prime and d the block criterion decides (and its parameters must
+    match the family); otherwise the coset criterion, through bad_mask. The
+    block criterion stays a scalar loop over all q^2 monomials because it is
+    the third classifier, independent of bad_mask.
     """
     q, h, ell = family.q, family.subgroup_order, family.field.ell
     if (ell_prime is None) != (d is None):
         raise UsageError("ell_prime and d must be given together")
-    if ell_prime is not None:
-        if ell_prime * d != ell or h != (q - 1) // ((1 << ell_prime) - 1):
-            raise UsageError(
-                f"block parameters ({ell_prime}, {d}) do not match q={q}, h={h}"
-            )
-        return [
-            (a, b, int(is_bad_block_criterion(Monomial(a, b), ell_prime, d)), "block")
-            for a in range(q)
-            for b in range(q)
-        ]
-    bad = bad_mask(family).astype(int).ravel().tolist()
-    return [(a, b, bad[a * q + b], "coset") for a in range(q) for b in range(q)]
+    if ell_prime is None:
+        return bad_mask(family)
+    if ell_prime * d != ell or h != (q - 1) // ((1 << ell_prime) - 1):
+        raise UsageError(
+            f"block parameters ({ell_prime}, {d}) do not match q={q}, h={h}"
+        )
+    verdicts = (
+        is_bad_block_criterion(Monomial(a, b), ell_prime, d)
+        for a in range(q)
+        for b in range(q)
+    )
+    mask = np.fromiter(verdicts, dtype=bool, count=q * q).reshape(q, q)
+    mask.flags.writeable = False
+    return mask
 
 
-def write_classification_csv(path, rows) -> None:
-    """CSV report with columns a, b, bad, criterion_used (atomic write)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "b", "bad", "criterion_used"])
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+def write_classification_csv(path, bad: np.ndarray, criterion: str) -> None:
+    """CSV report with columns a, b, bad, criterion_used: one line per entry
+    of the (q, q) bool array, in lexicographic order, written atomically."""
+    tails = [(f"{b},0,{criterion}\n", f"{b},1,{criterion}\n") for b in range(len(bad))]
+    lines = ["a,b,bad,criterion_used\n"]
+    for a, row in enumerate(bad.tolist()):
+        prefix = f"{a},"
+        lines.append(prefix + prefix.join([tail[v] for tail, v in zip(tails, row)]))
+    atomic_write_text(path, "".join(lines))

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +19,13 @@ from . import code as _code
 from . import repair as _repair
 from ._io import atomic_write_text
 from .errors import ResourceGuardError, UsageError
-from .field import CosetFamily, make_coset_family, make_field, plan_dyadic_parameters
+from .field import make_coset_family, make_field, plan_dyadic_parameters
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameter surface: exactly one of (ell, subgroup_order) or
-    (ell_prime, d) was given on the command line; both views are filled in."""
-
-    ell: int
-    subgroup_order: int
-    ell_prime: int | None
-    d: int | None
-    seed: int
-    trials: int
-    budget: int
-    out_dir: str
-    binary: bool
-    inject_fault: bool
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> tuple[int, int, int | None, int | None]:
+    """(ell, subgroup_order, ell_prime, d) from exactly one of the parameter
+    pairs (ell, subgroup_order) or (ell_prime, d); the block form fills in
+    both views, the direct form leaves ell_prime and d None."""
     by_order = args.ell is not None or args.subgroup_order is not None
     by_block = args.ell_prime is not None or args.d is not None
     if by_order == by_block:
@@ -51,64 +36,48 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if by_order:
         if args.ell is None or args.subgroup_order is None:
             raise UsageError("--ell and --subgroup-order must be given together")
-        ell, h = args.ell, args.subgroup_order
-        ell_prime = d = None
-    else:
-        if args.ell_prime is None or args.d is None:
-            raise UsageError("--ell-prime and --d must be given together")
-        ell_prime, d = args.ell_prime, args.d
-        if ell_prime < 1 or d < 1:
-            raise UsageError("--ell-prime and --d must be positive")
-        ell = ell_prime * d
-        h = ((1 << ell) - 1) // ((1 << ell_prime) - 1)
-    return RunConfig(
-        ell=ell,
-        subgroup_order=h,
-        ell_prime=ell_prime,
-        d=d,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 100),
-        budget=getattr(args, "budget", _classify.DEFAULT_ORACLE_BUDGET),
-        out_dir=getattr(args, "out_dir", "."),
-        binary=getattr(args, "binary", False),
-        inject_fault=getattr(args, "inject_fault", False),
-    )
+        return args.ell, args.subgroup_order, None, None
+    if args.ell_prime is None or args.d is None:
+        raise UsageError("--ell-prime and --d must be given together")
+    ell_prime, d = args.ell_prime, args.d
+    if ell_prime < 1 or d < 1:
+        raise UsageError("--ell-prime and --d must be positive")
+    ell = ell_prime * d
+    return ell, ((1 << ell) - 1) // ((1 << ell_prime) - 1), ell_prime, d
 
 
-def _family(config: RunConfig) -> CosetFamily:
-    return make_coset_family(make_field(config.ell), config.subgroup_order)
-
-
-def _out_path(config: RunConfig, name: str) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    return os.path.join(config.out_dir, name)
+def _out_path(out_dir: str, name: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = _resolve(args)
-    family = _family(config)
-    q, h, t = family.q, family.subgroup_order, family.t
-    rows = _classify.classification_rows(family, config.ell_prime, config.d)
-    bad = _classify.bad_mask(family)
+    ell, h, ell_prime, d = _resolve(args)
+    family = make_coset_family(make_field(ell), h)
+    q, t = family.q, family.t
+    bad = _classify.classification(family, ell_prime, d)
     exact = int(bad.sum())
-    csv_path = _out_path(config, f"classify_q{q}_h{h}.csv")
-    _classify.write_classification_csv(csv_path, rows)
+    csv_path = _out_path(args.out_dir, f"classify_q{q}_h{h}.csv")
+    criterion = "coset" if ell_prime is None else "block"
+    _classify.write_classification_csv(csv_path, bad, criterion)
 
     # (t+1)*q bounds the bad count, for the reason given in cmd_plan.
     parts = [f"q={q}", f"h={h}", f"t={t}", f"bad={exact}", f"bad_bound={(t + 1) * q}"]
     status = 0
-    if config.ell_prime is not None:
-        closed = _classify.count_bad_closed_form(config.ell_prime, config.d)
+    if ell_prime is not None:
+        closed = _classify.count_bad_closed_form(ell_prime, d)
         parts.append(f"closed_form={closed}")
         if closed != exact:
             status = 1
 
     # Cross-check the criterion against the exhaustive oracle whenever the
     # whole sweep fits the evaluation budget (all q=16 families do by default).
+    # The cost is checked first, so that a refused sweep never allocates the
+    # (q^2, 2) monomial array (268 MB at q = 4096).
     sweep_cost = _classify.oracle_cost(family) * q * q
-    if sweep_cost <= config.budget:
+    if sweep_cost <= args.budget:
         monomials = np.indices((q, q)).reshape(2, -1).T
-        good = _classify.oracle_good_mask(family, monomials, config.budget)
+        good = _classify.oracle_good_mask(family, monomials, args.budget)
         mismatches = int(np.count_nonzero(good != ~bad.ravel()))
         parts.append(f"oracle_disagreements={mismatches}")
         if mismatches:
@@ -121,29 +90,29 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    config = _resolve(args)
-    if config.binary and args.dimension_only:
+    ell, h, _, _ = _resolve(args)
+    if args.binary and args.dimension_only:
         raise UsageError("--binary needs the kernel of a full build; drop --dimension-only")
-    family = _family(config)
-    q, h, t = family.q, family.subgroup_order, family.t
+    family = make_coset_family(make_field(ell), h)
+    q, t = family.q, family.t
     code = _code.build_code(family, dimension_only=args.dimension_only)
     bad = q * q - len(code.good_monomials)
     print(
         f"N={code.length} q={q} h={h} t={t} good={len(code.good_monomials)} "
         f"bad={bad} dimension={code.exact_dimension} redundancy={code.redundancy}"
     )
-    _code.write_descriptor(_out_path(config, f"descriptor_q{q}_h{h}.json"), code)
+    _code.write_descriptor(_out_path(args.out_dir, f"descriptor_q{q}_h{h}.json"), code)
     if not args.dimension_only:
         _code.export_matrix(
-            _out_path(config, f"generator_q{q}_h{h}.txt"), code.generator_matrix(), q
+            _out_path(args.out_dir, f"generator_q{q}_h{h}.txt"), code.generator_matrix(), q
         )
         _code.export_matrix(
-            _out_path(config, f"parity_q{q}_h{h}.txt"), code.parity_check_matrix(), q
+            _out_path(args.out_dir, f"parity_q{q}_h{h}.txt"), code.parity_check_matrix(), q
         )
-        if config.binary:
+        if args.binary:
             binary = _code.trace_code(code)
             _code.export_matrix(
-                _out_path(config, f"binary_generator_q{q}_h{h}.txt"),
+                _out_path(args.out_dir, f"binary_generator_q{q}_h{h}.txt"),
                 binary.generator_matrix(),
                 q,
             )
@@ -155,18 +124,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _resolve(args)
-    family = _family(config)
-    q, h = family.q, family.subgroup_order
+    ell, h, _, _ = _resolve(args)
+    family = make_coset_family(make_field(ell), h)
+    q = family.q
     # F_q repair needs only the good monomials and the groups; the kernel
     # (and so a full build) is needed only for the trace code.
-    code = _code.build_code(family, dimension_only=not config.binary)
+    code = _code.build_code(family, dimension_only=not args.binary)
     plan = _repair.build_repair_plan(code)
 
     status = 0
-    report = _repair._verify(plan, config.trials, config.seed, None, config.inject_fault)
+    report = _repair._verify(plan, args.trials, args.seed, None, args.inject_fault)
     atomic_write_text(
-        _out_path(config, f"verify_q{q}_h{h}.json"),
+        _out_path(args.out_dir, f"verify_q{q}_h{h}.json"),
         json.dumps(report, indent=2) + "\n",
     )
     print(
@@ -176,11 +145,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report["failures"]:
         status = 1
 
-    if config.binary:
+    if args.binary:
         binary = _code.trace_code(code)
-        report2 = _repair._verify(plan, config.trials, config.seed, binary, config.inject_fault)
+        report2 = _repair._verify(plan, args.trials, args.seed, binary, args.inject_fault)
         atomic_write_text(
-            _out_path(config, f"verify_binary_q{q}_h{h}.json"),
+            _out_path(args.out_dir, f"verify_binary_q{q}_h{h}.json"),
             json.dumps(report2, indent=2) + "\n",
         )
         print(
@@ -190,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             status = 1
 
     if status == 0:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(args.seed)
         message = rng.integers(0, q, size=len(code.good_monomials))
         values = _repair.simulate_parallel_reads(
             plan, _code.encode(code, message), coordinate=0, k=plan.t

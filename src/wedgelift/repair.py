@@ -152,7 +152,8 @@ def verify_drgp(
     repair rule is the XOR sum; otherwise random F_q codewords via encode.
     Deterministic given the seed. Report: q, h, t, trials, checks, failures,
     seed, with one failure record per (coordinate, group) miss, ordered by
-    trial, then group, then coordinate.
+    trial, then group, then coordinate. trials < 1 or a negative seed raises
+    UsageError.
     """
     return _verify(plan, trials, rng_seed, binary, fault=False)
 
@@ -169,6 +170,8 @@ def _verify(
     so that group's sum is off by c[min(seed_0)] ^ c[0]."""
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if rng_seed < 0:
+        raise UsageError(f"seed must be >= 0, got {rng_seed}")
     code = plan.code
     q = code.field.q
     rng = np.random.default_rng(rng_seed)

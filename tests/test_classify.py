@@ -31,7 +31,7 @@ import wedgelift.classify as classify_module
 from wedgelift.classify import (
     Monomial,
     Wedge,
-    classification_rows,
+    classification,
     oracle_cost,
     oracle_good_mask,
     restriction_grid,
@@ -659,29 +659,57 @@ def test_count_bad_closed_form_validates_inputs() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Classification rows and CSV export
+# Classification array and CSV export
 # ---------------------------------------------------------------------------
 
 
-def test_classification_rows_lex_order_and_criterion(f16: FieldSpec) -> None:
-    family = make_coset_family(f16, 5)
-    rows = classification_rows(family)
-    assert len(rows) == 256
-    assert [(r[0], r[1]) for r in rows] == [(a, b) for a in range(16) for b in range(16)]
-    assert {r[3] for r in rows} == {"coset"}
-    assert sum(r[2] for r in rows) == 49
+def _csv_rows(path) -> list[list[str]]:
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,bad,criterion_used"
+    return [line.split(",") for line in lines[1:]]
 
-    block_rows = classification_rows(family, 2, 2)
-    assert {r[3] for r in block_rows} == {"block"}
-    assert [(r[0], r[1], r[2]) for r in block_rows] == [
-        (r[0], r[1], r[2]) for r in rows
+
+def test_classification_rows_lex_order_and_criterion(tmp_path, f16: FieldSpec) -> None:
+    family = make_coset_family(f16, 5)
+    bad = classification(family)
+    assert bad.shape == (16, 16) and bad.dtype == bool
+    assert not bad.flags.writeable
+    assert np.array_equal(bad, bad_mask(family))
+    write_classification_csv(tmp_path / "coset.csv", bad, "coset")
+    rows = _csv_rows(tmp_path / "coset.csv")
+    assert len(rows) == 256
+    assert [(int(r[0]), int(r[1])) for r in rows] == [
+        (a, b) for a in range(16) for b in range(16)
     ]
+    assert {r[3] for r in rows} == {"coset"}
+    assert sum(int(r[2]) for r in rows) == 49
+
+    block = classification(family, 2, 2)
+    assert block.shape == (16, 16) and block.dtype == bool
+    assert not block.flags.writeable
+    scalar = [
+        [is_bad_block_criterion(Monomial(a, b), 2, 2) for b in range(16)]
+        for a in range(16)
+    ]
+    assert np.array_equal(block, scalar)
+    write_classification_csv(tmp_path / "block.csv", block, "block")
+    block_rows = _csv_rows(tmp_path / "block.csv")
+    assert {r[3] for r in block_rows} == {"block"}
+    assert [r[:3] for r in block_rows] == [r[:3] for r in rows]
+
+
+def test_classification_block_parameters_must_match(f16: FieldSpec) -> None:
+    family = make_coset_family(f16, 5)
+    with pytest.raises(UsageError, match="given together"):
+        classification(family, 2)
+    with pytest.raises(UsageError, match="do not match"):
+        classification(family, 1, 4)
 
 
 def test_classification_csv_golden(tmp_path, f4: FieldSpec) -> None:
     family = make_coset_family(f4, 3)
     path = tmp_path / "out.csv"
-    write_classification_csv(path, classification_rows(family))
+    write_classification_csv(path, classification(family), "coset")
     bad = {(0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)}
     expected = ["a,b,bad,criterion_used"] + [
         f"{a},{b},{1 if (a, b) in bad else 0},coset"

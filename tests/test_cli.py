@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import wedgelift.classify as classify_module
 from wedgelift.cli import main
 
 
@@ -45,8 +46,33 @@ def test_classify_block_params(capsys, tmp_path) -> None:
     assert status == 0
     assert "closed_form=49" in out
     assert "bad=49" in out
+    csv = tmp_path / "classify_q16_h5.csv"
+    assert csv.read_text().splitlines()[1].endswith(",block")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "653ed94b030bf9f31be9348dd75149cce770070e1f79f09360e7a1379d95d982"
+    )
+
+
+def test_classify_block_mode_reports_the_block_criterion(capsys, tmp_path, monkeypatch) -> None:
+    """bad=, the closed-form check, the oracle cross-check and the CSV all
+    read the block criterion's verdicts, so a fault in it must show."""
+    scalar = classify_module.is_bad_block_criterion
+
+    def flipped(m, ell_prime, d):
+        return scalar(m, ell_prime, d) != (tuple(m) == (15, 15))
+
+    monkeypatch.setattr(classify_module, "is_bad_block_criterion", flipped)
+    status, out, _ = run(
+        capsys, "classify", "--ell-prime", "2", "--d", "2",
+        "--out-dir", str(tmp_path),
+    )
+    assert status == 1
+    fields = dict(tok.split("=", 1) for tok in out.split())
+    assert fields["bad"] == "48"
+    assert fields["closed_form"] == "49"
+    assert fields["oracle_disagreements"] == "1"
     csv = (tmp_path / "classify_q16_h5.csv").read_text().splitlines()
-    assert csv[1].endswith(",block")
+    assert sum(int(line.split(",")[2]) for line in csv[1:]) == int(fields["bad"])
 
 
 def test_classify_gf64_skips_oracle_by_budget(capsys, tmp_path) -> None:
@@ -329,6 +355,16 @@ def test_verify_binary_report(capsys, tmp_path) -> None:
     assert "binary checks=" in out
     report = json.loads((tmp_path / "verify_binary_q16_h5.json").read_text())
     assert report["failures"] == [] and report["checks"] == 20 * 3 * 256
+
+
+def test_verify_negative_seed_is_a_usage_error(capsys, tmp_path) -> None:
+    status, out, err = run(
+        capsys, "verify", "--ell", "2", "--subgroup-order", "3",
+        "--seed", "-1", "--out-dir", str(tmp_path),
+    )
+    assert status == 2 and out == ""
+    assert err.startswith("error:") and "seed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_inject_fault_fails(capsys, tmp_path) -> None:

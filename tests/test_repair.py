@@ -242,6 +242,11 @@ def test_verify_rejects_zero_trials(plan16_5) -> None:
         verify_drgp(plan16_5, trials=0, rng_seed=0)
 
 
+def test_verify_rejects_negative_seed(plan16_5) -> None:
+    with pytest.raises(UsageError, match="seed"):
+        verify_drgp(plan16_5, 1, -1)
+
+
 def test_every_group_repairs_a_fixed_codeword(plan16_5, rng) -> None:
     code = plan16_5.code
     msg = rng.integers(0, 16, size=len(code.good_monomials))
