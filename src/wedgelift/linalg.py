@@ -139,28 +139,23 @@ class GF2Echelon:
         kernel vector is the unit vector at f plus the pivot column of every
         row with bit f set; those pivots all lie above f, so f is the
         vector's lowest set column, and no other vector has bit f. The
-        vectors are unpacked about BATCH_BYTES of bits at a time.
+        vectors are written straight into packed words: every unit bit in one
+        assignment, then each mirror row's pivot bit, by one OR, into the
+        vectors of the free columns where that row is set.
         """
         n = self.ncols
-        flipped = unpack_rows(self._rows[: self.rank], n)[:, ::-1]
-        mirror = gf2_echelon([pack_rows(flipped)], n, capacity=self.rank)
-        # In reversed coordinates: pivots and free columns of the mirror.
-        pivots = mirror.pivots
+        flipped = pack_rows(unpack_rows(self._rows[: self.rank], n)[:, ::-1])
+        mirror = gf2_echelon([flipped], n, capacity=self.rank)
+        # The mirror rows' pivots and the free columns, in original columns.
+        pivots = n - 1 - mirror.pivots
         free = np.ones(n, dtype=bool)
         free[pivots] = False
-        # Decreasing reversed column = increasing original column.
-        free_cols = np.flatnonzero(free)[::-1]
-        rows = mirror._rows[: mirror.rank]
-        kernel = np.empty((free_cols.size, self.words), dtype=WORD)
-        step = max(1, BATCH_BYTES // max(n, 1))
-        for start in range(0, free_cols.size, step):
-            f = free_cols[start : start + step]
-            bits = np.zeros((f.size, n), dtype=np.uint8)
-            bits[np.arange(f.size), f] = 1
-            # bits of column f in every basis row: (rank, len(f)) -> transposed
-            at_f = (rows[:, f >> 6] >> (f & 63).astype(np.uint64)) & np.uint64(1)
-            bits[:, pivots] = at_f.T
-            kernel[start : start + f.size] = pack_rows(bits[:, ::-1])
+        free = np.flatnonzero(free)
+        kernel = np.zeros((free.size, self.words), dtype=WORD)
+        kernel[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
+        at_free = unpack_rows(mirror._rows[: mirror.rank], n)[:, n - 1 - free]
+        for p, hit in zip(pivots.tolist(), at_free.view(bool)):
+            kernel[hit, p >> 6] |= np.uint64(1 << (p & 63))
         return kernel
 
 

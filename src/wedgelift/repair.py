@@ -23,7 +23,7 @@ import numpy as np
 
 from .code import BinaryTraceCode, WedgeLiftedCode, _origin_wedges, encode
 from .errors import InvariantError, UsageError
-from .linalg import BATCH_BYTES
+from .linalg import BATCH_BYTES, unpack_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +175,6 @@ def _verify(
     code = plan.code
     q = code.field.q
     rng = np.random.default_rng(rng_seed)
-    if binary is not None:
-        gen2 = binary.generator_matrix()
     spectra = _seed_spectra(plan)
     failures: list[dict] = []
     checks = 0
@@ -186,7 +184,8 @@ def _verify(
             c = encode(code, message)
         else:
             coeffs = rng.integers(0, 2, size=binary.binary_dimension)
-            c = np.bitwise_xor.reduce(gen2[coeffs == 1], axis=0) if coeffs.any() else np.zeros(code.length, dtype=np.uint8)
+            word = np.bitwise_xor.reduce(binary.binary_generators[coeffs == 1], axis=0)
+            c = unpack_rows(word[None], code.length)[0]
         sums = _group_sums(plan, spectra, c)
         if fault:
             sums[0, 0] ^= c[plan.seeds[0, 0]] ^ c[0]

@@ -400,6 +400,21 @@ def test_verify_inject_fault_records_pinned(capsys, tmp_path) -> None:
     assert digest == "5103c9e022636f878f941abbc31c5ef5a7e2cd6500282646808e99711fb89cd3"
 
 
+def test_verify_binary_inject_fault_records_pinned(capsys, tmp_path) -> None:
+    """The binary failure records pin the trace-code codewords that
+    `verify --binary` draws from the kernel basis: 51 of the 100 seed-0
+    trials at q16h5 miss at the tampered group."""
+    status, _, _ = run(
+        capsys, "verify", "--ell", "4", "--subgroup-order", "5", "--binary",
+        "--inject-fault", "--out-dir", str(tmp_path),
+    )
+    assert status == 1
+    failures = json.loads((tmp_path / "verify_binary_q16_h5.json").read_text())["failures"]
+    assert len(failures) == 51
+    digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
+    assert digest == "80358bd047ca1df534e8ce3a10deeb2978cd3842d82beff6a9d6c1205c50820e"
+
+
 def test_verify_report_deterministic(capsys, tmp_path) -> None:
     argv = ["verify", "--ell", "2", "--subgroup-order", "3",
             "--seed", "5", "--trials", "10", "--out-dir", str(tmp_path)]

@@ -126,14 +126,25 @@ def packed_kernel(bitsets: list[int], ncols: int) -> list[int]:
 
 
 def test_nullspace_properties() -> None:
+    """Widths up to 200 columns put kernel pivots, free columns and mirror
+    pivots in several words and at bits 63/64; sparse rows also leave free
+    columns between the pivots. Inputs without rows, with only zero rows and
+    of full rank are included."""
     rng = np.random.default_rng(14)
-    for _ in range(20):
-        nrows = int(rng.integers(1, 25))
-        ncols = int(rng.integers(1, 25))
-        m = random_bit_matrix(rng, nrows, ncols)
+    dense = [(0, 1), (0, 64), (0, 130), (80, 63), (90, 64), (90, 65), (230, 200)]
+    matrices = [random_bit_matrix(rng, *shape) for shape in dense]
+    for density in (0.5, 0.03) * 15:
+        shape = (int(rng.integers(1, 80)), int(rng.integers(1, 201)))
+        matrices.append((rng.random(shape) < density).astype(np.uint8))
+    matrices.append(np.zeros((5, 100), dtype=np.uint8))
+    full_rank = 0
+    for m in matrices:
+        ncols = m.shape[1]
         bitsets = rows_to_bitsets(m)
         basis = packed_kernel(bitsets, ncols)
-        assert len(basis) == ncols - gf2_rank(bitsets)
+        rank = gf2_rank(bitsets)
+        assert len(basis) == ncols - rank
+        full_rank += rank == ncols
         # The kernel's own RREF, rows in increasing pivot (lowest set bit).
         rref = gf2_rref(basis)
         assert basis == [rref[c] for c in sorted(rref)]
@@ -143,6 +154,7 @@ def test_nullspace_properties() -> None:
                 assert bin(vec & row).count("1") % 2 == 0, "orthogonal to rows"
         # Basis independence.
         assert gf2_rank(basis) == len(basis)
+    assert full_rank >= 4
 
 
 def test_nullspace_trivial_cases() -> None:
