@@ -148,12 +148,13 @@ def verify_drgp(
 ) -> dict:
     """Repair every coordinate of random codewords through every group.
 
-    With `binary`, random GF(2) codewords of the trace code are used and the
-    repair rule is the XOR sum; otherwise random F_q codewords via encode.
-    Deterministic given the seed. Report: q, h, t, trials, checks, failures,
-    seed, with one failure record per (coordinate, group) miss, ordered by
-    trial, then group, then coordinate. trials < 1 or a negative seed raises
-    UsageError.
+    With `binary`, random GF(2) codewords of the trace code are used, each
+    the XOR of randomly chosen packed generator rows, and the repair rule is
+    the XOR sum; otherwise random F_q codewords via encode. Deterministic
+    given the seed. Report: code ("F_q" or "binary"), q, h, t, trials,
+    checks, failures, seed, with one failure record per (coordinate, group)
+    miss, ordered by trial, then group, then coordinate. trials < 1 or a
+    negative seed raises UsageError.
     """
     return _verify(plan, trials, rng_seed, binary, fault=False)
 
@@ -200,6 +201,7 @@ def _verify(
                 }
             )
     return {
+        "code": "F_q" if binary is None else "binary",
         "q": q,
         "h": code.family.subgroup_order,
         "t": plan.t,

@@ -197,7 +197,9 @@ BUILD_Q16_H5_SHA256 = {
 def test_build_and_verify_binary_exports_pinned(capsys, tmp_path) -> None:
     """Every file of `build --binary` and the binary report of
     `verify --binary` at q16h5 are pinned byte for byte by sha256, so a
-    change of kernel basis or of the export format cannot slip through."""
+    change of kernel basis or of the export format cannot slip through. The
+    F_q report of the same run says which code it verified, and differs from
+    the binary one in that alone."""
     build_dir, verify_dir = tmp_path / "build", tmp_path / "verify"
     status, out, _ = run(
         capsys, "build", "--ell", "4", "--subgroup-order", "5", "--binary",
@@ -224,8 +226,12 @@ def test_build_and_verify_binary_exports_pinned(capsys, tmp_path) -> None:
     )
     report = (verify_dir / "verify_binary_q16_h5.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == (
-        "9c90b38cd5f299144c8260f41abffeec91abb97446722d837b37fc32abe40585"
+        "5fe994b84c550f3459eda45a61766248c2f18b4e2c150558d0eba34b5b90e36b"
     )
+    # Both reports pass with the same counts; only their "code" key differs.
+    fq_report = (verify_dir / "verify_q16_h5.json").read_bytes()
+    assert fq_report != report
+    assert fq_report.replace(b'"code": "F_q"', b'"code": "binary"') == report
 
 
 def test_build_dimension_only(capsys, tmp_path) -> None:
@@ -340,6 +346,7 @@ def test_verify_passes_and_writes_report(capsys, tmp_path) -> None:
     assert "failures=0" in out
     assert "parallel_reads coordinate=0 k=1" in out and "agree=yes" in out
     report = json.loads((tmp_path / "verify_q4_h3.json").read_text())
+    assert report["code"] == "F_q"
     assert report["q"] == 4 and report["h"] == 3 and report["t"] == 1
     assert report["trials"] == 50 and report["seed"] == 11
     assert report["checks"] == 50 * 1 * 16
@@ -354,6 +361,7 @@ def test_verify_binary_report(capsys, tmp_path) -> None:
     assert status == 0
     assert "binary checks=" in out
     report = json.loads((tmp_path / "verify_binary_q16_h5.json").read_text())
+    assert report["code"] == "binary"
     assert report["failures"] == [] and report["checks"] == 20 * 3 * 256
 
 

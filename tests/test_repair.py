@@ -215,6 +215,7 @@ def test_groups_are_sorted_and_readonly(plan16_5) -> None:
 def test_verify_gf16_hundred_trials(plan16_5) -> None:
     report = verify_drgp(plan16_5, trials=100, rng_seed=0)
     assert report == {
+        "code": "F_q",
         "q": 16,
         "h": 5,
         "t": 3,
