@@ -153,9 +153,10 @@ class GF2Echelon:
         free = np.flatnonzero(free)
         kernel = np.zeros((free.size, self.words), dtype=WORD)
         kernel[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
-        at_free = unpack_rows(mirror._rows[: mirror.rank], n)[:, n - 1 - free]
-        for p, hit in zip(pivots.tolist(), at_free.view(bool)):
-            kernel[hit, p >> 6] |= np.uint64(1 << (p & 63))
+        # The mirror rows unpacked once, their columns turned back.
+        rows = unpack_rows(mirror._rows[: mirror.rank], n)[:, ::-1]
+        for p, row in zip(pivots.tolist(), rows.view(bool)):
+            kernel[row[free], p >> 6] |= np.uint64(1 << (p & 63))
         return kernel
 
 
