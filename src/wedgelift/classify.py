@@ -7,8 +7,11 @@ every line; because |C| is odd and the characteristic is 2, this equals the sum
 over the wedge's point set. A monomial is good for a coset family when every
 restriction, over all cosets and all q^2 points, vanishes.
 
-The brute-force oracle evaluates that definition directly (vectorized over a
-chunk of monomials with index tables derived from the distributive law only).
+The brute-force oracle evaluates every one of those restrictions (vectorized
+over a chunk of monomials). It regroups their sums by two substitutions that
+use nothing about goodness: U = alpha*T makes every line sum a scaled entry of
+one line-sum vector per monomial, and beta = alpha*x makes the points x of one
+coset of the subgroup share one sum over that coset (see restriction_grid).
 The coset criterion and the block criterion decide badness arithmetically from
 the exponent bits; they are validated against the oracle, never the other way
 around.
@@ -118,33 +121,65 @@ def _grid_chunk(q: int) -> int:
     return max(1, BATCH_BYTES // (8 * q * q))
 
 
-def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.ndarray:
-    """All q^2 wedge restrictions of every X^a Y^b for one coset, as an
-    (M, q, q) array indexed [monomial, x, y]; monomials is a sequence of M
-    exponent pairs.
+def _coset_residue(spec: FieldSpec, coset: tuple[int, ...]) -> int:
+    """The residue r of a coset of the subgroup H of order h = len(coset):
+    coset = {g^i : i = r (mod (q-1)/h)}. Anything else is refused, because
+    restriction_grid groups slopes by these residues."""
+    q, h = spec.q, len(coset)
+    if h == 0 or (q - 1) % h:
+        raise UsageError(f"coset size {h} does not divide q-1 = {q - 1}")
+    spec._check(*coset)
+    if 0 in coset or len(set(coset)) != h:
+        raise UsageError("coset entries must be distinct and nonzero")
+    residues = {int(spec.log[alpha]) % ((q - 1) // h) for alpha in coset}
+    if len(residues) != 1:
+        raise UsageError(f"{coset} is not a coset of the subgroup of order {h}")
+    return residues.pop()
 
-    Uses only distributivity: with G_alpha[s] = sum_T T^a (alpha*T + s)^b,
-    the restriction at (x, y) is sum_alpha G_alpha[alpha*x + y]. For a chunk
-    of monomials, G_alpha is one gather from the multiplication table at
-    (T^a, (alpha*T + s)^b), XOR-reduced over T.
+
+def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.ndarray:
+    """All q^2 wedge restrictions of every X^a Y^b for one coset C of the
+    subgroup H, as an (M, q, q) array indexed [monomial, x, y]; monomials is
+    a sequence of M exponent pairs.
+
+    The restriction at (x, y) is sum_alpha sum_T T^a (alpha*T + alpha*x + y)^b
+    over alpha in C. Two substitutions regroup it. U = alpha*T turns the line
+    sum into alpha^-a * G[alpha*x + y] with the one line-sum vector
+    G[s] = sum_U U^a (U + s)^b. For x != 0, beta = alpha*x runs over the coset
+    D = xC, so the restriction is x^a * S_D[y] with
+    S_D[y] = sum_{beta in D} beta^-a * G[beta + y], one vector per coset of H;
+    at x = 0 it is (sum_alpha alpha^-a) * G[y]. For a chunk of monomials G,
+    every S_D and the grid are each one gather from the multiplication table.
     """
-    q = spec.q
+    q, ell = spec.q, spec.ell
     exps = _check_monomials(monomials, q)
-    mul = spec.mul_table()
-    flat_mul = mul.ravel()  # flat_mul[(u << ell) | v] = u * v
+    h = len(coset)
+    residue = _coset_residue(spec, coset)
+    t = (q - 1) // h
+    flat_mul = spec.mul_table().ravel()  # flat_mul[(u << ell) | v] = u * v
     powers = spec.power_table()
     s = np.arange(q)
-    grids = np.zeros((len(exps), q, q), dtype=np.uint16)
+    line_points = s[:, None] ^ s  # [U, s] -> U + s
+    # Nonzero beta grouped by coset of H: row j holds g^(j + t*k), k < h.
+    betas = spec.antilog[np.arange(t)[:, None] + t * np.arange(h)].ravel()
+    coset_points = betas[:, None] ^ s  # [beta, y] -> beta + y
+    # Coset of xC for x = 1, ..., q-1, as a row of S.
+    rows = (spec.log[1:] + residue) % t
+    grids = np.empty((len(exps), q, q), dtype=np.uint16)
     step = _grid_chunk(q)
     for start in range(0, len(exps), step):
         a, b = exps[start : start + step].T
-        xa = (powers[a].astype(np.intp) << spec.ell)[:, :, None]
-        yb = powers[b]
+        xa = powers[a].astype(np.intp) << ell  # [m, x] -> x^a, shifted
+        inv_a = powers[q - 1 - a].astype(np.intp) << ell  # beta^-a for beta != 0
+        g = np.bitwise_xor.reduce(
+            flat_mul.take(xa[:, :, None] | powers[b][:, line_points]), axis=1
+        )  # [m, s]
+        terms = flat_mul.take(inv_a[:, betas, None] | g[:, coset_points])
+        sums = np.bitwise_xor.reduce(terms.reshape(len(a), t, h, q), axis=2)  # [m, D, y]
         grid = grids[start : start + step]
-        for alpha in coset:
-            shifted = mul[alpha][:, None] ^ s[None, :]  # [T, s] -> alpha*T + s
-            g_alpha = np.bitwise_xor.reduce(flat_mul.take(xa | yb[:, shifted]), axis=1)
-            grid ^= g_alpha[:, shifted]
+        grid[:, 1:] = flat_mul.take(xa[:, 1:, None] | sums[:, rows])
+        sigma = np.bitwise_xor.reduce(inv_a[:, list(coset)], axis=1)
+        grid[:, 0] = flat_mul.take(sigma[:, None] | g)
     return grids
 
 

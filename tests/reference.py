@@ -7,8 +7,10 @@ which the library no longer does because it closes one seed per coset under
 translation; `traced_span` is the trace code by its definition, the GF(2)
 span of tr(2^j * g) over a kernel basis, which the library no longer
 computes because tr(C) is the binary kernel itself; `restriction_grid_reference`
-is the oracle's grid for one monomial with one gather per slope, where the
-library gathers a whole chunk of monomials at once;
+is the oracle's grid for one monomial with one line-sum vector G_alpha
+gathered per slope, where the library takes a whole chunk of monomials at
+once and regroups the sums into one line-sum vector per monomial and one
+sum per coset of the subgroup;
 `wedge_point_set_reference` and `wedge_restriction_reference` walk one
 wedge point by point with scalar field calls, where the library gathers all
 of a wedge's points from the multiplication table at once, and

@@ -224,12 +224,14 @@ def test_restriction_grid_matches_scalar_restriction(f16: FieldSpec) -> None:
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
-@pytest.mark.parametrize("ell, h", [(2, 3), (4, 1), (4, 3), (4, 5), (4, 15), (5, 31), (6, 9)])
+@pytest.mark.parametrize("ell, h", [(2, 3), (3, 7), (4, 1), (4, 3), (4, 5), (4, 15),
+                                   (5, 1), (5, 31), (6, 9), (6, 21), (6, 63)])
 def test_restriction_grid_matches_reference(ell: int, h: int, chunk, monkeypatch) -> None:
     """The batched grids equal the slope-by-slope reference bit for bit,
     dtype included, on a random batch of 40 monomials that holds a = 0 and
     b = 0 (0^0 = 1). The batch crosses chunk boundaries at q = 64 with the
-    default chunk (16 monomials) and everywhere with a 5-monomial chunk."""
+    default chunk (16 monomials) and everywhere with a 5-monomial chunk. The
+    families run from one coset of the subgroup (h = q - 1) to 31 (q32h1)."""
     spec = make_field(ell)
     q = spec.q
     if chunk is not None:
@@ -253,6 +255,29 @@ def test_restriction_grid_rejects_bad_exponents(f16: FieldSpec) -> None:
     assert restriction_grid(f16, coset, []).shape == (0, 16, 16)
     with pytest.raises(UsageError, match=r"got \(16, 2\)"):
         restriction_grid(f16, coset, [(1, 1), (16, 2), (-1, 0)])
+
+
+def test_restriction_grid_rejects_non_cosets(f16: FieldSpec) -> None:
+    """The grid groups slopes by coset of the subgroup of order len(coset),
+    so any other tuple of slopes is refused; a coset in any order is not."""
+    family = make_coset_family(f16, 5)
+    coset, other = family.cosets[1], family.cosets[2]
+    g = f16.generator
+    monomials = [(3, 7), (0, 15), (12, 0)]
+    refused = {
+        (): "coset size 0 does not divide",
+        (1, 2): "coset size 2 does not divide",
+        (0, *coset[1:]): "distinct and nonzero",
+        (coset[0], coset[0], *coset[2:]): "distinct and nonzero",
+        (1, g, f16.mul(g, g)): "not a coset of the subgroup of order 3",
+        (*coset[:4], other[0]): "not a coset of the subgroup of order 5",
+        (16, *coset[1:]): "not an element",
+    }
+    for slopes, message in refused.items():
+        with pytest.raises(UsageError, match=message):
+            restriction_grid(f16, slopes, monomials)
+    assert np.array_equal(restriction_grid(f16, coset[::-1], monomials),
+                          restriction_grid(f16, coset, monomials))
 
 
 @pytest.mark.parametrize("ell, orders", [(4, (1, 3, 5, 15)), (6, (3, 9, 21))])
@@ -504,6 +529,17 @@ def test_oracle_full_grid_gf64_sampled_monomials(fam64_9: CosetFamily) -> None:
     good = oracle_good_mask(fam64_9, monomials, budget=oracle_cost(fam64_9) * 500)
     for m, g in zip(monomials, good):
         assert g == (not is_bad_coset_criterion(m, 9, 6)), m
+
+
+@pytest.mark.parametrize("ell, h", [(5, 1), (6, 21)])
+def test_oracle_sweep_matches_bad_mask(ell: int, h: int) -> None:
+    """The exhaustive oracle over all q^2 monomials equals the coset
+    criterion at q32h1 (31 cosets of one slope) and q64h21 (3 cosets)."""
+    family = make_coset_family(make_field(ell), h)
+    q = family.q
+    monomials = np.indices((q, q)).reshape(2, -1).T
+    good = oracle_good_mask(family, monomials, budget=oracle_cost(family) * q * q)
+    assert np.array_equal(good.reshape(q, q), ~bad_mask(family))
 
 
 def test_sampled_oracle_api_gf64(fam64_9: CosetFamily) -> None:
