@@ -18,7 +18,7 @@ from . import classify as _classify
 from . import code as _code
 from . import repair as _repair
 from ._io import atomic_write_text
-from .errors import ResourceGuardError, UsageError
+from .errors import MemoryGuardError, ResourceGuardError, UsageError
 from .field import make_coset_family, make_field, plan_dyadic_parameters
 
 
@@ -95,7 +95,13 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError("--binary needs the kernel of a full build; drop --dimension-only")
     family = make_coset_family(make_field(ell), h)
     q, t = family.q, family.t
-    code = _code.build_code(family, dimension_only=args.dimension_only)
+    try:
+        code = _code.build_code(family, dimension_only=args.dimension_only)
+    except MemoryGuardError as exc:
+        if args.dimension_only:
+            raise
+        hint = "; rerun with --dimension-only"
+        raise MemoryGuardError(str(exc).removesuffix(_code.FULL_BUILD_HINT) + hint) from None
     bad = q * q - len(code.good_monomials)
     print(
         f"N={code.length} q={q} h={h} t={t} good={len(code.good_monomials)} "

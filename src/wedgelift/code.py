@@ -128,6 +128,10 @@ class WedgeLiftedCode:
         return unpack_rows(self.parity_rows, self.length)
 
 
+# The full-build guard's advice, in the library's terms (the CLI names its flag).
+FULL_BUILD_HINT = "; build with dimension_only=True"
+
+
 def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
     """The largest arrays of a build. Every build holds the packed parity
     basis, allocated once with one row of q^2/8 bytes per bad monomial: the
@@ -142,7 +146,7 @@ def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
     if dimension_only:
         mode, hint = "dimension-only", ""
     else:
-        mode, hint = "full", "; build with dimension_only=True"
+        mode, hint = "full", FULL_BUILD_HINT
         estimated = max(estimated, 2 * q**4)
     if estimated > DEFAULT_MEMORY_GUARD_BYTES:
         raise MemoryGuardError(
@@ -312,7 +316,12 @@ def export_matrix(path, matrix: np.ndarray, q: int) -> None:
         raise UsageError(f"matrix entries must lie in [0, {q})")
     hexes = [format(v, "x") for v in range(q)]
     lines = [f"# q={q} rows={matrix.shape[0]} cols={matrix.shape[1]}"]
-    lines += [" ".join(map(hexes.__getitem__, row)) for row in matrix.tolist()]
+    # A chunk of rows at a time: a whole-matrix .tolist() holds 8 bytes of
+    # list slot per entry while the text is built (118 MB at q = 64).
+    step = max(1, BATCH_BYTES // (8 * max(1, matrix.shape[1])))
+    for start in range(0, matrix.shape[0], step):
+        lines += [" ".join(map(hexes.__getitem__, row))
+                  for row in matrix[start : start + step].tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -291,7 +291,23 @@ def test_build_memory_guard_exit_code(capsys, tmp_path) -> None:
         "--out-dir", str(tmp_path),
     )
     assert status == 3
-    assert "resource guard:" in err and "dimension_only" in err
+    assert "resource guard:" in err and "--dimension-only" in err
+
+
+def test_build_memory_guard_hint_names_cli_flag(capsys, tmp_path) -> None:
+    """The CLI's guard message advises the --dimension-only flag, not the
+    library keyword that the library's message names (test_code pins that
+    one); nothing is written."""
+    status, out, err = run(
+        capsys, "build", "--ell", "8", "--subgroup-order", "255",
+        "--out-dir", str(tmp_path),
+    )
+    assert status == 3 and out == ""
+    assert err == (
+        "resource guard: full build for q=256, t=1 needs ~8589934592 bytes "
+        "(guard 2147483648); rerun with --dimension-only\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_dimension_only_memory_guard_exit_code(capsys, tmp_path) -> None:
