@@ -51,6 +51,17 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _build_code(family, dimension_only: bool, hint: str) -> _code.WedgeLiftedCode:
+    """build_code, with the advice the library gives when its full-build
+    guard refuses (a keyword argument) replaced by the command's own hint."""
+    try:
+        return _code.build_code(family, dimension_only=dimension_only)
+    except MemoryGuardError as exc:
+        if dimension_only:
+            raise
+        raise MemoryGuardError(str(exc).removesuffix(_code.FULL_BUILD_HINT) + hint) from None
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     ell, h, ell_prime, d = _resolve(args)
     family = make_coset_family(make_field(ell), h)
@@ -95,13 +106,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError("--binary needs the kernel of a full build; drop --dimension-only")
     family = make_coset_family(make_field(ell), h)
     q, t = family.q, family.t
-    try:
-        code = _code.build_code(family, dimension_only=args.dimension_only)
-    except MemoryGuardError as exc:
-        if args.dimension_only:
-            raise
-        hint = "; rerun with --dimension-only"
-        raise MemoryGuardError(str(exc).removesuffix(_code.FULL_BUILD_HINT) + hint) from None
+    code = _build_code(family, args.dimension_only, "; rerun with --dimension-only")
     bad = q * q - len(code.good_monomials)
     print(
         f"N={code.length} q={q} h={h} t={t} good={len(code.good_monomials)} "
@@ -135,7 +140,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     q = family.q
     # F_q repair needs only the good monomials and the groups; the kernel
     # (and so a full build) is needed only for the trace code.
-    code = _code.build_code(family, dimension_only=not args.binary)
+    code = _build_code(
+        family, not args.binary,
+        "; the trace-code check needs a full build, drop --binary to run the F_q check",
+    )
     plan = _repair.build_repair_plan(code)
 
     status = 0

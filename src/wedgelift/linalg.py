@@ -1,4 +1,4 @@
-"""Exact linear algebra: packed GF(2) elimination, and dense elimination over GF(2^ell).
+"""Exact linear algebra: packed GF(2) elimination.
 
 The library eliminates over GF(2) with `GF2Echelon`: rows packed into uint64
 words (column j at bit j % 64 of word j // 64), reduced block by block against
@@ -9,8 +9,7 @@ row space that also holds every translate j -> j ^ c of its rows.
 
 For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
 operations on unit pivots stay in the subfield), which is why one GF(2) path
-serves both codes; the dense eliminator exists to compute and cross-check
-ranks over the big field without that argument.
+serves both codes.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-
-from .field import FieldSpec
 
 
 WORD = np.dtype("<u8")
@@ -241,36 +238,3 @@ def translation_closure(
         echelon._add_batch(np.concatenate([translate_rows(rows, i) for i in range(bits)]))
         done += len(rows)
     return echelon
-
-
-def gfq_rank(matrix: np.ndarray, spec: FieldSpec) -> int:
-    """Rank over GF(2^ell) by dense Gaussian elimination.
-
-    Pivot = first nonzero entry in column order; exact arithmetic, so no
-    tolerance parameters exist.
-    """
-    m = np.array(matrix, dtype=np.uint16, copy=True)
-    if m.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    mul = spec.mul_table()
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv_p = spec.inv(int(m[rank, col]))
-        m[rank] = mul[inv_p, m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r, col]:
-                m[r] ^= mul[int(m[r, col]), m[rank]]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

@@ -4,9 +4,13 @@ None of this is library code. The big-int bitset eliminators (column j at
 bit j of a Python int) and the dense numpy one share no code with the packed
 `linalg.GF2Echelon`; `iter_wedge_rows` lists every wedge check one by one,
 which the library no longer does because it closes one seed per coset under
-translation; `traced_span` is the trace code by its definition, the GF(2)
+translation; `gfq_rank` eliminates densely over GF(2^ell), where the library
+only ever eliminates 0/1 rows over GF(2);
+`traced_span` is the trace code by its definition, the GF(2)
 span of tr(2^j * g) over a kernel basis, which the library no longer
-computes because tr(C) is the binary kernel itself; `restriction_grid_reference`
+computes because tr(C) is the binary kernel itself; `encode_reference`
+evaluates the coefficient grid by power-table gathers, where the library
+runs two additive FFTs; `restriction_grid_reference`
 is the oracle's grid for one monomial with one line-sum vector G_alpha
 gathered per slope, where the library takes a whole chunk of monomials at
 once and regroups the sums into one line-sum vector per monomial and one
@@ -141,6 +145,39 @@ def numpy_gf2_rank(matrix: np.ndarray) -> int:
     return r
 
 
+def gfq_rank(matrix: np.ndarray, spec) -> int:
+    """Rank over GF(2^ell) by dense Gaussian elimination.
+
+    Pivot = first nonzero entry in column order; exact arithmetic, so no
+    tolerance parameters exist.
+    """
+    m = np.array(matrix, dtype=np.uint16, copy=True)
+    if m.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    mul = spec.mul_table()
+    nrows, ncols = m.shape
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, nrows):
+            if m[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        inv_p = spec.inv(int(m[rank, col]))
+        m[rank] = mul[inv_p, m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r, col]:
+                m[r] ^= mul[int(m[r, col]), m[rank]]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # Wedge checks by enumeration
 # ---------------------------------------------------------------------------
@@ -195,6 +232,32 @@ def traced_span(code) -> np.ndarray:
     generators = gf2_echelon(traced_rows(), n).reduced()
     assert code.exact_dimension <= len(generators) <= spec.ell * code.exact_dimension
     return generators
+
+
+# ---------------------------------------------------------------------------
+# Encoding by power-table gathers
+# ---------------------------------------------------------------------------
+
+
+def encode_reference(code, message) -> np.ndarray:
+    """The codeword of message as a (q^2,) uint16 vector: the coefficient
+    grid M (zero at bad monomials) evaluated by two gathers of about q^3
+    table lookups. The message is not validated."""
+    msg = np.asarray(message, dtype=np.int64)
+    spec = code.field
+    q = spec.q
+    mul, powers = spec.mul_table(), spec.power_table()
+    grid = np.zeros((q, q), dtype=mul.dtype)
+    grid[tuple(code.good_monomials.T)] = msg
+    word = np.zeros((q, q), dtype=mul.dtype)
+    # Each gather below holds step * q^2 table entries.
+    step = max(1, BATCH_BYTES // (mul.itemsize * q * q))
+    for start in range(0, q, step):
+        rows = slice(start, start + step)
+        # inner[a, y] = sum_b M[a, b] * y^b, then word[x, y] ^= x^a * inner[a, y].
+        inner = np.bitwise_xor.reduce(mul[grid[rows, :, None], powers[None]], axis=1)
+        word ^= np.bitwise_xor.reduce(mul[powers[rows, :, None], inner[:, None, :]], axis=0)
+    return word.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

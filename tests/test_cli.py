@@ -343,13 +343,18 @@ def test_verify_q256_runs(capsys, tmp_path) -> None:
 
 def test_verify_binary_q256_memory_guard_exit_code(capsys, tmp_path) -> None:
     """The binary check needs the full build, whose own guard refuses q = 256
-    before any work."""
+    before any work. The message says that dropping --binary runs the F_q
+    check, instead of naming the library keyword, which is no verify flag."""
     status, out, err = run(
         capsys, "verify", "--ell", "8", "--subgroup-order", "255", "--binary",
         "--trials", "1", "--out-dir", str(tmp_path),
     )
     assert status == 3 and out == ""
-    assert "resource guard: full build for q=256" in err
+    assert err == (
+        "resource guard: full build for q=256, t=1 needs ~8589934592 bytes "
+        "(guard 2147483648); the trace-code check needs a full build, "
+        "drop --binary to run the F_q check\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,6 +22,7 @@ from wedgelift import (
     InvariantError,
     MemoryGuardError,
     UsageError,
+    WedgeLiftedCode,
     build_code,
     count_bad_closed_form,
     encode,
@@ -41,15 +42,17 @@ from wedgelift.code import (
     iter_parity_rows,
     write_descriptor,
 )
-from wedgelift.classify import count_bad, is_bad_coset_criterion
-from wedgelift.linalg import gf2_echelon, gfq_rank
+from wedgelift.classify import bad_mask, count_bad, is_bad_coset_criterion
+from wedgelift.linalg import gf2_echelon
 
 from reference import (
     array_to_bitset,
     bitset_to_array,
     check_good_annihilated_reference,
+    encode_reference,
     gf2_rank,
     gf2_rref,
+    gfq_rank,
     iter_wedge_rows,
     numpy_gf2_rank,
     packed_to_ints,
@@ -491,15 +494,49 @@ def test_encode_matches_generator_matrix_reference(name, request, rng) -> None:
         assert np.array_equal(word, reference)
 
 
-def test_encode_chunks_cover_every_exponent(code16_5, monkeypatch, rng) -> None:
-    """With a batch of 3 exponents a per gather (the last batch short), the
-    word is still the full sum."""
-    code = code16_5
-    monkeypatch.setattr(code_module, "BATCH_BYTES", 3 * 2 * 16 * 16)
-    gen = code.generator_matrix()
-    msg = rng.integers(0, 16, size=len(code.good_monomials))
-    reference = np.bitwise_xor.reduce(code.field.mul_table()[msg[:, None], gen], axis=0)
-    assert np.array_equal(encode(code, msg), reference)
+@pytest.mark.parametrize("ell,h", CLOSURE_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in CLOSURE_FAMILIES])
+def test_encode_matches_reference(ell, h, code64_9, rng) -> None:
+    """The additive-FFT encode equals the power-table double gather value for
+    value and dtype for dtype, on random messages, the all-zero message and
+    the all-(q-1) message."""
+    family = make_coset_family(make_field(ell), h)
+    code = code64_9 if (ell, h) == (6, 9) else build_code(family)
+    q, k = code.field.q, len(code.good_monomials)
+    messages = [rng.integers(0, q, size=k) for _ in range(3)]
+    messages += [np.zeros(k, dtype=np.int64), np.full(k, q - 1)]
+    for msg in messages:
+        word, reference = encode(code, msg), encode_reference(code, msg)
+        assert word.shape == (q * q,)
+        assert word.dtype == reference.dtype
+        assert np.array_equal(word, reference)
+
+
+def test_encode_q1024_matches_direct_evaluation() -> None:
+    """At q1024h1023 the word equals sum_i m_i x^a_i y^b_i, each term taken
+    from the log tables, at 16 coordinates: the origin, a point on each axis
+    and 13 random points. encode reads only the field and the good
+    monomials, so the code comes from bad_mask alone, with no rank."""
+    family = make_coset_family(make_field(10), 1023)
+    spec, q = family.field, family.q
+    good = np.argwhere(~bad_mask(family))
+    code = WedgeLiftedCode(
+        field=spec, family=family, good_monomials=good,
+        exact_dimension=len(good), parity_rows=None, kernel_basis=None,
+    )
+    rng = np.random.default_rng(1024)
+    msg = rng.integers(0, q, size=len(good))
+    word = encode(code, msg)
+    assert word.shape == (q * q,) and word.dtype == np.uint16
+    points = [(0, 0), (0, int(rng.integers(1, q))), (int(rng.integers(1, q)), 0)]
+    points += [tuple(map(int, p)) for p in rng.integers(0, q, size=(13, 2))]
+    log, antilog = spec.log, spec.antilog
+    a, b = good.T
+    for x, y in points:
+        # x^a is 1 at a = 0 (0^0 = 1) and 0 at x = 0 < a; likewise y^b.
+        live = (msg != 0) & ((a == 0) | (x != 0)) & ((b == 0) | (y != 0))
+        exponents = log[msg] + a * log[x] + b * log[y]
+        expected = np.bitwise_xor.reduce(antilog[exponents[live] % (q - 1)])
+        assert int(word[x * q + y]) == int(expected), (x, y)
 
 
 def test_generator_matrix_rows_are_monomial_evaluations(code4_3, code16_5) -> None:

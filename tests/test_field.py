@@ -27,6 +27,7 @@ from wedgelift import (
     smallest_irreducible,
     subgroup_power_sum,
 )
+from wedgelift.field import additive_fft
 
 AXIOM_ELLS = (2, 3, 4, 6, 8)
 
@@ -154,6 +155,7 @@ def test_tables_are_freed_with_their_field() -> None:
     spec.mul_table()
     spec.power_table()
     spec.trace_table()
+    additive_fft(spec, np.eye(spec.q, dtype=np.uint16))
     ref = weakref.ref(spec)
     del spec
     make_field.cache_clear()
@@ -258,6 +260,45 @@ def test_power_table_rows_are_pow_vectors(f16: FieldSpec, f64: FieldSpec) -> Non
         for n in range(spec.q):
             assert np.array_equal(table[n], spec.pow_vector(n))
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_additive_fft_of_monomials_is_pow_vector(ell: int) -> None:
+    """Row i of the transform of the identity is t^i over every t in F_q,
+    for every degree i < q, with 0^0 = 1 on the axis."""
+    spec = make_field(ell)
+    values = additive_fft(spec, np.eye(spec.q, dtype=np.uint16))
+    assert values.dtype == np.uint16
+    for i in range(spec.q):
+        assert np.array_equal(values[i], spec.pow_vector(i)), i
+
+
+def test_additive_fft_matches_power_table_sums(f64: FieldSpec) -> None:
+    """Random rows, passed transposed (not contiguous), against sum_i c_i t^i
+    gathered from the power table."""
+    q = f64.q
+    rng = np.random.default_rng(64)
+    coeffs = rng.integers(0, q, size=(q, 5), dtype=np.uint16).T
+    before = coeffs.copy()
+    expected = np.bitwise_xor.reduce(f64.mul_table()[coeffs[:, :, None], f64.power_table()], axis=1)
+    assert np.array_equal(additive_fft(f64, coeffs), expected)
+    assert np.array_equal(coeffs, before)  # the input is not written
+
+
+def test_additive_fft_twiddles_are_cached_per_field(f16: FieldSpec) -> None:
+    """The per-level constants are built once per field, 3 (q - 1) of them."""
+    additive_fft(f16, np.zeros((1, 16), dtype=np.uint16))
+    twiddles = f16._tables["afft"]
+    additive_fft(f16, np.ones((2, 16), dtype=np.uint16))
+    assert f16._tables["afft"] is twiddles
+    assert twiddles.shape == (3 * (16 - 1),) and not twiddles.flags.writeable
+
+
+def test_additive_fft_rejects_wrong_width(f16: FieldSpec) -> None:
+    with pytest.raises(UsageError, match="q = 16"):
+        additive_fft(f16, np.zeros((2, 8), dtype=np.uint16))
+    with pytest.raises(UsageError, match="q = 16"):
+        additive_fft(f16, np.zeros(16, dtype=np.uint16))
 
 
 def test_mul_table_matches_mul(f16: FieldSpec) -> None:

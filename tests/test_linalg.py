@@ -1,4 +1,5 @@
-"""GF(2) elimination (packed and big-int bitsets) and the dense GF(2^ell) eliminator.
+"""GF(2) elimination (packed and big-int bitsets) and the dense GF(2^ell) eliminator
+of tests/reference.py.
 
 The packed eliminator the library uses is compared against the big-int
 reference (`gf2_rank`, `gf2_rref` in tests/reference.py), and both against a
@@ -20,7 +21,6 @@ from wedgelift import make_field
 from wedgelift.linalg import (
     GF2Echelon,
     gf2_echelon,
-    gfq_rank,
     pack_rows,
     translate_rows,
     translation_closure,
@@ -32,6 +32,7 @@ from reference import (
     bitset_to_array,
     gf2_rank,
     gf2_rref,
+    gfq_rank,
     ints_to_packed,
     iter_wedge_rows,
     numpy_gf2_rank,
