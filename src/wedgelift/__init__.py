@@ -28,7 +28,6 @@ from .code import (
     WedgeLiftedCode,
     build_code,
     encode,
-    eval_monomial,
     redundancy_exponent,
     trace_code,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "count_bad_closed_form",
     "encode",
     "enumerate_2_shadow",
-    "eval_monomial",
     "is_bad_block_criterion",
     "is_bad_coset_criterion",
     "is_good_oracle",

@@ -51,17 +51,6 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _build_code(family, dimension_only: bool, hint: str) -> _code.WedgeLiftedCode:
-    """build_code, with the advice the library gives when its full-build
-    guard refuses (a keyword argument) replaced by the command's own hint."""
-    try:
-        return _code.build_code(family, dimension_only=dimension_only)
-    except MemoryGuardError as exc:
-        if dimension_only:
-            raise
-        raise MemoryGuardError(str(exc).removesuffix(_code.FULL_BUILD_HINT) + hint) from None
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     ell, h, ell_prime, d = _resolve(args)
     family = make_coset_family(make_field(ell), h)
@@ -106,7 +95,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError("--binary needs the kernel of a full build; drop --dimension-only")
     family = make_coset_family(make_field(ell), h)
     q, t = family.q, family.t
-    code = _build_code(family, args.dimension_only, "; rerun with --dimension-only")
+    try:
+        code = _code.build_code(family, dimension_only=args.dimension_only)
+    except MemoryGuardError as exc:
+        if args.dimension_only:
+            raise
+        # The library's advice names a keyword argument; the CLI names its flag.
+        message = str(exc).removesuffix(_code.FULL_BUILD_HINT)
+        raise MemoryGuardError(message + "; rerun with --dimension-only") from None
     bad = q * q - len(code.good_monomials)
     print(
         f"N={code.length} q={q} h={h} t={t} good={len(code.good_monomials)} "
@@ -138,38 +134,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ell, h, _, _ = _resolve(args)
     family = make_coset_family(make_field(ell), h)
     q = family.q
-    # F_q repair needs only the good monomials and the groups; the kernel
-    # (and so a full build) is needed only for the trace code.
-    code = _build_code(
-        family, not args.binary,
-        "; the trace-code check needs a full build, drop --binary to run the F_q check",
-    )
+    # Repair needs only the good monomials and the groups: binary words are
+    # traces of F_q words, so no kernel (and no full build) is needed.
+    code = _code.build_code(family, dimension_only=True)
     plan = _repair.build_repair_plan(code)
 
     status = 0
-    report = _repair._verify(plan, args.trials, args.seed, None, args.inject_fault)
-    atomic_write_text(
-        _out_path(args.out_dir, f"verify_q{q}_h{h}.json"),
-        json.dumps(report, indent=2) + "\n",
-    )
-    print(
-        f"q={q} h={h} t={plan.t} trials={report['trials']} "
-        f"checks={report['checks']} failures={len(report['failures'])}"
-    )
-    if report["failures"]:
-        status = 1
-
-    if args.binary:
-        binary = _code.trace_code(code)
-        report2 = _repair._verify(plan, args.trials, args.seed, binary, args.inject_fault)
-        atomic_write_text(
-            _out_path(args.out_dir, f"verify_binary_q{q}_h{h}.json"),
-            json.dumps(report2, indent=2) + "\n",
-        )
-        print(
-            f"binary checks={report2['checks']} failures={len(report2['failures'])}"
-        )
-        if report2["failures"]:
+    for binary in [False, True] if args.binary else [False]:
+        report = _repair._verify(plan, args.trials, args.seed, binary, args.inject_fault)
+        name = f"verify_binary_q{q}_h{h}.json" if binary else f"verify_q{q}_h{h}.json"
+        atomic_write_text(_out_path(args.out_dir, name), json.dumps(report, indent=2) + "\n")
+        label = "binary" if binary else f"q={q} h={h} t={plan.t} trials={report['trials']}"
+        print(f"{label} checks={report['checks']} failures={len(report['failures'])}")
+        if report["failures"]:
             status = 1
 
     if status == 0:

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from ._io import atomic_write_text
-from .classify import Monomial, bad_mask
+from .classify import bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec, additive_fft
 from .linalg import BATCH_BYTES, pack_rows, translation_closure, unpack_rows
@@ -30,18 +30,10 @@ from .linalg import BATCH_BYTES, pack_rows, translation_closure, unpack_rows
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
 
 
-def eval_monomial(spec: FieldSpec, m: Monomial) -> np.ndarray:
-    """Evaluation vector of X^a Y^b over F_q^2: entry[x*q + y] = x^a * y^b."""
-    a, b = m
-    grid = spec.mul_table()[
-        spec.pow_vector(a)[:, None], spec.pow_vector(b)[None, :]
-    ]
-    return grid.reshape(-1)
-
-
 def _eval_monomials(spec: FieldSpec, monomials: np.ndarray) -> np.ndarray:
     """Evaluation vectors of an (M, 2) array of exponent pairs as rows, in
-    one gather: row i is eval_monomial(spec, monomials[i])."""
+    one gather: row i is X^a Y^b at every point, entry x*q + y = x^a * y^b,
+    for (a, b) = monomials[i]."""
     q = spec.q
     powers = spec.power_table()
     a, b = monomials.T
@@ -267,6 +259,21 @@ def encode(code: WedgeLiftedCode, message) -> np.ndarray:
     # inner[a, y] = sum_b M[a, b] * y^b, then word[x, y] = sum_a x^a * inner[a, y].
     inner = additive_fft(spec, grid)
     return additive_fft(spec, inner.T).T.reshape(-1)
+
+
+def _axes_codeword(q: int) -> np.ndarray:
+    """X^(q-1) + Y^(q-1) at every point, [x != 0] + [y != 0], as 0/1 uint16.
+
+    It lies in every wedge-lifted code over F_q. A wedge at (x0, y0) has
+    1 + h(q-1) points, h of them in each column x != x0 and one at x = x0,
+    so h(q-1) points have x != 0 when x0 = 0 and 1 + h(q-2) when x0 != 0;
+    likewise for y. h and q-1 are odd, so both counts are odd and the sum
+    over the wedge is 1 + 1 = 0. Each of its two monomials alone sums to 1,
+    so both are bad, and distinct monomials being independent, the word lies
+    outside the span of encode's words.
+    """
+    nonzero = np.arange(q) != 0
+    return (nonzero[:, None] ^ nonzero[None, :]).astype(np.uint16).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -121,41 +121,18 @@ class FieldSpec:
             return 0
         return int(self.antilog[(int(self.log[a]) * n) % (self.q - 1)])
 
-    def trace2(self, a: int) -> int:
-        """tr(a) = sum of a^(2^i) for 0 <= i < ell; always lands in {0, 1}."""
-        self._check(a)
-        total, p = 0, a
-        for _ in range(self.ell):
-            total ^= p
-            p = self.mul(p, p)
-        if total not in (0, 1):
-            raise InvariantError(f"trace of {a} left GF(2): {total}")
-        return total
-
-    def pow_vector(self, n: int) -> np.ndarray:
-        """Vector of t^n over all t in F_q, indexed by t (0^0 = 1)."""
-        if n < 0:
-            raise UsageError("exponent must be nonnegative")
-        q = self.q
-        out = np.empty(q, dtype=np.uint16)
-        if n == 0:
-            out[:] = 1
-            return out
-        out[0] = 0
-        out[1:] = self.antilog[(self.log[1:] * n) % (q - 1)]
-        return out
-
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table (lazily built and cached)."""
         return self._cached("mul", _build_mul_table)
 
     def power_table(self) -> np.ndarray:
-        """Full q x q power table, row n = pow_vector(n): entry [n, t] = t^n,
-        with 0^0 = 1 (lazily built and cached)."""
+        """Full q x q power table: entry [n, t] = t^n, with 0^0 = 1 (lazily
+        built and cached)."""
         return self._cached("power", _build_power_table)
 
     def trace_table(self) -> np.ndarray:
-        """Vector of trace2(t) over all t, indexed by t."""
+        """Vector of tr(t) = sum of t^(2^i) for 0 <= i < ell, the trace onto
+        GF(2), over all t, indexed by t, as uint8 (lazily built and cached)."""
         return self._cached("trace", _build_trace_table)
 
     def _cached(self, name: str, build) -> np.ndarray:
@@ -190,7 +167,18 @@ def _build_power_table(spec: FieldSpec) -> np.ndarray:
 
 
 def _build_trace_table(spec: FieldSpec) -> np.ndarray:
-    return np.array([spec.trace2(t) for t in range(spec.q)], dtype=np.uint8)
+    """The trace is F_2-linear, so tr(t) is the XOR of tr(alpha^j) over the
+    set bits j of t. The ell basis traces come from the log tables, one
+    Frobenius orbit each; the table doubles once per basis element."""
+    q, bits = spec.q, 1 << np.arange(spec.ell)
+    orbits = spec.antilog[(spec.log[bits][:, None] * bits) % (q - 1)]
+    basis = np.bitwise_xor.reduce(orbits, axis=1)
+    if (basis > 1).any():
+        raise InvariantError(f"trace of a basis element left GF(2): {basis.tolist()}")
+    table = np.zeros(1, dtype=np.uint8)
+    for trace in basis.astype(np.uint8):
+        table = np.concatenate((table, table ^ trace))
+    return table
 
 
 def additive_fft(spec: FieldSpec, coeffs: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import BinaryTraceCode, WedgeLiftedCode, _origin_wedges, encode
+from .code import WedgeLiftedCode, _axes_codeword, _origin_wedges, encode
 from .errors import InvariantError, UsageError
-from .linalg import BATCH_BYTES, unpack_rows
+from .linalg import BATCH_BYTES
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,32 +140,26 @@ def _group_sums(plan: RepairPlan, spectra: np.ndarray, codeword: np.ndarray) -> 
     return sums
 
 
-def verify_drgp(
-    plan: RepairPlan,
-    trials: int,
-    rng_seed: int,
-    binary: BinaryTraceCode | None = None,
-) -> dict:
+def verify_drgp(plan: RepairPlan, trials: int, rng_seed: int, binary: bool = False) -> dict:
     """Repair every coordinate of random codewords through every group.
 
-    With `binary`, random GF(2) codewords of the trace code are used, each
-    the XOR of randomly chosen packed generator rows, and the repair rule is
-    the XOR sum; otherwise random F_q codewords via encode. Deterministic
-    given the seed. Report: code ("F_q" or "binary"), q, h, t, trials,
-    checks, failures, seed, with one failure record per (coordinate, group)
-    miss, ordered by trial, then group, then coordinate. trials < 1 or a
-    negative seed raises UsageError.
+    Each trial draws one uniform codeword of C: encode(code, m) + lam * w,
+    with m uniform over F_q^len(good), lam uniform in F_q and w the word
+    X^(q-1) + Y^(q-1) (code._axes_codeword). encode spans the good
+    monomials, which miss w, so this is all of C exactly when
+    dimension_slack is 1; any other slack raises InvariantError before the
+    first trial. With `binary` each word is mapped through the trace, which
+    takes a uniform word of C to a uniform word of the binary code
+    tr(C) = C ∩ F_2^n. The repair rule is the XOR sum. Deterministic given
+    the seed. Report: code ("F_q" or "binary"), q, h, t, trials, checks,
+    failures, seed, with one failure record per (coordinate, group) miss,
+    ordered by trial, then group, then coordinate. trials < 1 or a negative
+    seed raises UsageError.
     """
     return _verify(plan, trials, rng_seed, binary, fault=False)
 
 
-def _verify(
-    plan: RepairPlan,
-    trials: int,
-    rng_seed: int,
-    binary: BinaryTraceCode | None,
-    fault: bool,
-) -> dict:
+def _verify(plan: RepairPlan, trials: int, rng_seed: int, binary: bool, fault: bool) -> dict:
     """verify_drgp, optionally with one corrupted group: with `fault`, member
     min(seed_0) of group 0 of coordinate 0 is read at coordinate 0 instead,
     so that group's sum is off by c[min(seed_0)] ^ c[0]."""
@@ -174,19 +168,24 @@ def _verify(
     if rng_seed < 0:
         raise UsageError(f"seed must be >= 0, got {rng_seed}")
     code = plan.code
+    if code.dimension_slack != 1:
+        raise InvariantError(
+            f"dimension slack {code.dimension_slack} != 1: the good monomials and "
+            "X^(q-1) + Y^(q-1) do not span the code"
+        )
     q = code.field.q
+    k = len(code.good_monomials)
+    axes = _axes_codeword(q)
     rng = np.random.default_rng(rng_seed)
     spectra = _seed_spectra(plan)
     failures: list[dict] = []
     checks = 0
     for _ in range(trials):
-        if binary is None:
-            message = rng.integers(0, q, size=len(code.good_monomials))
-            c = encode(code, message)
-        else:
-            coeffs = rng.integers(0, 2, size=binary.binary_dimension)
-            word = np.bitwise_xor.reduce(binary.binary_generators[coeffs == 1], axis=0)
-            c = unpack_rows(word[None], code.length)[0]
+        symbols = rng.integers(0, q, size=k + 1)
+        # axes is 0/1, so the integer product lam * axes is the field product.
+        c = encode(code, symbols[:k]) ^ int(symbols[k]) * axes
+        if binary:
+            c = code.field.trace_table()[c]
         sums = _group_sums(plan, spectra, c)
         if fault:
             sums[0, 0] ^= c[plan.seeds[0, 0]] ^ c[0]
@@ -201,7 +200,7 @@ def _verify(
                 }
             )
     return {
-        "code": "F_q" if binary is None else "binary",
+        "code": "binary" if binary else "F_q",
         "q": q,
         "h": code.family.subgroup_order,
         "t": plan.t,

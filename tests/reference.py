@@ -6,9 +6,14 @@ bit j of a Python int) and the dense numpy one share no code with the packed
 which the library no longer does because it closes one seed per coset under
 translation; `gfq_rank` eliminates densely over GF(2^ell), where the library
 only ever eliminates 0/1 rows over GF(2);
+`trace2`, `pow_vector` and `eval_monomial` map one field element or one
+monomial at a time, where the library builds the trace table by linearity
+from the traces of the polynomial basis and evaluates monomials in batches;
 `traced_span` is the trace code by its definition, the GF(2)
 span of tr(2^j * g) over a kernel basis, which the library no longer
-computes because tr(C) is the binary kernel itself; `encode_reference`
+computes because tr(C) is the binary kernel itself;
+`kernel_codewords_reference` draws binary codewords from the kernel basis,
+where the library's verify traces F_q codewords; `encode_reference`
 evaluates the coefficient grid by power-table gathers, where the library
 runs two additive FFTs; `restriction_grid_reference`
 is the oracle's grid for one monomial with one line-sum vector G_alpha
@@ -209,6 +214,40 @@ def wedge_rows(family) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Field maps element by element
+# ---------------------------------------------------------------------------
+
+
+def trace2(spec, a: int) -> int:
+    """tr(a) = sum of a^(2^i) for 0 <= i < ell, by ell scalar squarings."""
+    total, p = 0, a
+    for _ in range(spec.ell):
+        total ^= p
+        p = spec.mul(p, p)
+    if total not in (0, 1):
+        raise InvariantError(f"trace of {a} left GF(2): {total}")
+    return total
+
+
+def pow_vector(spec, n: int) -> np.ndarray:
+    """Vector of t^n over all t in F_q, indexed by t (0^0 = 1), as uint16."""
+    q = spec.q
+    out = np.empty(q, dtype=np.uint16)
+    if n == 0:
+        out[:] = 1
+        return out
+    out[0] = 0
+    out[1:] = spec.antilog[(spec.log[1:] * n) % (q - 1)]
+    return out
+
+
+def eval_monomial(spec, m: Monomial) -> np.ndarray:
+    """Evaluation vector of X^a Y^b over F_q^2: entry[x*q + y] = x^a * y^b."""
+    a, b = m
+    return spec.mul_table()[pow_vector(spec, a)[:, None], pow_vector(spec, b)[None, :]].reshape(-1)
+
+
+# ---------------------------------------------------------------------------
 # Trace code by definition
 # ---------------------------------------------------------------------------
 
@@ -232,6 +271,19 @@ def traced_span(code) -> np.ndarray:
     generators = gf2_echelon(traced_rows(), n).reduced()
     assert code.exact_dimension <= len(generators) <= spec.ell * code.exact_dimension
     return generators
+
+
+def kernel_codewords_reference(code, trials: int, seed: int) -> list[np.ndarray]:
+    """Uniform binary codewords drawn from a full build's kernel basis: each
+    the XOR of the packed kernel_basis rows picked by fair coins, unpacked to
+    uint8."""
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(trials):
+        coins = rng.integers(0, 2, size=len(code.kernel_basis))
+        word = np.bitwise_xor.reduce(code.kernel_basis[coins == 1], axis=0)
+        words.append(unpack_rows(word[None], code.length)[0])
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +326,8 @@ def restriction_grid_reference(spec, coset: tuple[int, ...], m: Monomial) -> np.
     a, b = _check_monomial(m, spec.q)
     q = spec.q
     mul = spec.mul_table()
-    xa = spec.pow_vector(a)
-    yb = spec.pow_vector(b)
+    xa = pow_vector(spec, a)
+    yb = pow_vector(spec, b)
     s = np.arange(q, dtype=np.uint16)
     grid = np.zeros((q, q), dtype=np.uint16)
     for alpha in coset:

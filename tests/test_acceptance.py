@@ -142,7 +142,7 @@ def test_acceptance_4_drgp_simulation(capsys) -> None:
         for p, gs in enumerate(groups)
     )
     report_q = verify_drgp(plan, trials=100, rng_seed=0)
-    report_2 = verify_drgp(plan, trials=100, rng_seed=1, binary=trace_code(code))
+    report_2 = verify_drgp(plan, trials=100, rng_seed=1, binary=True)
     elapsed = time.perf_counter() - start
     ok = (
         shape_ok

@@ -341,21 +341,25 @@ def test_verify_q256_runs(capsys, tmp_path) -> None:
     assert report["checks"] == 65536 and report["failures"] == []
 
 
-def test_verify_binary_q256_memory_guard_exit_code(capsys, tmp_path) -> None:
-    """The binary check needs the full build, whose own guard refuses q = 256
-    before any work. The message says that dropping --binary runs the F_q
-    check, instead of naming the library keyword, which is no verify flag."""
+def test_verify_binary_q256_runs(capsys, tmp_path) -> None:
+    """q = 256, h = 255 with --binary: the binary words are traces of the F_q
+    words, so verify needs no full build (whose guard refuses q = 256) and
+    writes both passing reports."""
     status, out, err = run(
         capsys, "verify", "--ell", "8", "--subgroup-order", "255", "--binary",
         "--trials", "1", "--out-dir", str(tmp_path),
     )
-    assert status == 3 and out == ""
-    assert err == (
-        "resource guard: full build for q=256, t=1 needs ~8589934592 bytes "
-        "(guard 2147483648); the trace-code check needs a full build, "
-        "drop --binary to run the F_q check\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    assert status == 0 and err == ""
+    assert out.splitlines()[:2] == [
+        "q=256 h=255 t=1 trials=1 checks=65536 failures=0",
+        "binary checks=65536 failures=0",
+    ]
+    assert "agree=yes" in out
+    fq = json.loads((tmp_path / "verify_q256_h255.json").read_text())
+    binary = json.loads((tmp_path / "verify_binary_q256_h255.json").read_text())
+    assert fq["code"] == "F_q" and binary["code"] == "binary"
+    assert fq["failures"] == [] and binary["failures"] == []
+    assert binary["checks"] == 65536
 
 
 def test_verify_passes_and_writes_report(capsys, tmp_path) -> None:
@@ -411,7 +415,7 @@ def test_verify_inject_fault_fails(capsys, tmp_path) -> None:
 
 def test_verify_inject_fault_records_pinned(capsys, tmp_path) -> None:
     """The failure records carry codeword values, so they pin the codewords
-    that verify draws: 91 of the 100 seed-0 trials at q16h5 miss at the
+    that verify draws: 94 of the 100 seed-0 trials at q16h5 miss at the
     tampered group 0 of coordinate 0."""
     status, _, _ = run(
         capsys, "verify", "--ell", "4", "--subgroup-order", "5",
@@ -419,19 +423,19 @@ def test_verify_inject_fault_records_pinned(capsys, tmp_path) -> None:
     )
     assert status == 1
     failures = json.loads((tmp_path / "verify_q16_h5.json").read_text())["failures"]
-    assert len(failures) == 91
+    assert len(failures) == 94
     assert failures[:3] == [
         {"coordinate": 0, "group": 0, "expected": 13, "got": 11},
-        {"coordinate": 0, "group": 0, "expected": 14, "got": 2},
-        {"coordinate": 0, "group": 0, "expected": 1, "got": 10},
+        {"coordinate": 0, "group": 0, "expected": 15, "got": 13},
+        {"coordinate": 0, "group": 0, "expected": 8, "got": 13},
     ]
     digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
-    assert digest == "5103c9e022636f878f941abbc31c5ef5a7e2cd6500282646808e99711fb89cd3"
+    assert digest == "d1b1ad8642fd6e906b09c22e7c29466c59d9c4ad8e9b2109397d3ee30269e6c0"
 
 
 def test_verify_binary_inject_fault_records_pinned(capsys, tmp_path) -> None:
     """The binary failure records pin the trace-code codewords that
-    `verify --binary` draws from the kernel basis: 51 of the 100 seed-0
+    `verify --binary` draws as traces of F_q codewords: 42 of the 100 seed-0
     trials at q16h5 miss at the tampered group."""
     status, _, _ = run(
         capsys, "verify", "--ell", "4", "--subgroup-order", "5", "--binary",
@@ -439,9 +443,9 @@ def test_verify_binary_inject_fault_records_pinned(capsys, tmp_path) -> None:
     )
     assert status == 1
     failures = json.loads((tmp_path / "verify_binary_q16_h5.json").read_text())["failures"]
-    assert len(failures) == 51
+    assert len(failures) == 42
     digest = hashlib.sha256(json.dumps(failures).encode()).hexdigest()
-    assert digest == "80358bd047ca1df534e8ce3a10deeb2978cd3842d82beff6a9d6c1205c50820e"
+    assert digest == "995f834b3f8d7714f1d4f08dfa5a3df94cd4281df9cfc6e83c9e404187ce9076"
 
 
 def test_verify_report_deterministic(capsys, tmp_path) -> None:

@@ -26,7 +26,6 @@ from wedgelift import (
     build_code,
     count_bad_closed_form,
     encode,
-    eval_monomial,
     make_coset_family,
     make_field,
     redundancy_exponent,
@@ -38,18 +37,20 @@ from wedgelift._io import atomic_write_text
 from wedgelift.bitlattice import enumerate_2_shadow
 from wedgelift.classify import Monomial, Wedge, restriction_grid, wedge_point_set
 from wedgelift.code import (
+    _axes_codeword,
     export_matrix,
     iter_parity_rows,
     write_descriptor,
 )
 from wedgelift.classify import bad_mask, count_bad, is_bad_coset_criterion
-from wedgelift.linalg import gf2_echelon
+from wedgelift.linalg import gf2_echelon, pack_rows
 
 from reference import (
     array_to_bitset,
     bitset_to_array,
     check_good_annihilated_reference,
     encode_reference,
+    eval_monomial,
     gf2_rank,
     gf2_rref,
     gfq_rank,
@@ -172,6 +173,35 @@ def test_closure_rref_equals_rref_of_every_wedge(ell, h, code64_9) -> None:
     else:
         assert np.array_equal(code.parity_rows, gf2_echelon(iter_wedge_rows(family), code.length).reduced())
     assert code.redundancy == len(code.parity_rows)
+
+
+# Every odd h | q - 1 for q <= 64.
+FAMILIES_TO_Q64 = [
+    (ell, h)
+    for ell in range(1, 7)
+    for h in range(1, 1 << ell, 2)
+    if ((1 << ell) - 1) % h == 0
+]
+
+
+@pytest.mark.parametrize("ell,h", FAMILIES_TO_Q64, ids=[f"q{1 << e}h{h}" for e, h in FAMILIES_TO_Q64])
+def test_axes_codeword_is_annihilated_by_every_parity_row(ell, h, code64_9) -> None:
+    """X^(q-1) + Y^(q-1), the one codeword verify adds to encode's words,
+    is the reference evaluation of those two monomials and has even overlap
+    with every reduced parity row, so it lies in the code; neither of its
+    monomials is good."""
+    family = make_coset_family(make_field(ell), h)
+    code = code64_9 if (ell, h) == (6, 9) else build_code(family)
+    q = code.field.q
+    word = _axes_codeword(q)
+    expected = eval_monomial(code.field, Monomial(q - 1, 0)) ^ eval_monomial(
+        code.field, Monomial(0, q - 1)
+    )
+    assert word.dtype == np.uint16 and np.array_equal(word, expected)
+    overlaps = np.bitwise_count(code.parity_rows & pack_rows(word[None].astype(np.uint8)))
+    assert not (overlaps.sum(axis=1) % 2).any()
+    bad = bad_mask(family)
+    assert bad[q - 1, 0] and bad[0, q - 1]
 
 
 # ---------------------------------------------------------------------------

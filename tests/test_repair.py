@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,13 @@ from wedgelift import (
 import wedgelift.repair as repair_module
 from wedgelift.classify import Wedge
 from wedgelift.code import _origin_wedges
+from wedgelift.linalg import gf2_echelon, pack_rows
 from wedgelift.repair import _group_sums, _seed_spectra, _verify
 
 from reference import (
+    eval_monomial,
     group_sums_reference,
+    kernel_codewords_reference,
     repair_groups_reference,
     verify_failures_reference,
 )
@@ -128,50 +133,92 @@ def test_transform_sums_equal_gathered_sums(name, request) -> None:
     assert (_group_sums(plan, spectra, words[2]) != words[2]).any()
 
 
-def _words_drawn_by_verify(code, trials, seed, binary=None):
-    """The codewords verify_drgp draws for a seed, drawn the same way."""
+def _words_drawn_by_verify(code, trials, seed, binary=False):
+    """The codewords verify_drgp draws for a seed, drawn the same way:
+    encode(m) + lam * (X^(q-1) + Y^(q-1)), traced when binary."""
     rng = np.random.default_rng(seed)
-    if binary is None:
-        return [
-            encode(code, rng.integers(0, code.field.q, size=len(code.good_monomials)))
-            for _ in range(trials)
-        ]
-    gen2 = binary.generator_matrix()
-    return [
-        np.bitwise_xor.reduce(gen2[rng.integers(0, 2, size=len(gen2)) == 1], axis=0)
-        for _ in range(trials)
-    ]
+    q, k = code.field.q, len(code.good_monomials)
+    axes = eval_monomial(code.field, (q - 1, 0)) ^ eval_monomial(code.field, (0, q - 1))
+    words = []
+    for _ in range(trials):
+        symbols = rng.integers(0, q, size=k + 1)
+        word = encode(code, symbols[:k]) ^ code.field.mul_table()[symbols[k], axes]
+        words.append(code.field.trace_table()[word] if binary else word)
+    return words
 
 
 def test_verify_records_match_gathered_reference(plan16_5, monkeypatch) -> None:
-    """With encode patched to hand out corrupted words, the failure records
-    are the gathered reference's, record for record, in the order trial,
-    group, coordinate."""
+    """With encode patched to corrupt the words it hands out, the failure
+    records are the gathered reference's, record for record, in the order
+    trial, group, coordinate."""
     code = plan16_5.code
+    faults = [{100: 1}, {}, {7: 9, 200: 4}]
     words = _words_drawn_by_verify(code, 3, 8)
-    words[0][100] ^= 1
-    words[2][7] ^= 9
-    words[2][200] ^= 4
-    handed_out = iter([w.copy() for w in words])
-    monkeypatch.setattr(repair_module, "encode", lambda code, message: next(handed_out))
+    for word, fault in zip(words, faults):
+        for p, error in fault.items():
+            word[p] ^= error
+    pending = iter(faults)
+
+    def corrupted_encode(code, message):
+        word = encode(code, message)
+        for p, error in next(pending).items():
+            word[p] ^= error
+        return word
+
+    monkeypatch.setattr(repair_module, "encode", corrupted_encode)
     failures = verify_drgp(plan16_5, trials=3, rng_seed=8)["failures"]
     assert len(failures) > 3 * 3
     assert failures == verify_failures_reference(repair_groups_reference(code), words)
 
 
-def test_injected_fault_is_the_tampered_group(plan16_5, trace16_5) -> None:
+def test_injected_fault_is_the_tampered_group(plan16_5) -> None:
     """The private fault path fails exactly as repair over the reference
     groups with member 0 of group 0 of coordinate 0 pointed at coordinate 0,
     for F_q and binary codewords."""
     code = plan16_5.code
     tampered = repair_groups_reference(code)
     tampered[0, 0, 0] = 0
-    for binary in (None, trace16_5):
+    for binary in (False, True):
         report = _verify(plan16_5, 20, 2, binary, fault=True)
         words = _words_drawn_by_verify(code, 20, 2, binary)
         expected = verify_failures_reference(tampered, words)
         assert expected and report["failures"] == expected
         assert report["checks"] == 20 * 3 * 256
+
+
+@pytest.mark.parametrize("ell,h", [(4, 5), (5, 31)], ids=["q16h5", "q32h31"])
+def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
+    """The binary words verify hands to the group sums lie in the row space
+    of a full build's kernel_basis and, dim C + 16 of them, span it: their
+    reduced row-echelon basis is kernel_basis itself, as is that of the same
+    number of words drawn from the kernel rows by the reference."""
+    code = build_code(make_coset_family(make_field(ell), h))
+    plan = build_repair_plan(code)
+    seen = []
+
+    def recording_sums(plan, spectra, codeword):
+        seen.append(codeword.copy())
+        return _group_sums(plan, spectra, codeword)
+
+    monkeypatch.setattr(repair_module, "_group_sums", recording_sums)
+    trials = code.exact_dimension + 16
+    assert verify_drgp(plan, trials, 18, binary=True)["failures"] == []
+    assert len(seen) == trials and all(w.dtype == np.uint8 for w in seen)
+    assert np.array_equal(seen, _words_drawn_by_verify(code, trials, 18, binary=True))
+    for words in (seen, kernel_codewords_reference(code, trials, 18)):
+        span = gf2_echelon([pack_rows(np.stack(words))], code.length).reduced()
+        assert np.array_equal(span, code.kernel_basis)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_verify_refuses_a_code_whose_slack_is_not_one(code16_5, shift) -> None:
+    """The draw spans C only when the good monomials and X^(q-1) + Y^(q-1)
+    are a basis, so any other slack raises before a trial runs."""
+    patched = dataclasses.replace(code16_5, exact_dimension=code16_5.exact_dimension + shift)
+    plan = build_repair_plan(patched)
+    for binary in (False, True):
+        with pytest.raises(InvariantError, match=f"dimension slack {1 + shift} != 1"):
+            verify_drgp(plan, 1, 0, binary=binary)
 
 
 def _overlapping_seeds(family):
@@ -262,14 +309,14 @@ def test_every_group_repairs_a_fixed_codeword(plan16_5, rng) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_verify_binary_gf16(plan16_5, trace16_5) -> None:
-    report = verify_drgp(plan16_5, trials=100, rng_seed=3, binary=trace16_5)
+def test_verify_binary_gf16(plan16_5) -> None:
+    report = verify_drgp(plan16_5, trials=100, rng_seed=3, binary=True)
     assert report["failures"] == []
     assert report["checks"] == 100 * 3 * 256
 
 
-def test_verify_binary_gf64(plan64_9, trace64_9) -> None:
-    report = verify_drgp(plan64_9, trials=100, rng_seed=5, binary=trace64_9)
+def test_verify_binary_gf64(plan64_9) -> None:
+    report = verify_drgp(plan64_9, trials=100, rng_seed=5, binary=True)
     assert report["failures"] == []
     assert report["checks"] == 100 * 7 * 4096
 
@@ -350,7 +397,7 @@ def test_single_group_family(code4_3, rng) -> None:
     report = verify_drgp(plan, trials=100, rng_seed=9)
     assert report["t"] == 1
     assert report["failures"] == []
-    report2 = verify_drgp(plan, trials=100, rng_seed=9, binary=trace_code(code4_3))
+    report2 = verify_drgp(plan, trials=100, rng_seed=9, binary=True)
     assert report2["failures"] == []
     c = encode(code4_3, rng.integers(0, 4, size=9))
     assert simulate_parallel_reads(plan, c, 5, 1) == [int(c[5])]
@@ -362,5 +409,5 @@ def test_full_group_family_gf16(code16_15) -> None:
     assert plan.seeds.shape == (1, 225)
     report = verify_drgp(plan, trials=100, rng_seed=13)
     assert report["failures"] == [] and report["checks"] == 100 * 256
-    report2 = verify_drgp(plan, trials=100, rng_seed=13, binary=trace_code(code16_15))
+    report2 = verify_drgp(plan, trials=100, rng_seed=13, binary=True)
     assert report2["failures"] == []
