@@ -25,7 +25,7 @@ from ._io import atomic_write_text
 from .classify import bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec, additive_fft
-from .linalg import BATCH_BYTES, pack_rows, translation_closure, unpack_rows
+from .linalg import BATCH_BYTES, closure_bytes, pack_rows, translation_closure, unpack_rows
 
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
 
@@ -125,16 +125,17 @@ FULL_BUILD_HINT = "; build with dimension_only=True"
 
 
 def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
-    """The largest arrays of a build. Every build holds the packed parity
-    basis, allocated once with one row of q^2/8 bytes per bad monomial: the
-    rank is at most bad <= (t+1)*q (the dimension is at least the
-    good-monomial count, and bad monomials need b - i to be one of the t+1
-    multiples of h in [0, q-1]). A full build also holds the uint16
-    generator matrix callers export (at most q^2 x q^2). The limit is
-    DEFAULT_MEMORY_GUARD_BYTES, read at each call."""
+    """The largest arrays of a build. Every build runs the translation
+    closure, which holds the packed parity basis, allocated once with one row
+    of q^2/8 bytes per bad monomial: the rank is at most bad <= (t+1)*q (the
+    dimension is at least the good-monomial count, and bad monomials need
+    b - i to be one of the t+1 multiples of h in [0, q-1]). Beside it the
+    closure holds one batch of translates, one temporary of at most a batch
+    and one table of 2^TABLE_BITS row sums (linalg.closure_bytes). A full
+    build also holds the uint16 generator matrix callers export (at most
+    q^2 x q^2). The limit is DEFAULT_MEMORY_GUARD_BYTES, read at each call."""
     q = family.q
-    rows = (family.t + 1) * q
-    estimated = rows * q * q // 8
+    estimated = closure_bytes(q * q, (family.t + 1) * q)
     if dimension_only:
         mode, hint = "dimension-only", ""
     else:
@@ -155,8 +156,9 @@ def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLif
 
     The wedge checks are the translates of one seed per coset, so their row
     space is the translation closure of the seeds: the elimination takes the
-    t seeds and the translates of each basis row by the 2*ell index bits
-    (t + 2*ell*r rows, 4 111 at q64h9), never the t*q^2 wedge rows (28 672).
+    t seeds and, for each of the 2*ell index bits in turn, the translates of
+    the basis as it stood when that bit's step began (1 803 rows at q64h9),
+    never the t*q^2 wedge rows (28 672).
 
     The parity rows are 0/1, so elimination over F_q never leaves {0, 1} and
     the F_q rank equals the GF(2) rank.

@@ -21,9 +21,17 @@ import numpy as np
 
 WORD = np.dtype("<u8")
 # Rows per elimination batch are chosen so that one batch holds about this
-# many bytes: large enough that per-pivot numpy calls are amortised over many
-# rows, small enough to stay cache- and memory-friendly.
+# many bytes, and at least MIN_BATCH_ROWS rows: large enough that the numpy
+# calls of one pass over the basis are amortised over many rows and that a
+# chunk's table of row sums pays for itself, small enough to stay cache- and
+# memory-friendly.
 BATCH_BYTES = 1 << 19
+MIN_BATCH_ROWS = 256
+# A batch is reduced against the basis TABLE_BITS pivots at a time: their bits
+# are read in one gather, and the chunk is added through a table of its
+# 2^TABLE_BITS row sums when that is cheaper than one XOR per set bit
+# (_table_pays).
+TABLE_BITS = 8
 
 
 def _words(ncols: int) -> int:
@@ -52,15 +60,26 @@ class GF2Echelon:
     The pivot of a basis row is its lowest set column, and every pivot column
     is zero in every other basis row. Such a basis is unique for its row
     space, so it does not depend on the order or blocking of the input rows.
-    Rows are added in batches (see gf2_echelon): a batch is first reduced
-    against the basis (one vectorised XOR per pivot), then the rows it has
-    left are eliminated inside the batch row by row; each new pivot row is
-    XORed into the later rows of the batch and into the basis rows that have
-    its pivot bit.
+    Rows are added in batches (see gf2_echelon). A batch is first reduced
+    against the basis: a row v becomes v + sum of v[p_k] * row_k over the
+    pivots p_k, since no other basis row has bit p_k. The bits v[p_k] are
+    read TABLE_BITS pivots at a time, one gather per chunk, and each chunk is
+    added through a table of its row sums, or by one XOR per pivot when few
+    rows need it (_reduce). The rows the batch has left are then eliminated
+    inside it row by row, each new pivot row XORed into every other row of
+    the batch with its pivot bit. The new rows are appended together, and
+    the basis rows that were there before are reduced against them, the same
+    way as a batch.
 
-    The basis array starts with `capacity` rows and doubles, by copying, each
-    time the rank reaches its size; a caller that knows a bound on the rank
-    passes it, so the array is allocated once.
+    translation_closure defers that last reduction for the basis rows it is
+    translating (the first `_frozen` rows), so that they stay as they were
+    while their translates are added, and settles it afterwards (_settle).
+    Until then those rows may have bits at the later pivots, and a batch is
+    reduced against them before the later rows.
+
+    The basis array starts with `capacity` rows and doubles (or grows to fit
+    a batch's new rows), by copying, each time it is full; a caller that
+    knows a bound on the rank passes it, so the array is allocated once.
     """
 
     def __init__(self, ncols: int, capacity: int = 64) -> None:
@@ -69,22 +88,69 @@ class GF2Echelon:
         self.ncols = ncols
         self.words = _words(ncols)
         self.rank = 0
+        self._frozen = 0
+        # Row k, its pivot column, that column's word and its bit in the word.
         self._rows = np.zeros((max(capacity, 1), self.words), dtype=WORD)
-        self._pivots: list[int] = []
-        self._masks: list[np.uint64] = []
+        self._cols = np.zeros(len(self._rows), dtype=np.int64)
+        self._word = np.zeros(len(self._rows), dtype=np.intp)
+        self._bit = np.zeros(len(self._rows), dtype=WORD)
         pad = 64 * self.words - ncols
         self._pad_mask = np.uint64(((1 << pad) - 1) << (64 - pad)) if pad else None
 
     @property
     def pivots(self) -> np.ndarray:
         """Pivot column of each basis row, in the order the rows were found."""
-        return np.array(self._pivots, dtype=np.int64)
+        return self._cols[: self.rank].copy()
 
     def reduced(self) -> np.ndarray:
         """The basis sorted by pivot (the unique RREF), as a read-only copy."""
         rows = self._rows[np.argsort(self.pivots)]
         rows.flags.writeable = False
         return rows
+
+    def _reduce(self, block: np.ndarray, lo: int, hi: int) -> None:
+        """XOR into each row of `block` the basis rows lo..hi-1 at whose
+        pivots it has a set bit, TABLE_BITS rows at a time in basis order.
+        Each basis row must be zero at the other pivots of its chunk and at
+        the pivots of the chunks before it: then a chunk's bits, read from
+        the block as it stands, are the row's coefficients, and the chunk
+        leaves the block zero at its pivots.
+
+        A chunk of k rows with s set bits in the block's R rows costs s row
+        XORs one pivot at a time, or 2^k to build the table of its row sums
+        and R to add one sum to every row; the cheaper way is taken
+        (_table_pays)."""
+        table = None
+        for start in range(lo, hi, TABLE_BITS):
+            stop = min(start + TABLE_BITS, hi)
+            rows = self._rows[start:stop]
+            bits = block[:, self._word[start:stop]]
+            bits &= self._bit[start:stop]
+            bits = bits.astype(bool)
+            hits = np.count_nonzero(bits)
+            if _table_pays(hits, len(rows), len(block)):
+                if table is None:
+                    table = np.zeros((1 << TABLE_BITS, self.words), dtype=WORD)
+                for k, row in enumerate(rows):
+                    np.bitwise_xor(table[: 1 << k], row, out=table[1 << k : 2 << k])
+                index = np.packbits(bits, axis=1, bitorder="little")[:, 0]
+                block ^= table[index]
+            elif hits:
+                pivot, hit = bits.T.nonzero()
+                ends = np.cumsum(np.bincount(pivot, minlength=len(rows))).tolist()
+                begin = 0
+                for row, end in zip(rows, ends):
+                    if end > begin:
+                        block[hit[begin:end]] ^= row
+                    begin = end
+
+    def _reduce_basis(self, lo: int, hi: int, plo: int, phi: int) -> None:
+        """_reduce the basis rows lo..hi-1 against the basis rows plo..phi-1,
+        one batch of rows at a time."""
+        if phi > plo:
+            step = _batch_rows(self.words)
+            for start in range(lo, hi, step):
+                self._reduce(self._rows[start : min(start + step, hi)], plo, phi)
 
     def _add_batch(self, block: np.ndarray) -> None:
         """Extend the row space by a C-contiguous (rows, words) block, which
@@ -93,10 +159,13 @@ class GF2Echelon:
             raise ValueError(f"block has {block.shape[1]} words per row, expected {self.words}")
         if self._pad_mask is not None and (block[:, -1] & self._pad_mask).any():
             raise ValueError(f"block has bits set at or past column {self.ncols}")
-        for k in range(self.rank):
-            hit = (block[:, self._pivots[k] >> 6] & self._masks[k]).nonzero()[0]
-            if hit.size:
-                block[hit] ^= self._rows[k]
+        frozen, old = self._frozen, self.rank
+        self._reduce(block, 0, frozen)
+        self._reduce(block, frozen, old)
+        # The rows left are eliminated inside the block, fully reduced, and
+        # appended; the basis rows after the frozen ones are then reduced
+        # against them (the frozen ones wait for _settle).
+        found: list[tuple[int, int]] = []
         for i in np.flatnonzero(block.any(axis=1)):
             row = block[i]
             nonzero = row.nonzero()[0]
@@ -104,26 +173,38 @@ class GF2Echelon:
                 continue  # cleared by a pivot found earlier in this block
             w = int(nonzero[0])
             word = int(row[w])
-            col = 64 * w + (word & -word).bit_length() - 1
-            mask = np.uint64(1 << (col & 63))
-            later = block[i + 1 :]
-            hit = (later[:, w] & mask).nonzero()[0]
-            if hit.size:
-                later[hit] ^= row
-            hit = (self._rows[: self.rank, w] & mask).nonzero()[0]
-            if hit.size:
-                self._rows[hit] ^= row
-            self._append(row, col, mask)
+            row = row.copy()
+            hit = (block[:, w] & np.uint64(word & -word)).nonzero()[0]
+            block[hit] ^= row
+            block[i] = row
+            found.append((i, 64 * w + (word & -word).bit_length() - 1))
+        if found:
+            index, cols = np.array(found).T
+            self._append(block, index, cols)
+            self._reduce_basis(frozen, old, old, self.rank)
 
-    def _append(self, row: np.ndarray, col: int, mask: np.uint64) -> None:
-        if self.rank == len(self._rows):
-            grown = np.zeros((2 * len(self._rows), self.words), dtype=WORD)
+    def _settle(self) -> None:
+        """Reduce the frozen rows against the rows found after them, which
+        makes the basis fully reduced again."""
+        frozen, self._frozen = self._frozen, 0
+        self._reduce_basis(0, frozen, frozen, self.rank)
+
+    def _append(self, block: np.ndarray, index: np.ndarray, cols: np.ndarray) -> None:
+        """Append the reduced rows block[index], whose pivots are cols."""
+        end = self.rank + len(index)
+        if end > len(self._rows):
+            size = max(end, 2 * len(self._rows))
+            grown = np.zeros((size, self.words), dtype=WORD)
             grown[: self.rank] = self._rows[: self.rank]
             self._rows = grown
-        self._rows[self.rank] = row
-        self._pivots.append(col)
-        self._masks.append(mask)
-        self.rank += 1
+            self._cols, self._word, self._bit = (
+                np.resize(a, size) for a in (self._cols, self._word, self._bit)
+            )
+        np.take(block, index, axis=0, out=self._rows[self.rank : end])
+        self._cols[self.rank : end] = cols
+        self._word[self.rank : end] = cols >> 6
+        self._bit[self.rank : end] = np.uint64(1) << (cols & 63).astype(WORD)
+        self.rank = end
 
     def kernel(self) -> np.ndarray:
         """Packed (ncols - rank, words) basis of {v : v . r = 0 for every row
@@ -131,18 +212,18 @@ class GF2Echelon:
         set column, rows in increasing pivot.
 
         The r basis rows are eliminated again with their column order
-        reversed, which gives the reduced basis whose pivots are the
-        *highest* set columns. For each free column f of that basis the
-        kernel vector is the unit vector at f plus the pivot column of every
-        row with bit f set; those pivots all lie above f, so f is the
+        reversed (flip_columns), which gives the reduced basis whose pivots
+        are the *highest* set columns. For each free column f of that basis
+        the kernel vector is the unit vector at f plus the pivot column of
+        every row with bit f set; those pivots all lie above f, so f is the
         vector's lowest set column, and no other vector has bit f. The
         vectors are written straight into packed words: every unit bit in one
         assignment, then each mirror row's pivot bit, by one OR, into the
         vectors of the free columns where that row is set.
         """
         n = self.ncols
-        flipped = pack_rows(unpack_rows(self._rows[: self.rank], n)[:, ::-1])
-        mirror = gf2_echelon([flipped], n, capacity=self.rank)
+        mirror = GF2Echelon(n, capacity=self.rank)
+        mirror._add_batch(flip_columns(self._rows[: self.rank], n))
         # The mirror rows' pivots and the free columns, in original columns.
         pivots = n - 1 - mirror.pivots
         free = np.ones(n, dtype=bool)
@@ -157,14 +238,36 @@ class GF2Echelon:
         return kernel
 
 
+def _table_pays(hits: int, chunk: int, nrows: int) -> bool:
+    """Whether a chunk of `chunk` basis rows, whose pivots have `hits` set
+    bits in a batch of nrows rows, is added more cheaply through its table
+    (2^chunk row sums to build, one sum added to each of the nrows rows) than
+    by one row XOR per set bit."""
+    return hits > (1 << chunk) + nrows
+
+
 def _batch_rows(words: int) -> int:
     """Rows of `words` uint64 words that make one elimination batch."""
-    return max(1, BATCH_BYTES // (8 * max(words, 1)))
+    return max(MIN_BATCH_ROWS, BATCH_BYTES // (8 * max(words, 1)))
+
+
+def closure_bytes(ncols: int, rank_bound: int) -> int:
+    """The most bytes translation_closure holds for ncols columns and a rank
+    of at most rank_bound: the basis array (rank_bound packed rows, when
+    allocated once) with the pivot column, word and bit of each row (three
+    8-byte integers); one batch of translates (at most a batch, and at most
+    the rank, since a step translates the basis); one temporary of at most as
+    many rows (the batch rows that one pivot hits, or the sums that one table
+    adds); and the table of 2^TABLE_BITS row sums. The coefficient gathers,
+    a few bytes per batch row and chunk pivot, are not counted."""
+    words = _words(ncols)
+    batch = min(_batch_rows(words), rank_bound)
+    return (rank_bound + 2 * batch + (1 << TABLE_BITS)) * 8 * words + 24 * rank_bound
 
 
 def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int, capacity: int = 64) -> GF2Echelon:
     """Eliminate a stream of packed (rows, words) row blocks, regrouped into
-    batches of about BATCH_BYTES so that each pass over the basis covers many
+    batches of _batch_rows rows so that each pass over the basis covers many
     rows. The blocks themselves are not modified. `capacity` is the basis's
     initial row count (see GF2Echelon)."""
     echelon = GF2Echelon(ncols, capacity)
@@ -197,16 +300,32 @@ _SWAP_MASKS = tuple(
 
 
 def translate_rows(rows: np.ndarray, bit: int) -> np.ndarray:
-    """Packed rows with column j moved to column j ^ 2^bit, as a new array.
+    """Packed rows with column j moved to column j ^ 2^bit, as a new
+    C-contiguous array.
 
     For bit >= 6 that swaps whole words, w -> w ^ 2^(bit-6); below it swaps
     the bit pairs (b, b + 2^bit) inside each word. The caller keeps 2^bit
     below the column count, so no bit moves into the padding.
     """
     if bit >= 6:
-        return rows[:, np.arange(rows.shape[1]) ^ (1 << (bit - 6))]
+        return np.take(rows, np.arange(rows.shape[1]) ^ (1 << (bit - 6)), axis=1)
     shift, mask = np.uint64(1 << bit), _SWAP_MASKS[bit]
     return ((rows >> shift) & mask) | ((rows & mask) << shift)
+
+
+def flip_columns(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Packed rows with column j moved to column ncols - 1 - j, as a new
+    array: the word order reversed, the bits inside each word reversed by the
+    six swaps of translate_rows (j -> j ^ 63), and the padding shifted out."""
+    flipped = rows[:, ::-1]
+    for bit in range(6):
+        flipped = translate_rows(flipped, bit)
+    pad = 64 * rows.shape[1] - ncols
+    if pad:
+        carry = flipped[:, 1:] << np.uint64(64 - pad)
+        flipped >>= np.uint64(pad)
+        flipped[:, :-1] |= carry
+    return flipped
 
 
 def translation_closure(
@@ -216,25 +335,27 @@ def translation_closure(
     and is invariant under every translation j -> j ^ c of the ncols (a power
     of two) columns.
 
-    The seeds are eliminated as by gf2_echelon. Then each basis row, in the
-    order the rows arrived, is moved by each of the log2(ncols) translations
-    j -> j ^ 2^i (they generate all of them), and the translates are
-    eliminated, about BATCH_BYTES at a time; rows they add join the queue.
-    Every row is translated once, as it stands when its turn comes, which is
-    after it was appended. Those translated versions are independent (each
-    has its own pivot bit, and the rows translated after it are zero there),
-    so they span the final space S, and their translates all lie in S: S is
-    invariant, and no invariant space holding the seeds is smaller.
-    `capacity` is the basis's initial row count (see GF2Echelon).
+    The seeds are eliminated as by gf2_echelon, giving a space S. Then, one
+    index bit i at a time, S becomes S + T_i S, T_i the translation
+    j -> j ^ 2^i: the basis rows as they stood when step i began are
+    translated, a batch at a time, and eliminated. Those rows stay unchanged
+    during the step because the back-substitution of the pivots the step
+    finds is deferred to its end (GF2Echelon._settle). The translations
+    commute, so T_j(S + T_i S) = T_j S + T_i T_j S lies in S + T_i S once S
+    is invariant under T_j: after step i the space is invariant under
+    T_0 .. T_i, and after the last step under every translation. Each step
+    adds only translates of the space, so no invariant space holding the
+    seeds is smaller. The elimination takes the seeds plus, at each step, as
+    many rows as the rank when it began. `capacity` is the basis's initial
+    row count (see GF2Echelon).
     """
     if ncols < 1 or ncols & (ncols - 1):
         raise ValueError(f"ncols must be a power of two, got {ncols}")
     echelon = gf2_echelon(blocks, ncols, capacity)
-    bits = ncols.bit_length() - 1
-    step = max(1, _batch_rows(echelon.words) // max(bits, 1))
-    done = 0
-    while bits and done < echelon.rank:
-        rows = echelon._rows[done : min(done + step, echelon.rank)]
-        echelon._add_batch(np.concatenate([translate_rows(rows, i) for i in range(bits)]))
-        done += len(rows)
+    step = _batch_rows(echelon.words)
+    for bit in range(ncols.bit_length() - 1):
+        echelon._frozen = done = echelon.rank
+        for start in range(0, done, step):
+            echelon._add_batch(translate_rows(echelon._rows[start : min(start + step, done)], bit))
+        echelon._settle()
     return echelon

@@ -43,7 +43,7 @@ from wedgelift.code import (
     write_descriptor,
 )
 from wedgelift.classify import bad_mask, count_bad, is_bad_coset_criterion
-from wedgelift.linalg import gf2_echelon, pack_rows
+from wedgelift.linalg import closure_bytes, gf2_echelon, pack_rows
 
 from reference import (
     array_to_bitset,
@@ -417,13 +417,14 @@ def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
 
 
 def test_parity_export_does_not_depend_on_batching(fam16_5, monkeypatch, tmp_path) -> None:
-    """With 40-row elimination batches (the 8 translates of 5 basis rows
-    each, not all translates of every row found so far) the exported parity
-    file is byte for byte the same."""
+    """With 8-row elimination batches (each bit step of the closure split
+    into batches of the translates of 8 basis rows, not one batch of all of
+    them) the exported parity file is byte for byte the same."""
     default = tmp_path / "default.txt"
     export_matrix(default, build_code(fam16_5).parity_check_matrix(), q=16)
-    monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8 * 4 * 40)
-    monkeypatch.setattr(code_module, "BATCH_BYTES", 8 * 4 * 40)
+    monkeypatch.setattr(linalg_module, "MIN_BATCH_ROWS", 1)
+    monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8 * 4 * 8)
+    monkeypatch.setattr(code_module, "BATCH_BYTES", 8 * 4 * 8)
     small = tmp_path / "small.txt"
     export_matrix(small, build_code(fam16_5).parity_check_matrix(), q=16)
     assert small.read_text().splitlines()[0] == "# q=16 rows=48 cols=256"
@@ -462,13 +463,13 @@ def test_memory_guard(monkeypatch) -> None:
 
 def test_memory_guard_boundary(f16, monkeypatch) -> None:
     """A full build's estimate at q = 16 is the dense generator matrix,
-    2 * 16^4 bytes, above the packed parity basis bound (t + 1) * 16^3 / 8
-    for every t <= 15: the build passes at exactly the estimate and raises
-    one byte below it, at q16h5 (t = 3) and at q16h1 (t = 15)."""
+    2 * 16^4 bytes, above the closure's estimate for every t <= 15: the
+    build passes at exactly the estimate and raises one byte below it, at
+    q16h5 (t = 3) and at q16h1 (t = 15)."""
     estimate = 2 * 16**4
     for h, redundancy in [(5, 48), (1, 80)]:
         family = make_coset_family(f16, h)
-        assert estimate > (family.t + 1) * 16**3 // 8
+        assert estimate > closure_bytes(16**2, (family.t + 1) * 16)
         monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
         assert build_code(family).redundancy == redundancy
         monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
@@ -477,10 +478,14 @@ def test_memory_guard_boundary(f16, monkeypatch) -> None:
 
 
 def test_dimension_only_memory_guard_boundary(fam16_5, monkeypatch) -> None:
-    """A dimension-only build holds the packed parity basis: at most
-    (t + 1) * q rows of q^2 / 8 bytes, 64 * 32 bytes at q16h5 (t = 3). It
-    builds at exactly that estimate and raises one byte below it."""
-    estimate = (3 + 1) * 16 * 16**2 // 8
+    """A dimension-only build holds what the translation closure holds, in
+    rows of q^2 / 8 = 32 bytes at q16h5 (t = 3): the parity basis, at most
+    (t + 1) * q = 64 rows, and 24 bytes of pivot data per row; one batch of
+    translates and one temporary, each at most the 64-row rank bound; and
+    the 2^TABLE_BITS = 256-row table. It builds at exactly that estimate and
+    raises one byte below it."""
+    estimate = (64 + 2 * 64 + 256) * 32 + 64 * 24
+    assert closure_bytes(16**2, 64) == estimate
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
     code = build_code(fam16_5, dimension_only=True)
     assert code.redundancy == 48

@@ -5,8 +5,9 @@ The packed eliminator the library uses is compared against the big-int
 reference (`gf2_rank`, `gf2_rref` in tests/reference.py), and both against a
 from-scratch numpy row-reduction; the subfield identity (0/1 matrices keep
 their rank over the extension field) is *tested* against the dense
-eliminator rather than assumed. The packed translate is compared with an
-unpacked column permutation, and the translation closure with the RREF of
+eliminator rather than assumed. The packed translate and column flip are
+compared with unpacked column permutations, the table reduction with a
+reduction one pivot at a time, and the translation closure with the RREF of
 every translate of its seeds.
 """
 
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedgelift import make_field
+from wedgelift import make_coset_family, make_field
+from wedgelift.code import iter_parity_rows
 from wedgelift.linalg import (
+    TABLE_BITS,
     GF2Echelon,
+    flip_columns,
     gf2_echelon,
     pack_rows,
     translate_rows,
@@ -287,6 +291,7 @@ def test_translate_rows_is_the_column_permutation() -> None:
         for i in range(ncols.bit_length() - 1):
             moved = translate_rows(packed, i)
             assert moved.dtype == np.uint64 and moved.shape == packed.shape
+            assert moved.flags.c_contiguous
             assert np.array_equal(unpack_rows(moved, ncols), m[:, np.arange(ncols) ^ (1 << i)])
             assert np.array_equal(translate_rows(moved, i), packed)
         assert np.array_equal(packed, pack_rows(m))
@@ -333,10 +338,102 @@ def test_translation_closure_batches_and_validates(monkeypatch) -> None:
         sized = translation_closure([pack_rows(m)], 128, capacity=capacity)
         assert packed_rref(sized) == expected
     assert len(sized._rows) == closure.rank
+    monkeypatch.setattr(linalg_module, "MIN_BATCH_ROWS", 1)
     monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8)
     assert packed_rref(translation_closure([pack_rows(m)], 128)) == expected
     with pytest.raises(ValueError, match="power of two"):
         translation_closure([], 96)
+
+
+def test_flip_columns_is_the_column_reversal() -> None:
+    """flip_columns moves column j to ncols - 1 - j, against the unpacked
+    reversal, at widths inside one word, at word boundaries and with
+    padding, and leaves the padding clear."""
+    rng = np.random.default_rng(24)
+    for ncols in (1, 16, 63, 64, 65, 70, 128, 130, 200):
+        m = random_bit_matrix(rng, 6, ncols)
+        packed = pack_rows(m)
+        flipped = flip_columns(packed, ncols)
+        assert flipped.dtype == np.uint64 and flipped.shape == packed.shape
+        assert np.array_equal(flipped, pack_rows(m[:, ::-1]))
+        assert np.array_equal(packed, pack_rows(m))
+
+
+def reduce_by_pivots(block: np.ndarray, echelon: GF2Echelon) -> np.ndarray:
+    """The reference reduction: for each basis row in turn, XOR it into
+    every row of the block that has its pivot bit."""
+    out = block.copy()
+    for row, col in zip(echelon._rows[: echelon.rank], echelon.pivots.tolist()):
+        hit = (out[:, col >> 6] >> np.uint64(col & 63)) & np.uint64(1)
+        out[hit.astype(bool)] ^= row
+    return out
+
+
+@pytest.mark.parametrize("ncols,rank", [(70, 13), (130, 37), (4096, 61)])
+def test_table_reduction_equals_pivot_reduction(ncols, rank, monkeypatch) -> None:
+    """A block reduced against a fully reduced basis, with every chunk added
+    through its table, with every chunk added one pivot at a time, and with
+    the cost rule choosing, equals the reference reduction, and equals the
+    block's part off the pivot columns. The ranks are not multiples of
+    TABLE_BITS, so the last chunk is short. The blocks have fewer and more
+    rows than a table, and coefficients that make dense chunks (about half
+    the pivots per row) and sparse ones (a few pivots in the whole block)."""
+    import wedgelift.linalg as linalg_module
+
+    assert rank % TABLE_BITS
+    rng = np.random.default_rng(ncols + rank)
+    echelon = gf2_echelon([pack_rows(random_bit_matrix(rng, rank, ncols))], ncols)
+    assert echelon.rank == rank
+    basis = unpack_rows(echelon._rows[:rank], ncols)
+    pivots = echelon.pivots
+    for nrows in (1 << TABLE_BITS) // 3, 3 << TABLE_BITS:
+        for density in (0.5, 0.004):
+            coefficients = (rng.random((nrows, rank)) < density).astype(np.float32)
+            rest = random_bit_matrix(rng, nrows, ncols)
+            rest[:, pivots] = 0
+            bits = ((coefficients @ basis.astype(np.float32)) % 2).astype(np.uint8) ^ rest
+            block = pack_rows(bits)
+            expected = reduce_by_pivots(block, echelon)
+            assert np.array_equal(expected, pack_rows(rest))
+            for rule in (lambda *_: True, lambda *_: False, linalg_module._table_pays):
+                monkeypatch.setattr(linalg_module, "_table_pays", rule)
+                reduced = block.copy()
+                echelon._reduce(reduced, 0, rank)
+                assert np.array_equal(reduced, expected)
+
+
+def test_closure_feeds_each_step_the_rank_it_began_with(monkeypatch) -> None:
+    """At q64h9 the elimination takes the 7 seeds and, for each of the 12
+    index bits, the translates of the basis as it stood when that step began:
+    1 803 rows, where translating every basis row by every bit took 4 111.
+    The ranks at the start of the steps, and the 342 at the end, are pinned."""
+    counted: list[tuple[int, int]] = []
+    add_batch = GF2Echelon._add_batch
+
+    def counting(self, block):
+        counted.append((self._frozen, len(block)))
+        add_batch(self, block)
+
+    monkeypatch.setattr(GF2Echelon, "_add_batch", counting)
+    family = make_coset_family(make_field(6), 9)
+    closure = translation_closure(iter_parity_rows(family), 64 * 64)
+    starts = [7, 14, 28, 44, 76, 92, 124, 185, 259, 299, 330, 338]
+    assert closure.rank == 342
+    assert counted == [(0, 7)] + [(r, r) for r in starts]
+    assert sum(rows for _, rows in counted) == 1803
+
+
+def test_closure_rref_pinned_at_q256h255() -> None:
+    """The q256h255 closure's RREF is bit for bit the one that translating
+    every basis row by every bit gave (its sha256, 510 rows of 1024 words)."""
+    import hashlib
+
+    family = make_coset_family(make_field(8), 255)
+    reduced = translation_closure(iter_parity_rows(family), 256 * 256).reduced()
+    assert reduced.shape == (510, 1024)
+    assert hashlib.sha256(reduced.tobytes()).hexdigest() == (
+        "cbc355cfcc2052f24b638168d0c25078de7314487d55ed2b483b8e788473249a"
+    )
 
 
 # ---------------------------------------------------------------------------
