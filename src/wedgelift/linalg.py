@@ -71,11 +71,12 @@ class GF2Echelon:
     the basis rows that were there before are reduced against them, the same
     way as a batch.
 
-    translation_closure defers that last reduction for the basis rows it is
-    translating (the first `_frozen` rows), so that they stay as they were
-    while their translates are added, and settles it afterwards (_settle).
-    Until then those rows may have bits at the later pivots, and a batch is
-    reduced against them before the later rows.
+    translation_closure adds the translates of the basis one index bit at a
+    time (_close_bit). During such a step the last reduction skips the basis
+    rows being translated (the first `frozen` rows), so that they stay as
+    they were while their translates are added; they are reduced at the
+    step's end. Until then those rows may have bits at the later pivots, and
+    a batch is reduced against them before the later rows.
 
     The basis array starts with `capacity` rows and doubles (or grows to fit
     a batch's new rows), by copying, each time it is full; a caller that
@@ -88,7 +89,6 @@ class GF2Echelon:
         self.ncols = ncols
         self.words = _words(ncols)
         self.rank = 0
-        self._frozen = 0
         # Row k, its pivot column, that column's word and its bit in the word.
         self._rows = np.zeros((max(capacity, 1), self.words), dtype=WORD)
         self._cols = np.zeros(len(self._rows), dtype=np.int64)
@@ -152,19 +152,20 @@ class GF2Echelon:
             for start in range(lo, hi, step):
                 self._reduce(self._rows[start : min(start + step, hi)], plo, phi)
 
-    def _add_batch(self, block: np.ndarray) -> None:
+    def _add_batch(self, block: np.ndarray, frozen: int = 0) -> None:
         """Extend the row space by a C-contiguous (rows, words) block, which
-        is overwritten."""
+        is overwritten. The basis rows after the first `frozen` are reduced
+        against the new rows; the first `frozen` are left to the caller."""
         if block.shape[1] != self.words:
             raise ValueError(f"block has {block.shape[1]} words per row, expected {self.words}")
         if self._pad_mask is not None and (block[:, -1] & self._pad_mask).any():
             raise ValueError(f"block has bits set at or past column {self.ncols}")
-        frozen, old = self._frozen, self.rank
+        old = self.rank
         self._reduce(block, 0, frozen)
         self._reduce(block, frozen, old)
         # The rows left are eliminated inside the block, fully reduced, and
         # appended; the basis rows after the frozen ones are then reduced
-        # against them (the frozen ones wait for _settle).
+        # against them.
         found: list[tuple[int, int]] = []
         for i in np.flatnonzero(block.any(axis=1)):
             row = block[i]
@@ -183,10 +184,16 @@ class GF2Echelon:
             self._append(block, index, cols)
             self._reduce_basis(frozen, old, old, self.rank)
 
-    def _settle(self) -> None:
-        """Reduce the frozen rows against the rows found after them, which
-        makes the basis fully reduced again."""
-        frozen, self._frozen = self._frozen, 0
+    def _close_bit(self, bit: int) -> None:
+        """Add the translates j -> j ^ 2^bit of the basis rows as they stand
+        (translate_rows), a batch at a time. Those rows are frozen while
+        their translates are added, and then reduced against the rows found
+        after them, which leaves the basis fully reduced again."""
+        frozen = self.rank
+        step = _batch_rows(self.words)
+        for start in range(0, frozen, step):
+            block = translate_rows(self._rows[start : min(start + step, frozen)], bit)
+            self._add_batch(block, frozen)
         self._reduce_basis(0, frozen, frozen, self.rank)
 
     def _append(self, block: np.ndarray, index: np.ndarray, cols: np.ndarray) -> None:
@@ -340,7 +347,7 @@ def translation_closure(
     j -> j ^ 2^i: the basis rows as they stood when step i began are
     translated, a batch at a time, and eliminated. Those rows stay unchanged
     during the step because the back-substitution of the pivots the step
-    finds is deferred to its end (GF2Echelon._settle). The translations
+    finds is deferred to its end (GF2Echelon._close_bit). The translations
     commute, so T_j(S + T_i S) = T_j S + T_i T_j S lies in S + T_i S once S
     is invariant under T_j: after step i the space is invariant under
     T_0 .. T_i, and after the last step under every translation. Each step
@@ -352,10 +359,6 @@ def translation_closure(
     if ncols < 1 or ncols & (ncols - 1):
         raise ValueError(f"ncols must be a power of two, got {ncols}")
     echelon = gf2_echelon(blocks, ncols, capacity)
-    step = _batch_rows(echelon.words)
     for bit in range(ncols.bit_length() - 1):
-        echelon._frozen = done = echelon.rank
-        for start in range(0, done, step):
-            echelon._add_batch(translate_rows(echelon._rows[start : min(start + step, done)], bit))
-        echelon._settle()
+        echelon._close_bit(bit)
     return echelon

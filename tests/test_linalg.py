@@ -410,9 +410,9 @@ def test_closure_feeds_each_step_the_rank_it_began_with(monkeypatch) -> None:
     counted: list[tuple[int, int]] = []
     add_batch = GF2Echelon._add_batch
 
-    def counting(self, block):
-        counted.append((self._frozen, len(block)))
-        add_batch(self, block)
+    def counting(self, block, frozen=0):
+        counted.append((frozen, len(block)))
+        add_batch(self, block, frozen)
 
     monkeypatch.setattr(GF2Echelon, "_add_batch", counting)
     family = make_coset_family(make_field(6), 9)
