@@ -231,6 +231,8 @@ def is_good_oracle_sampled(
 ) -> bool:
     """Oracle on `wedges` random wedges; False is definitive, True is only
     'no witness found'."""
+    if wedges < 0:
+        raise UsageError(f"wedges must be nonnegative, got {wedges}")
     spec = family.field
     m = _check_monomial(m, spec.q)
     poly = [((m.a, m.b), 1)]

@@ -5,7 +5,10 @@ words (column j at bit j % 64 of word j // 64), reduced block by block against
 a basis kept in fully reduced row-echelon form. It also decides which kernel
 basis the library exposes: the unique reduced row-echelon one.
 `translation_closure` grows such a basis from a few seed rows to the smallest
-row space that also holds every translate j -> j ^ c of its rows.
+row space that also holds every translate j -> j ^ c of its rows. Such a space
+is invariant under the column reversal (the translate by ncols - 1), so
+`GF2Echelon.kernel` reads the kernel from the basis itself, with its columns
+reversed, and a full build eliminates once.
 
 For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
 operations on unit pivots stay in the subfield), which is why one GF(2) path
@@ -218,28 +221,28 @@ class GF2Echelon:
         r}: the unique reduced row-echelon basis of the kernel, pivot = lowest
         set column, rows in increasing pivot.
 
-        The r basis rows are eliminated again with their column order
-        reversed (flip_columns), which gives the reduced basis whose pivots
-        are the *highest* set columns. For each free column f of that basis
+        Precondition: the row space is invariant under the column reversal
+        j -> ncols - 1 - j, as every translation_closure is (ncols is a power
+        of two there, so the reversal is the translation j -> j ^ (ncols - 1)).
+        Then the basis rows, read with their columns reversed, are the
+        space's reduced basis whose pivots are the *highest* set columns:
+        ncols - 1 - p for each pivot p. For each free column f of that basis
         the kernel vector is the unit vector at f plus the pivot column of
         every row with bit f set; those pivots all lie above f, so f is the
         vector's lowest set column, and no other vector has bit f. The
         vectors are written straight into packed words: every unit bit in one
-        assignment, then each mirror row's pivot bit, by one OR, into the
-        vectors of the free columns where that row is set.
+        assignment, then each row's pivot bit, by one OR, into the vectors of
+        the free columns where that row is set.
         """
         n = self.ncols
-        mirror = GF2Echelon(n, capacity=self.rank)
-        mirror._add_batch(flip_columns(self._rows[: self.rank], n))
-        # The mirror rows' pivots and the free columns, in original columns.
-        pivots = n - 1 - mirror.pivots
+        pivots = n - 1 - self.pivots
         free = np.ones(n, dtype=bool)
         free[pivots] = False
         free = np.flatnonzero(free)
         kernel = np.zeros((free.size, self.words), dtype=WORD)
         kernel[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
-        # The mirror rows unpacked once, their columns turned back.
-        rows = unpack_rows(mirror._rows[: mirror.rank], n)[:, ::-1]
+        # The basis rows unpacked once, reversed.
+        rows = unpack_rows(self._rows[: self.rank], n)[:, ::-1]
         for p, row in zip(pivots.tolist(), rows.view(bool)):
             kernel[row[free], p >> 6] |= np.uint64(1 << (p & 63))
         return kernel
@@ -318,21 +321,6 @@ def translate_rows(rows: np.ndarray, bit: int) -> np.ndarray:
         return np.take(rows, np.arange(rows.shape[1]) ^ (1 << (bit - 6)), axis=1)
     shift, mask = np.uint64(1 << bit), _SWAP_MASKS[bit]
     return ((rows >> shift) & mask) | ((rows & mask) << shift)
-
-
-def flip_columns(rows: np.ndarray, ncols: int) -> np.ndarray:
-    """Packed rows with column j moved to column ncols - 1 - j, as a new
-    array: the word order reversed, the bits inside each word reversed by the
-    six swaps of translate_rows (j -> j ^ 63), and the padding shifted out."""
-    flipped = rows[:, ::-1]
-    for bit in range(6):
-        flipped = translate_rows(flipped, bit)
-    pad = 64 * rows.shape[1] - ncols
-    if pad:
-        carry = flipped[:, 1:] << np.uint64(64 - pad)
-        flipped >>= np.uint64(pad)
-        flipped[:, :-1] |= carry
-    return flipped
 
 
 def translation_closure(

@@ -221,10 +221,13 @@ def simulate_parallel_reads(
     (k+1)-th access path and is not consumed here).
     """
     t = plan.t
+    n = plan.code.length
+    if codeword.shape != (n,):
+        raise UsageError(f"codeword has shape {codeword.shape}, expected ({n},)")
     if not 1 <= k <= t:
         raise UsageError(f"k={k} reads requested but the code has t={t} groups")
-    if not 0 <= coordinate < plan.code.length:
-        raise UsageError(f"coordinate {coordinate} outside [0, {plan.code.length})")
+    if not 0 <= coordinate < n:
+        raise UsageError(f"coordinate {coordinate} outside [0, {n})")
     values = np.bitwise_xor.reduce(codeword[plan.seeds[:k] ^ coordinate], axis=1).tolist()
     if len(set(values)) != 1:
         raise InvariantError(f"disjoint reads disagree: {values}")

@@ -401,6 +401,21 @@ def test_sampled_oracle_matches_reference_loop(ell: int, h: int) -> None:
     assert ours.integers(2**30) == theirs.integers(2**30)
 
 
+def test_sampled_oracle_rejects_negative_wedges(f16: FieldSpec) -> None:
+    """A negative wedge count is refused before any draw: X^15 Y^15 is bad at
+    q16h5, and -3 wedges would otherwise answer 'good'. Zero wedges find no
+    witness and draw nothing."""
+    family = make_coset_family(f16, 5)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(UsageError, match="wedges must be nonnegative"):
+        is_good_oracle_sampled(family, Monomial(15, 15), -3, rng)
+    assert rng.bit_generator.state == state
+    assert is_good_oracle_sampled(family, Monomial(15, 15), 0, rng)
+    assert rng.bit_generator.state == state
+    assert not is_good_oracle(family, Monomial(15, 15))
+
+
 def test_wedge_restriction_rejects_non_elements(f16: FieldSpec) -> None:
     """Every input is checked before the gather, where numpy would wrap a
     negative index or read past a table row: exponents in [0, q-1],

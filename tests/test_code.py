@@ -431,6 +431,50 @@ def test_parity_export_does_not_depend_on_batching(fam16_5, monkeypatch, tmp_pat
     assert small.read_bytes() == default.read_bytes()
 
 
+# (ell, h) -> sha256 of a full build's (kernel_basis, parity_rows) bytes, as
+# a read-out that eliminated the column-reversed basis a second time gave them.
+PINNED_BUILDS = {
+    (5, 31): (
+        "4a59814e2e928619161f3825b06d7099d181100885ac839a296ef9c9c861ef50",
+        "5205ffa8e3bae14b59690ab6608ffc644f65a35ac7fe1a0d55765aa90f4c8eb2",
+    ),
+    (6, 9): (
+        "37d641ff09e4cb798d160e0ca4ee1fec16a4e7caf790f3253029478c3194a170",
+        "925a3aed6fff21a3427ab9e64142ec16b2ce74045346869084cd3861f5cdc434",
+    ),
+    (6, 63): (
+        "a64e4511c1100d6a7578aec6e5523a04b17cbf5582d055890fe4f4e82e3136c7",
+        "7a33d07932b15acf1cd40e51dd49ada8e95e2e3dfc5384a82e7850b68bba7dec",
+    ),
+    (7, 127): (
+        "bbbd75ca1c9db3e4da2b099de4dbeee03e691d67047d18701fceebcf1e651066",
+        "c6760834ec84ea41b093fbf2e56c71f3cfef1ca0cf78a23b55456862f9f953b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("ell,h", PINNED_BUILDS, ids=[f"q{1 << e}h{h}" for e, h in PINNED_BUILDS])
+def test_full_build_bytes_pinned(ell, h, monkeypatch) -> None:
+    """A full build's kernel basis and parity rows are bit for bit the pinned
+    ones, and the build runs exactly one elimination (one GF2Echelon)."""
+    import hashlib
+
+    made = []
+    init = linalg_module.GF2Echelon.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_module.GF2Echelon, "__init__", counting)
+    code = build_code(make_coset_family(make_field(ell), h))
+    digests = tuple(
+        hashlib.sha256(rows.tobytes()).hexdigest() for rows in (code.kernel_basis, code.parity_rows)
+    )
+    assert digests == PINNED_BUILDS[ell, h]
+    assert len(made) == 1
+
+
 def test_dimension_only_build(fam16_5, code16_5) -> None:
     code = build_code(fam16_5, dimension_only=True)
     assert code.exact_dimension == code16_5.exact_dimension

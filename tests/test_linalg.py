@@ -5,10 +5,12 @@ The packed eliminator the library uses is compared against the big-int
 reference (`gf2_rank`, `gf2_rref` in tests/reference.py), and both against a
 from-scratch numpy row-reduction; the subfield identity (0/1 matrices keep
 their rank over the extension field) is *tested* against the dense
-eliminator rather than assumed. The packed translate and column flip are
+eliminator rather than assumed. The packed translate is
 compared with unpacked column permutations, the table reduction with a
 reduction one pivot at a time, and the translation closure with the RREF of
-every translate of its seeds.
+every translate of its seeds. Kernels are taken of translation closures,
+whose row spaces are invariant under the column reversal the kernel read-out
+relies on.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from wedgelift.code import iter_parity_rows
 from wedgelift.linalg import (
     TABLE_BITS,
     GF2Echelon,
-    flip_columns,
     gf2_echelon,
     pack_rows,
     translate_rows,
@@ -131,35 +132,56 @@ def packed_kernel(bitsets: list[int], ncols: int) -> list[int]:
 
 
 def test_nullspace_properties() -> None:
-    """Widths up to 200 columns put kernel pivots, free columns and mirror
-    pivots in several words and at bits 63/64; sparse rows also leave free
-    columns between the pivots. Inputs without rows, with only zero rows and
-    of full rank are included."""
+    """The kernel of translation closures, the spaces the library takes
+    kernels of: at widths up to 256 the kernel pivots and free columns, and
+    the reversed pivots the read-out uses, fall in several words and on both
+    sides of bits 63 and 64. Seeds below the full closure leave free columns
+    between the pivots. Closures without rows, of only zero rows and of full
+    rank (random seeds) are included. The rank is counted independently, on
+    every translate of the seeds."""
     rng = np.random.default_rng(14)
-    dense = [(0, 1), (0, 64), (0, 130), (80, 63), (90, 64), (90, 65), (230, 200)]
-    matrices = [random_bit_matrix(rng, *shape) for shape in dense]
-    for density in (0.5, 0.03) * 15:
-        shape = (int(rng.integers(1, 80)), int(rng.integers(1, 201)))
-        matrices.append((rng.random(shape) < density).astype(np.uint8))
-    matrices.append(np.zeros((5, 100), dtype=np.uint8))
-    full_rank = 0
-    for m in matrices:
+    cases = []
+    for ncols in (1, 2, 4, 16, 64, 128, 256):
+        cases += [seeds_below_full_closure(rng, nseeds, ncols) for nseeds in (1, 2, 3)]
+        cases.append(random_bit_matrix(rng, 2, ncols))
+    cases += [np.zeros((0, 128), dtype=np.uint8), np.zeros((5, 256), dtype=np.uint8)]
+    ranks = []
+    for m in cases:
         ncols = m.shape[1]
-        bitsets = rows_to_bitsets(m)
-        basis = packed_kernel(bitsets, ncols)
-        rank = gf2_rank(bitsets)
+        every = every_translate(m)
+        kernel = translation_closure([pack_rows(m)], ncols).kernel()
+        basis = packed_to_ints(kernel)
+        rank = gf2_rank(rows_to_bitsets(every))
         assert len(basis) == ncols - rank
-        full_rank += rank == ncols
+        ranks.append((ncols, rank))
         # The kernel's own RREF, rows in increasing pivot (lowest set bit).
         rref = gf2_rref(basis)
         assert basis == [rref[c] for c in sorted(rref)]
-        for vec in basis:
-            assert vec < (1 << ncols)
-            for row in bitsets:
-                assert bin(vec & row).count("1") % 2 == 0, "orthogonal to rows"
+        assert all(vec < (1 << ncols) for vec in basis)
+        # Orthogonal to every translate of every seed.
+        products = unpack_rows(kernel, ncols).astype(np.int64) @ every.T.astype(np.int64)
+        assert not (products % 2).any(), "orthogonal to rows"
         # Basis independence.
         assert gf2_rank(basis) == len(basis)
-    assert full_rank >= 4
+    assert sum(rank == ncols for ncols, rank in ranks) >= 4
+    assert any(0 < rank < ncols // 2 for ncols, rank in ranks if ncols > 64)
+    assert sum(rank == 0 for _, rank in ranks) >= 2
+
+
+def test_closure_is_invariant_under_column_reversal() -> None:
+    """The basis of a translation closure, with its columns reversed
+    (j -> ncols - 1 - j, the translate by ncols - 1), reduces to zero against
+    the closure: the fact GF2Echelon.kernel reads its reversed-pivot basis
+    from. A space that is not translation-invariant fails the same check."""
+    rng = np.random.default_rng(25)
+    for ncols in (1, 2, 4, 16, 64, 128, 256):
+        for nseeds in (1, 2, 3):
+            m = seeds_below_full_closure(rng, nseeds, ncols)
+            closure = translation_closure([pack_rows(m)], ncols)
+            reversed_rows = pack_rows(unpack_rows(closure.reduced(), ncols)[:, ::-1])
+            assert not reduce_by_pivots(reversed_rows, closure).any()
+    lowest = gf2_echelon([ints_to_packed([0b0001], 4)], 4)
+    assert reduce_by_pivots(ints_to_packed([0b1000], 4), lowest).any()
 
 
 def test_nullspace_trivial_cases() -> None:
@@ -308,6 +330,12 @@ def seeds_below_full_closure(rng: np.random.Generator, nseeds: int, ncols: int) 
     return m
 
 
+def every_translate(m: np.ndarray) -> np.ndarray:
+    """Every translate j -> j ^ c, c in [0, ncols), of every row of m."""
+    ncols = m.shape[1]
+    return m[:, np.arange(ncols) ^ np.arange(ncols)[:, None]].reshape(-1, ncols)
+
+
 def test_translation_closure_is_rref_of_every_translate() -> None:
     """The closure of a few seeds is the RREF of all their translates
     j -> j ^ c, c in [0, ncols)."""
@@ -316,8 +344,7 @@ def test_translation_closure_is_rref_of_every_translate() -> None:
     for ncols in (1, 2, 16, 64, 256):
         for nseeds in (1, 2, 3):
             m = seeds_below_full_closure(rng, nseeds, ncols)
-            every = m[:, np.arange(ncols)[:, None] ^ np.arange(ncols)].transpose(0, 2, 1)
-            reference = gf2_rref(rows_to_bitsets(every.reshape(-1, ncols)))
+            reference = gf2_rref(rows_to_bitsets(every_translate(m)))
             closure = translation_closure([pack_rows(m)], ncols)
             assert packed_rref(closure) == reference
             ranks.add((ncols, closure.rank))
@@ -343,20 +370,6 @@ def test_translation_closure_batches_and_validates(monkeypatch) -> None:
     assert packed_rref(translation_closure([pack_rows(m)], 128)) == expected
     with pytest.raises(ValueError, match="power of two"):
         translation_closure([], 96)
-
-
-def test_flip_columns_is_the_column_reversal() -> None:
-    """flip_columns moves column j to ncols - 1 - j, against the unpacked
-    reversal, at widths inside one word, at word boundaries and with
-    padding, and leaves the padding clear."""
-    rng = np.random.default_rng(24)
-    for ncols in (1, 16, 63, 64, 65, 70, 128, 130, 200):
-        m = random_bit_matrix(rng, 6, ncols)
-        packed = pack_rows(m)
-        flipped = flip_columns(packed, ncols)
-        assert flipped.dtype == np.uint64 and flipped.shape == packed.shape
-        assert np.array_equal(flipped, pack_rows(m[:, ::-1]))
-        assert np.array_equal(packed, pack_rows(m))
 
 
 def reduce_by_pivots(block: np.ndarray, echelon: GF2Echelon) -> np.ndarray:

@@ -368,6 +368,17 @@ def test_parallel_reads_bounds(plan16_5, rng) -> None:
         simulate_parallel_reads(plan16_5, c, 256, 1)
 
 
+def test_parallel_reads_reject_a_codeword_of_the_wrong_length(plan16_5, rng) -> None:
+    """A word of 2n symbols, of n - 1 symbols or of shape (n, 1) is refused
+    with a UsageError, not read as if it were a codeword of the plan's code
+    (nor left to an IndexError)."""
+    code = plan16_5.code
+    c = encode(code, rng.integers(0, 16, size=len(code.good_monomials)))
+    for word in (np.concatenate([c, c]), c[:-1], c[:, None]):
+        with pytest.raises(UsageError, match="codeword has shape"):
+            simulate_parallel_reads(plan16_5, word, 7, 2)
+
+
 def test_parallel_reads_survive_erasures(plan16_5, rng) -> None:
     """Erase the coordinate and an entire one of its repair groups; the
     remaining groups still recover the value (disjointness in action)."""
