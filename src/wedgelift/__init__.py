@@ -20,7 +20,6 @@ from .classify import (
     is_good_oracle,
     is_good_oracle_sampled,
     oracle_good_mask,
-    wedge_point_set,
     wedge_restriction,
 )
 from .code import (
@@ -94,7 +93,6 @@ __all__ = [
     "subgroup_power_sum",
     "trace_code",
     "verify_drgp",
-    "wedge_point_set",
     "wedge_restriction",
     "__version__",
 ]

@@ -56,24 +56,6 @@ def _log_mul(spec: FieldSpec, u, v):
     return np.where((u == 0) | (v == 0), 0, product)
 
 
-def _wedge_points(spec: FieldSpec, wedge: Wedge) -> np.ndarray:
-    """(h, q) array of the wedge's line points: entry [k, T] is the Y of
-    (T, alpha_k*(T - x) + y) for the k-th slope of the coset. Slopes and both
-    coordinates must be elements of F_q; numpy would wrap a negative index
-    where the field raises."""
-    x, y = wedge.point
-    spec._check(x, y, *wedge.coset)
-    slopes = np.array(wedge.coset, dtype=np.intp).reshape(-1, 1)
-    return _log_mul(spec, slopes, np.arange(spec.q) ^ x) ^ y
-
-
-def wedge_point_set(spec: FieldSpec, wedge: Wedge) -> frozenset[tuple[int, int]]:
-    """Union of the wedge's lines: |coset|*(q-1) + 1 points containing wedge.point."""
-    ys = _wedge_points(spec, wedge)
-    ts = np.broadcast_to(np.arange(spec.q), ys.shape)
-    return frozenset(zip(ts.ravel().tolist(), ys.ravel().tolist()))
-
-
 def wedge_restriction(
     spec: FieldSpec,
     poly: list[tuple[tuple[int, int], int]],
@@ -83,7 +65,8 @@ def wedge_restriction(
 
     poly is a list of ((a, b), coefficient) pairs with exponents <= q-1.
     Because the coset size is odd and the characteristic is 2, this equals the
-    sum over the wedge's point set (wedge_point_set); the tests check that.
+    sum over the wedge's point set (the lines meet only at wedge.point, which
+    they count h times); the tests check that.
     Each term T^a Y^b is read off the antilog table at a*log T + b*log Y over
     the wedge's (h, q) points (0 where T or Y is 0 under a positive exponent),
     XOR-reduced and then scaled by its coefficient. Exponents are checked
@@ -91,7 +74,12 @@ def wedge_restriction(
     """
     for (a, b), _ in poly:
         _check_monomial(Monomial(a, b), spec.q)
-    ys = _wedge_points(spec, wedge)
+    # ys[k, T] is the Y of (T, alpha_k*(T - x) + y). Slopes and both
+    # coordinates are checked first: numpy would wrap a negative index.
+    x, y = wedge.point
+    spec._check(x, y, *wedge.coset)
+    slopes = np.array(wedge.coset, dtype=np.intp).reshape(-1, 1)
+    ys = _log_mul(spec, slopes, np.arange(spec.q) ^ x) ^ y
     spec._check(*(coeff for _, coeff in poly))
     log_y = spec.log[ys]
     y_zero = np.nonzero(ys == 0)

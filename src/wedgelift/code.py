@@ -7,7 +7,8 @@ point set (odd coset size collapses the line multiset to an indicator, which
 is what lets one representation serve both the F_q code and the binary code).
 Because the checks are 0/1, C = F_q ⊗ C_2 with C_2 = C ∩ F_2^n the GF(2)
 kernel, and the binary trace code tr(C) is C_2 itself (Delsarte 1975), so one
-elimination gives both codes. Every wedge is a translate of a wedge at the
+elimination gives both codes: trace_code reads C_2 from the reduced parity
+rows (linalg.rref_kernel). Every wedge is a translate of a wedge at the
 origin, so that elimination starts from one seed row per coset and closes
 their span under translation (linalg.translation_closure).
 """
@@ -25,7 +26,9 @@ from ._io import atomic_write_text
 from .classify import bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec, additive_fft
-from .linalg import BATCH_BYTES, closure_bytes, pack_rows, translation_closure, unpack_rows
+from .linalg import (
+    BATCH_BYTES, closure_bytes, pack_rows, rref_kernel, translation_closure, unpack_rows
+)
 
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
 
@@ -80,10 +83,8 @@ class WedgeLiftedCode:
 
     parity_rows is the reduced row-echelon basis of the wedge checks sorted by
     pivot, (redundancy, words) packed uint64 rows (see linalg); that basis is
-    unique, so it does not depend on how the rows were batched. kernel_basis
-    is the packed (exact_dimension, words) reduced row-echelon basis of the
-    GF(2) kernel, equally unique, which is also the trace code's generators.
-    Both are read-only, and None in dimension-only mode.
+    unique, so it does not depend on how the rows were batched. It is
+    read-only, and None in dimension-only mode; trace_code reads the kernel.
 
     good_monomials is the read-only (M, 2) array argwhere(~bad_mask): the
     good exponent pairs (a, b) in lexicographic order, encode's message order.
@@ -94,7 +95,6 @@ class WedgeLiftedCode:
     good_monomials: np.ndarray
     exact_dimension: int
     parity_rows: np.ndarray | None
-    kernel_basis: np.ndarray | None
 
     @property
     def length(self) -> int:
@@ -132,8 +132,10 @@ def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
     b - i to be one of the t+1 multiples of h in [0, q-1]). Beside it the
     closure holds one batch of translates, one temporary of at most a batch
     and one table of 2^TABLE_BITS row sums (linalg.closure_bytes). A full
-    build also holds the uint16 generator matrix callers export (at most
-    q^2 x q^2). The limit is DEFAULT_MEMORY_GUARD_BYTES, read at each call."""
+    build is charged 2*q^4 bytes for the uint16 generator matrix callers
+    export (q^2 x q^2 at most), which covers the packed trace code (q^4/8
+    bytes) too; it holds neither. The limit is DEFAULT_MEMORY_GUARD_BYTES,
+    read at each call."""
     q = family.q
     estimated = closure_bytes(q * q, (family.t + 1) * q)
     if dimension_only:
@@ -150,9 +152,9 @@ def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
 
 def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLiftedCode:
     """Eliminate the wedge checks, measure the exact dimension by rank, and
-    (in full mode) keep the reduced rows, read the kernel basis from them,
-    and assert on the t wedges at the origin (_check_good_annihilated) that
-    every good-monomial evaluation is annihilated by every wedge.
+    (in full mode) keep the reduced rows, which trace_code reads the kernel
+    from, and assert on the t wedges at the origin (_check_good_annihilated)
+    that every good-monomial evaluation is annihilated by every wedge.
 
     The wedge checks are the translates of one seed per coset, so their row
     space is the translation closure of the seeds: the elimination takes the
@@ -177,11 +179,9 @@ def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLif
         raise InvariantError(
             f"dimension {dimension} below good-monomial count {len(good)}"
         )
-    rows = kernel = None
+    rows = None
     if not dimension_only:
         rows = echelon.reduced()
-        kernel = echelon.kernel()
-        kernel.flags.writeable = False
         _check_good_annihilated(family, good)
     return WedgeLiftedCode(
         field=spec,
@@ -189,8 +189,24 @@ def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLif
         good_monomials=good,
         exact_dimension=dimension,
         parity_rows=rows,
-        kernel_basis=kernel,
     )
+
+
+def _origin_wedge_sums(family: CosetFamily, monomials: np.ndarray) -> np.ndarray:
+    """(M, t) sums of each X^a Y^b of an (M, 2) array over each coset C's
+    wedge at the origin: (0, 0) plus (x, alpha*x) for x != 0 and alpha in C,
+    so [a = b = 0] + (sum of alpha^b over C) * (sum of x^(a+b) over x != 0).
+    As x^(q-1+e) = x^e for x != 0, the power table gives the latter for
+    every a + b <= 2q - 2."""
+    spec = family.field
+    mul, powers = spec.mul_table(), spec.power_table()
+    line = np.bitwise_xor.reduce(powers[:, 1:], axis=1)
+    line = np.concatenate([line, line[1:]])
+    slopes = np.bitwise_xor.reduce(powers[:, np.array(family.cosets)], axis=2)
+    a, b = monomials.T
+    sums = mul[line[a + b][:, None], slopes[b]]
+    sums[(a == 0) & (b == 0)] ^= 1
+    return sums
 
 
 def _check_good_annihilated(family: CosetFamily, good: np.ndarray) -> None:
@@ -207,22 +223,13 @@ def _check_good_annihilated(family: CosetFamily, good: np.ndarray) -> None:
     translation-invariant, and distinct monomials of degree < q are
     independent functions.
     """
-    spec = family.field
-    q, ell = spec.q, spec.ell
-    mul, powers = spec.mul_table(), spec.power_table()
+    q, ell = family.q, family.field.ell
+    odd = _origin_wedge_sums(family, good).any(axis=1).nonzero()[0]
+    if odd.size:
+        raise InvariantError(
+            f"good monomial {tuple(good[odd[0]].tolist())} violates a wedge parity check"
+        )
     a, b = good.T
-    for seed in _origin_wedges(family):
-        # column[e, x] = sum of y^e over the seed's points (x, y): the origin
-        # alone at x = 0, then the h points of each column x = 1..q-1.
-        column = np.empty((q, q), dtype=mul.dtype)
-        column[:, 0] = powers[:, 0]
-        ys = (seed[1:] & (q - 1)).reshape(q - 1, -1)
-        column[:, 1:] = np.bitwise_xor.reduce(powers[:, ys], axis=2)
-        odd = np.bitwise_xor.reduce(mul[powers[a], column[b]], axis=1).nonzero()[0]
-        if odd.size:
-            raise InvariantError(
-                f"good monomial {tuple(good[odd[0]].tolist())} violates a wedge parity check"
-            )
     is_good = np.zeros((q, q), dtype=bool)
     is_good[a, b] = True
     cleared = ~(1 << np.arange(ell))
@@ -247,11 +254,12 @@ def encode(code: WedgeLiftedCode, message) -> np.ndarray:
     selecting alpha^j, so value index t is the element t and the word needs no
     permutation.
     """
-    msg = np.asarray(message, dtype=np.int64)
-    if msg.shape != (len(code.good_monomials),):
-        raise UsageError(
-            f"message length {msg.size} != {len(code.good_monomials)} generators"
-        )
+    msg = np.asarray(message)
+    k = len(code.good_monomials)
+    if msg.size and not np.issubdtype(msg.dtype, np.integer):
+        raise UsageError(f"message symbols must be integers, got dtype {msg.dtype}")
+    if msg.shape != (k,):
+        raise UsageError(f"message length must be {k}, got shape {msg.shape}")
     spec = code.field
     q = spec.q
     if msg.size and (msg.min() < 0 or msg.max() >= q):
@@ -296,13 +304,16 @@ def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
     C is cut out by 0/1 checks, so the GF(2) kernel basis g_i spans C over
     F_q, and for binary g_i, tr(sum c_i g_i) = sum tr(c_i) g_i with tr onto
     F_2: tr(C) = C ∩ F_2^n (the trace code of a Galois-closed code is its
-    subfield subcode). Its generators are the parent's kernel_basis, already
-    in reduced row-echelon form, and dim tr(C) = dim C.
+    subfield subcode). Its generators are the kernel's reduced row-echelon
+    basis, read from the parent's reduced parity rows (linalg.rref_kernel),
+    and dim tr(C) = dim C.
     """
-    if code.kernel_basis is None:
-        raise UsageError("trace code needs a full build (kernel basis missing)")
+    if code.parity_rows is None:
+        raise UsageError("trace code needs a full build (parity rows missing)")
+    generators = rref_kernel(code.parity_rows, code.length)
+    generators.flags.writeable = False
     return BinaryTraceCode(
-        parent=code, binary_generators=code.kernel_basis, binary_dimension=code.exact_dimension
+        parent=code, binary_generators=generators, binary_dimension=code.exact_dimension
     )
 
 

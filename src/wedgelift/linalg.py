@@ -2,13 +2,12 @@
 
 The library eliminates over GF(2) with `GF2Echelon`: rows packed into uint64
 words (column j at bit j % 64 of word j // 64), reduced block by block against
-a basis kept in fully reduced row-echelon form. It also decides which kernel
-basis the library exposes: the unique reduced row-echelon one.
+a basis kept in fully reduced row-echelon form.
 `translation_closure` grows such a basis from a few seed rows to the smallest
 row space that also holds every translate j -> j ^ c of its rows. Such a space
 is invariant under the column reversal (the translate by ncols - 1), so
-`GF2Echelon.kernel` reads the kernel from the basis itself, with its columns
-reversed, and a full build eliminates once.
+`rref_kernel` reads the kernel's unique reduced row-echelon basis from the
+reduced basis itself, with its columns reversed, and eliminates nothing.
 
 For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
 operations on unit pivots stay in the subfield), which is why one GF(2) path
@@ -72,7 +71,7 @@ class GF2Echelon:
     inside it row by row, each new pivot row XORed into every other row of
     the batch with its pivot bit. The new rows are appended together, and
     the basis rows that were there before are reduced against them, the same
-    way as a batch.
+    way as a batch. rref_kernel reads the kernel from the reduced rows.
 
     translation_closure adds the translates of the basis one index bit at a
     time (_close_bit). During such a step the last reduction skips the basis
@@ -216,36 +215,35 @@ class GF2Echelon:
         self._bit[self.rank : end] = np.uint64(1) << (cols & 63).astype(WORD)
         self.rank = end
 
-    def kernel(self) -> np.ndarray:
-        """Packed (ncols - rank, words) basis of {v : v . r = 0 for every row
-        r}: the unique reduced row-echelon basis of the kernel, pivot = lowest
-        set column, rows in increasing pivot.
 
-        Precondition: the row space is invariant under the column reversal
-        j -> ncols - 1 - j, as every translation_closure is (ncols is a power
-        of two there, so the reversal is the translation j -> j ^ (ncols - 1)).
-        Then the basis rows, read with their columns reversed, are the
-        space's reduced basis whose pivots are the *highest* set columns:
-        ncols - 1 - p for each pivot p. For each free column f of that basis
-        the kernel vector is the unit vector at f plus the pivot column of
-        every row with bit f set; those pivots all lie above f, so f is the
-        vector's lowest set column, and no other vector has bit f. The
-        vectors are written straight into packed words: every unit bit in one
-        assignment, then each row's pivot bit, by one OR, into the vectors of
-        the free columns where that row is set.
-        """
-        n = self.ncols
-        pivots = n - 1 - self.pivots
-        free = np.ones(n, dtype=bool)
-        free[pivots] = False
-        free = np.flatnonzero(free)
-        kernel = np.zeros((free.size, self.words), dtype=WORD)
-        kernel[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
-        # The basis rows unpacked once, reversed.
-        rows = unpack_rows(self._rows[: self.rank], n)[:, ::-1]
-        for p, row in zip(pivots.tolist(), rows.view(bool)):
-            kernel[row[free], p >> 6] |= np.uint64(1 << (p & 63))
-        return kernel
+def rref_kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """The kernel {v : v . r = 0 for every row r} of a fully reduced basis
+    `rows`, given in any row order, as its unique reduced row-echelon basis:
+    packed (ncols - rank, words) rows, pivot = lowest set column, increasing.
+
+    Precondition: the row space is invariant under the column reversal
+    j -> ncols - 1 - j, as every translation_closure is (ncols is a power of
+    two there, so the reversal is the translation j -> j ^ (ncols - 1)).
+    Then the rows, read with their columns reversed, are the space's reduced
+    basis whose pivots are the *highest* set columns, ncols - 1 - p for each
+    pivot p. For each free column f of that basis the kernel vector is the
+    unit vector at f plus the pivot column of every row with bit f set;
+    those pivots lie above f, so f is the vector's lowest set column, and no
+    other vector has bit f. The vectors are written straight into packed
+    words: every unit bit in one assignment, then each row's pivot bit, by
+    one OR, into the vectors of the free columns where that row is set.
+    """
+    # The rows unpacked once; each pivot is its row's lowest set column.
+    bits = unpack_rows(rows, ncols)
+    pivots = ncols - 1 - bits.argmax(axis=1)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    kernel = np.zeros((free.size, _words(ncols)), dtype=WORD)
+    kernel[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
+    for p, row in zip(pivots.tolist(), bits[:, ::-1].view(bool)):
+        kernel[row[free], p >> 6] |= np.uint64(1 << (p & 63))
+    return kernel
 
 
 def _table_pays(hits: int, chunk: int, nrows: int) -> bool:

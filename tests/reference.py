@@ -21,12 +21,16 @@ gathered per slope, where the library takes a whole chunk of monomials at
 once and regroups the sums into one line-sum vector per monomial and one
 sum per coset of the subgroup;
 `wedge_point_set_reference` and `wedge_restriction_reference` walk one
-wedge point by point with scalar field calls, where the library gathers all
-of a wedge's points from the multiplication table at once, and
-`is_good_oracle_sampled_reference` is the sampled oracle over them;
+wedge point by point with scalar field calls, where the library's
+`wedge_restriction` gathers all of a wedge's points from the log tables at
+once (the point set is the library's no longer: it lost its last library
+caller), and `is_good_oracle_sampled_reference` is the sampled oracle over
+them;
 `check_good_annihilated_reference` tests every good monomial against every
 reduced parity row by float32 bit-plane products, where the library checks
-the t wedges at the origin; `repair_groups_reference` builds each repair
+the t wedges at the origin, and `origin_wedge_sums_reference` sums each
+monomial over those wedges' point lists column by column, where the library
+sums along their lines by one closed product per monomial and coset; `repair_groups_reference` builds each repair
 group from its wedge's point set and checks every coordinate's groups, where
 the library translates and checks the t origin wedges, and
 `group_sums_reference` and `verify_failures_reference` sum a word over those
@@ -41,9 +45,11 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from wedgelift.classify import Monomial, Wedge, _check_monomial
-from wedgelift.code import _eval_monomials
+from wedgelift.code import _eval_monomials, _origin_wedges
 from wedgelift.errors import InvariantError
-from wedgelift.linalg import BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, unpack_rows
+from wedgelift.linalg import (
+    BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, rref_kernel, unpack_rows
+)
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +259,20 @@ def eval_monomial(spec, m: Monomial) -> np.ndarray:
 
 
 def traced_span(code) -> np.ndarray:
-    """Packed RREF of the GF(2) span of tr(beta * g), g in the code's kernel
-    basis, beta in the polynomial basis 2^j of F_q; the Delsarte sandwich
-    dim C <= dim tr(C) <= ell * dim C is asserted."""
+    """Packed RREF of the GF(2) span of tr(beta * g), g in the GF(2) kernel
+    basis of a full build's parity rows, beta in the polynomial basis 2^j of
+    F_q; the Delsarte sandwich dim C <= dim tr(C) <= ell * dim C is
+    asserted."""
     spec = code.field
     n = code.length
+    kernel = rref_kernel(code.parity_rows, n)
     # trace_of_multiple[j][v] = trace(2^j * v)
     trace_of_multiple = spec.trace_table()[spec.mul_table()[1 << np.arange(spec.ell)]]
     step = max(1, BATCH_BYTES // (n * spec.ell))
 
     def traced_rows():
-        for start in range(0, len(code.kernel_basis), step):
-            g = unpack_rows(code.kernel_basis[start : start + step], n)
+        for start in range(0, len(kernel), step):
+            g = unpack_rows(kernel[start : start + step], n)
             for table in trace_of_multiple:
                 yield pack_rows(table[g])
 
@@ -274,14 +282,15 @@ def traced_span(code) -> np.ndarray:
 
 
 def kernel_codewords_reference(code, trials: int, seed: int) -> list[np.ndarray]:
-    """Uniform binary codewords drawn from a full build's kernel basis: each
-    the XOR of the packed kernel_basis rows picked by fair coins, unpacked to
-    uint8."""
+    """Uniform binary codewords drawn from the GF(2) kernel basis of a full
+    build's parity rows: each the XOR of the packed kernel rows picked by
+    fair coins, unpacked to uint8."""
     rng = np.random.default_rng(seed)
+    kernel = rref_kernel(code.parity_rows, code.length)
     words = []
     for _ in range(trials):
-        coins = rng.integers(0, 2, size=len(code.kernel_basis))
-        word = np.bitwise_xor.reduce(code.kernel_basis[coins == 1], axis=0)
+        coins = rng.integers(0, 2, size=len(kernel))
+        word = np.bitwise_xor.reduce(kernel[coins == 1], axis=0)
         words.append(unpack_rows(word[None], code.length)[0])
     return words
 
@@ -415,6 +424,27 @@ def check_good_annihilated_reference(spec, good: np.ndarray, reduced: np.ndarray
                 raise InvariantError(
                     f"good monomial {tuple(m.tolist())} violates a wedge parity check"
                 )
+
+
+def origin_wedge_sums_reference(family, monomials: np.ndarray) -> np.ndarray:
+    """(M, t) sums of each monomial of an (M, 2) array over each coset's
+    wedge at the origin, taken over the wedge's point list column by column:
+    the sums of y^e over the points (x, y) of each column x, then one
+    product x^a * (sum of y^b) per column."""
+    spec = family.field
+    q = spec.q
+    mul, powers = spec.mul_table(), spec.power_table()
+    a, b = np.asarray(monomials).T
+    sums = np.empty((len(a), family.t), dtype=mul.dtype)
+    for j, seed in enumerate(_origin_wedges(family)):
+        # column[e, x] = sum of y^e over the seed's points (x, y): the origin
+        # alone at x = 0, then the h points of each column x = 1..q-1.
+        column = np.empty((q, q), dtype=mul.dtype)
+        column[:, 0] = powers[:, 0]
+        ys = (seed[1:] & (q - 1)).reshape(q - 1, -1)
+        column[:, 1:] = np.bitwise_xor.reduce(powers[:, ys], axis=2)
+        sums[:, j] = np.bitwise_xor.reduce(mul[powers[a], column[b]], axis=1)
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from wedgelift import (
     is_good_oracle_sampled,
     make_coset_family,
     make_field,
-    wedge_point_set,
     wedge_restriction,
 )
 import wedgelift.classify as classify_module
@@ -102,7 +101,7 @@ def test_wedge_point_set_size_and_membership(f16: FieldSpec) -> None:
     for coset in family.cosets:
         for point in [(0, 0), (3, 11), (15, 15), (7, 0)]:
             wedge = Wedge(coset, point)
-            pts = wedge_point_set(f16, wedge)
+            pts = wedge_point_set_reference(f16, wedge)
             assert len(pts) == 5 * (q - 1) + 1
             assert point in pts
             x, y = point
@@ -126,7 +125,7 @@ def test_single_slope_wedge_is_one_line(f16: FieldSpec) -> None:
     # affine line with exactly q points.
     family = make_coset_family(f16, 1)
     assert all(len(c) == 1 for c in family.cosets)
-    pts = wedge_point_set(f16, Wedge(family.cosets[4], (3, 12)))
+    pts = wedge_point_set_reference(f16, Wedge(family.cosets[4], (3, 12)))
     assert len(pts) == 16
     assert (3, 12) in pts
     (alpha,) = family.cosets[4]
@@ -139,8 +138,8 @@ def test_wedges_same_coset_intersections(f16: FieldSpec) -> None:
     family = make_coset_family(f16, 5)
     coset = family.cosets[1]
     p1, p2 = (2, 9), (11, 4)
-    pts1 = wedge_point_set(f16, Wedge(coset, p1))
-    pts2 = wedge_point_set(f16, Wedge(coset, p2))
+    pts1 = wedge_point_set_reference(f16, Wedge(coset, p1))
+    pts2 = wedge_point_set_reference(f16, Wedge(coset, p2))
     expected = set()
     for a1 in coset:
         for a2 in coset:
@@ -310,7 +309,7 @@ def test_line_sum_equals_point_set_sum(ell: int, orders: tuple[int, ...]) -> Non
             coset = family.cosets[int(rng.integers(family.t))]
             wedge = Wedge(coset, (int(rng.integers(q)), int(rng.integers(q))))
             point_sum = 0
-            for u, v in wedge_point_set(spec, wedge):
+            for u, v in wedge_point_set_reference(spec, wedge):
                 point_sum ^= value(poly, u, v)
             assert wedge_restriction(spec, poly, wedge) == point_sum
             nonzero += point_sum != 0
@@ -334,8 +333,8 @@ def _random_poly(rng, q: int, bad: list[tuple[int, int]]) -> list:
     "ell, h", [(2, 3), (4, 1), (4, 5), (4, 15), (5, 31), (6, 9), (6, 63)]
 )
 def test_wedge_functions_match_scalar_reference(ell: int, h: int) -> None:
-    """The gathered point set and restriction equal the point-by-point scalar
-    references on random wedges, for polynomials with several terms,
+    """The gathered restriction equals the point-by-point scalar reference
+    on random wedges, for polynomials with several terms,
     repeated exponents, coefficients 0 and != 1, and the empty polynomial."""
     spec = make_field(ell)
     q = spec.q
@@ -352,7 +351,6 @@ def test_wedge_functions_match_scalar_reference(ell: int, h: int) -> None:
         wedge = Wedge(coset, (int(rng.integers(q)), int(rng.integers(q))))
         value = wedge_restriction(spec, poly, wedge)
         assert value == wedge_restriction_reference(spec, poly, wedge), (poly, wedge)
-        assert wedge_point_set(spec, wedge) == wedge_point_set_reference(spec, wedge)
         nonzero += value != 0
     assert nonzero > 0
 
@@ -360,7 +358,8 @@ def test_wedge_functions_match_scalar_reference(ell: int, h: int) -> None:
 def test_wedge_functions_past_the_table_guard() -> None:
     """At q = 8192 the q x q field tables are refused, but the wedge
     functions need only O(h*q) memory: on singleton cosets (q - 1 = 8191 is
-    prime, so h = 1) they and the sampled oracle match the scalar references."""
+    prime, so h = 1) wedge_restriction and the sampled oracle match the
+    scalar references."""
     spec = make_field(13)
     q = spec.q
     with pytest.raises(UsageError, match="exceeds the desk-scale guard"):
@@ -371,7 +370,6 @@ def test_wedge_functions_past_the_table_guard() -> None:
         poly = [((int(rng.integers(q)), int(rng.integers(q))), int(rng.integers(q)))
                 for _ in range(3)]
         assert wedge_restriction(spec, poly, wedge) == wedge_restriction_reference(spec, poly, wedge)
-        assert wedge_point_set(spec, wedge) == wedge_point_set_reference(spec, wedge)
     family = make_coset_family(spec, 1)
     ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
     for m in [Monomial(q - 1, q - 1), Monomial(5, 9), Monomial(0, 0)]:
@@ -419,7 +417,9 @@ def test_sampled_oracle_rejects_negative_wedges(f16: FieldSpec) -> None:
 def test_wedge_restriction_rejects_non_elements(f16: FieldSpec) -> None:
     """Every input is checked before the gather, where numpy would wrap a
     negative index or read past a table row: exponents in [0, q-1],
-    coefficients, slopes and both coordinates in [0, q)."""
+    coefficients, slopes and both coordinates in [0, q). y is only XORed into
+    the points, so it is checked like x: an unchecked y = 16 or -1 would put
+    every point off the plane."""
     coset = make_coset_family(f16, 5).cosets[1]
     wedge = Wedge(coset, (3, 7))
     for poly in ([((16, 1), 1)], [((1, -1), 1)], [((2, 3), 16)]):
@@ -428,6 +428,7 @@ def test_wedge_restriction_rejects_non_elements(f16: FieldSpec) -> None:
     poly = [((15, 15), 1)]
     bad_wedges = [Wedge(coset[:-1] + (16,), (3, 7))]
     bad_wedges += [Wedge(coset, p) for p in [(16, 7), (-1, 7), (3, 16), (3, -1)]]
+    bad_wedges += [Wedge((16,), (0, 0))]
     for bad in bad_wedges:
         with pytest.raises(UsageError, match="is not an element of GF"):
             wedge_restriction(f16, poly, bad)
@@ -451,20 +452,9 @@ def test_wedge_restriction_names_the_first_bad_input(f16: FieldSpec) -> None:
         assert str(ours.value) == str(theirs.value), (poly, wedge)
 
 
-def test_wedge_point_set_rejects_y_outside_field(f16: FieldSpec) -> None:
-    """y is only XORed into the points, so it is checked like x: an
-    unchecked y = 16 or -1 would put every point off the plane."""
-    coset = make_coset_family(f16, 5).cosets[0]
-    for point in [(0, 16), (0, -1), (16, 0), (-1, 0)]:
-        with pytest.raises(UsageError, match="is not an element of GF"):
-            wedge_point_set(f16, Wedge(coset, point))
-    with pytest.raises(UsageError):
-        wedge_point_set(f16, Wedge((16,), (0, 0)))
-
-
 def test_wedge_functions_make_no_scalar_field_calls(f16: FieldSpec, monkeypatch) -> None:
-    """With the scalar FieldSpec ops made to fail, the wedge functions and
-    the sampled oracle still answer: they only gather from the tables."""
+    """With the scalar FieldSpec ops made to fail, wedge_restriction and the
+    sampled oracle still answer: they only gather from the tables."""
     family = make_coset_family(f16, 5)
     wedge = Wedge(family.cosets[2], (5, 9))
     expected = wedge_restriction_reference(f16, [((15, 15), 3), ((7, 8), 1)], wedge)
@@ -475,7 +465,6 @@ def test_wedge_functions_make_no_scalar_field_calls(f16: FieldSpec, monkeypatch)
     for op in ("add", "mul", "pow", "inv"):
         monkeypatch.setattr(FieldSpec, op, forbidden)
     assert wedge_restriction(f16, [((15, 15), 3), ((7, 8), 1)], wedge) == expected
-    assert len(wedge_point_set(f16, wedge)) == 5 * 15 + 1
     assert is_good_oracle_sampled(family, Monomial(14, 1), 8, np.random.default_rng(3))
 
 

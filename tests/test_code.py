@@ -35,7 +35,7 @@ import wedgelift.code as code_module
 import wedgelift.linalg as linalg_module
 from wedgelift._io import atomic_write_text
 from wedgelift.bitlattice import enumerate_2_shadow
-from wedgelift.classify import Monomial, Wedge, restriction_grid, wedge_point_set
+from wedgelift.classify import Monomial, Wedge, restriction_grid
 from wedgelift.code import (
     _axes_codeword,
     export_matrix,
@@ -57,7 +57,9 @@ from reference import (
     iter_wedge_rows,
     numpy_gf2_rank,
     packed_to_ints,
+    origin_wedge_sums_reference,
     traced_span,
+    wedge_point_set_reference,
     wedge_rows,
 )
 
@@ -115,9 +117,6 @@ def test_eval_monomial_coordinate_order(f16) -> None:
 
 
 def test_parity_rows_are_wedge_indicators(f16) -> None:
-    from wedgelift import wedge_point_set
-    from wedgelift.classify import Wedge
-
     family = make_coset_family(f16, 5)
     blocks = list(iter_wedge_rows(family))
     # One (q, q^2/64) block of uint64 words per (coset, x).
@@ -132,7 +131,7 @@ def test_parity_rows_are_wedge_indicators(f16) -> None:
             for y in range(16):
                 if (x * 7 + y) % 61 == 0:  # sparse deterministic sample
                     expected = 0
-                    for (u, v) in wedge_point_set(f16, Wedge(coset, (x, y))):
+                    for (u, v) in wedge_point_set_reference(f16, Wedge(coset, (x, y))):
                         expected |= 1 << (u * 16 + v)
                     assert rows[idx] == expected, (coset[0], x, y)
                 idx += 1
@@ -235,8 +234,7 @@ def test_rank_cross_checked_by_dense_eliminators(code4_3, code16_5, code16_15) -
 
 def test_kernel_basis_properties(code16_5) -> None:
     code = code16_5
-    assert code.kernel_basis is not None
-    basis = packed_to_ints(code.kernel_basis)
+    basis = packed_to_ints(trace_code(code).binary_generators)
     assert len(basis) == code.exact_dimension
     assert gf2_rank(basis) == code.exact_dimension
     n = code.length
@@ -250,7 +248,7 @@ def test_kernel_basis_properties(code16_5) -> None:
 def test_nullspace_sampling_gf4(code4_3, rng) -> None:
     # Random GF(2) combinations of the kernel basis stay annihilated by all
     # 16 parity rows (sampled nullspace enumeration).
-    basis = packed_to_ints(code4_3.kernel_basis)
+    basis = packed_to_ints(trace_code(code4_3).binary_generators)
     rows = wedge_rows(code4_3.family)
     for _ in range(50):
         picks = rng.integers(0, 2, size=len(basis))
@@ -263,10 +261,10 @@ def test_nullspace_sampling_gf4(code4_3, rng) -> None:
 
 
 def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, code64_9) -> None:
-    """kernel_basis is the big-int RREF of the kernel vectors read off the
-    gf2_rref of the parity rows (a unit vector per free column plus pivot
-    bits), and binary_generators is bit-identical to the RREF of the trace
-    rows tr(2^j * g), the trace code by its definition. At q32h31 and q64h9,
+    """binary_generators is the big-int RREF of the kernel vectors read off
+    the gf2_rref of the parity rows (a unit vector per free column plus
+    pivot bits), and bit-identical to the RREF of the trace rows
+    tr(2^j * g), the trace code by its definition. At q32h31 and q64h9,
     where the big-int path is too slow, the trace rows are eliminated by the
     packed reference instead."""
     for code in (code4_3, code16_5, code16_15):
@@ -281,7 +279,8 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, 
                         v |= 1 << col
                 kernel.append(v)
         kernel_rref = gf2_rref(kernel)
-        assert packed_to_ints(code.kernel_basis) == [kernel_rref[c] for c in sorted(kernel_rref)]
+        binary = trace_code(code)
+        assert packed_to_ints(binary.binary_generators) == [kernel_rref[c] for c in sorted(kernel_rref)]
 
         spec = code.field
         raw = [
@@ -290,7 +289,6 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, 
             for j in range(spec.ell)
         ]
         traced = gf2_rref(raw)
-        binary = trace_code(code)
         assert packed_to_ints(binary.binary_generators) == [traced[c] for c in sorted(traced)]
 
     for code in (build_code(make_coset_family(make_field(5), 31)), code64_9):
@@ -367,7 +365,7 @@ def test_closure_half_catches_a_bad_monomial_with_zero_seed_sums(fam16_5, code16
     values = eval_monomial(spec, m)
     for coset in fam16_5.cosets:
         total = 0
-        for u, v in wedge_point_set(spec, Wedge(coset, (0, 0))):
+        for u, v in wedge_point_set_reference(spec, Wedge(coset, (0, 0))):
             total ^= int(values[u * 16 + v])
         assert total == 0
     real = _good_set(code16_5)
@@ -375,6 +373,22 @@ def test_closure_half_catches_a_bad_monomial_with_zero_seed_sums(fam16_5, code16
     _patch_bad_mask(monkeypatch, real | {m}, 16)
     with pytest.raises(InvariantError, match=r"good monomial \(1, 15\) has a 2-shadow outside"):
         build_code(fam16_5)
+
+
+@pytest.mark.parametrize("ell", range(2, 8), ids=[f"q{1 << e}" for e in range(2, 8)])
+def test_origin_wedge_sums_match_point_lists(ell) -> None:
+    """The seed check's sums along the lines of each origin wedge, one
+    product per monomial and coset, equal the sums over the wedge's point
+    list, for all q^2 monomials at every odd h | q - 1."""
+    spec = make_field(ell)
+    q = spec.q
+    every = np.argwhere(np.ones((q, q), dtype=bool))
+    for h in range(1, q, 2):
+        if (q - 1) % h == 0:
+            family = make_coset_family(spec, h)
+            sums = code_module._origin_wedge_sums(family, every)
+            assert sums.shape == (q * q, family.t)
+            assert np.array_equal(sums, origin_wedge_sums_reference(family, every)), h
 
 
 def test_generator_rows_lie_in_kernel(code16_5) -> None:
@@ -400,8 +414,8 @@ def test_good_monomial_grids_vanish_sampled(code64_9, rng) -> None:
 @pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15"])
 def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
     """parity_rows is the big-int RREF of every raw wedge row, sorted by
-    pivot, as a read-only (redundancy, words) packed array; the kernel basis
-    and the trace generators are read-only too."""
+    pivot, as a read-only (redundancy, words) packed array; the trace
+    generators are read-only too."""
     code = request.getfixturevalue(name)
     n = code.length
     rref = gf2_rref(wedge_rows(code.family))
@@ -412,7 +426,7 @@ def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
     assert np.array_equal(
         code.parity_check_matrix(), np.stack([bitset_to_array(r, n) for r in expected])
     )
-    for rows in (code.parity_rows, code.kernel_basis, trace_code(code).binary_generators):
+    for rows in (code.parity_rows, trace_code(code).binary_generators):
         assert not rows.flags.writeable
 
 
@@ -431,8 +445,9 @@ def test_parity_export_does_not_depend_on_batching(fam16_5, monkeypatch, tmp_pat
     assert small.read_bytes() == default.read_bytes()
 
 
-# (ell, h) -> sha256 of a full build's (kernel_basis, parity_rows) bytes, as
-# a read-out that eliminated the column-reversed basis a second time gave them.
+# (ell, h) -> sha256 of a full build's trace generators (the GF(2) kernel)
+# and parity rows, as a read-out that eliminated the column-reversed basis a
+# second time gave them.
 PINNED_BUILDS = {
     (5, 31): (
         "4a59814e2e928619161f3825b06d7099d181100885ac839a296ef9c9c861ef50",
@@ -455,8 +470,9 @@ PINNED_BUILDS = {
 
 @pytest.mark.parametrize("ell,h", PINNED_BUILDS, ids=[f"q{1 << e}h{h}" for e, h in PINNED_BUILDS])
 def test_full_build_bytes_pinned(ell, h, monkeypatch) -> None:
-    """A full build's kernel basis and parity rows are bit for bit the pinned
-    ones, and the build runs exactly one elimination (one GF2Echelon)."""
+    """A full build's parity rows and the kernel trace_code reads from them
+    are bit for bit the pinned ones, and build and trace together run
+    exactly one elimination (one GF2Echelon)."""
     import hashlib
 
     made = []
@@ -468,17 +484,37 @@ def test_full_build_bytes_pinned(ell, h, monkeypatch) -> None:
 
     monkeypatch.setattr(linalg_module.GF2Echelon, "__init__", counting)
     code = build_code(make_coset_family(make_field(ell), h))
-    digests = tuple(
-        hashlib.sha256(rows.tobytes()).hexdigest() for rows in (code.kernel_basis, code.parity_rows)
-    )
+    kernel = trace_code(code).binary_generators
+    digests = tuple(hashlib.sha256(rows.tobytes()).hexdigest() for rows in (kernel, code.parity_rows))
     assert digests == PINNED_BUILDS[ell, h]
     assert len(made) == 1
+
+
+def test_kernel_is_read_by_trace_code_alone(fam16_5, monkeypatch) -> None:
+    """No build reads the kernel, in full or dimension-only mode, and a
+    trace code reads it once; the code keeps no kernel of its own."""
+    calls = []
+    read = linalg_module.rref_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(linalg_module, "rref_kernel", counting)
+    monkeypatch.setattr(code_module, "rref_kernel", counting)
+    build_code(fam16_5, dimension_only=True)
+    code = build_code(fam16_5)
+    assert calls == []
+    trace_code(code)
+    assert len(calls) == 1
+    assert not hasattr(code, "kernel_basis")
+    assert not hasattr(linalg_module.GF2Echelon, "kernel")
 
 
 def test_dimension_only_build(fam16_5, code16_5) -> None:
     code = build_code(fam16_5, dimension_only=True)
     assert code.exact_dimension == code16_5.exact_dimension
-    assert code.parity_rows is None and code.kernel_basis is None
+    assert code.parity_rows is None
     with pytest.raises(UsageError, match="dimension-only"):
         code.parity_check_matrix()
 
@@ -600,7 +636,7 @@ def test_encode_q1024_matches_direct_evaluation() -> None:
     good = np.argwhere(~bad_mask(family))
     code = WedgeLiftedCode(
         field=spec, family=family, good_monomials=good,
-        exact_dimension=len(good), parity_rows=None, kernel_basis=None,
+        exact_dimension=len(good), parity_rows=None,
     )
     rng = np.random.default_rng(1024)
     msg = rng.integers(0, q, size=len(good))
@@ -643,6 +679,28 @@ def test_encode_validates_messages(code4_3) -> None:
         encode(code4_3, [0])
     with pytest.raises(UsageError, match="symbols"):
         encode(code4_3, [4] + [0] * 8)
+
+
+def test_encode_refuses_what_it_would_mangle(code16_5) -> None:
+    """Floats are refused, not truncated (1.7 would encode as 1), and a
+    message of the right length in the wrong shape is refused by its shape.
+    An empty message is checked only for its length."""
+    k = len(code16_5.good_monomials)
+    for message in ([1.7] * k, np.ones(k, dtype=np.float32), [True] * k):
+        with pytest.raises(UsageError, match="must be integers, got dtype"):
+            encode(code16_5, message)
+    with pytest.raises(UsageError, match=rf"got shape \(1, {k}\)"):
+        encode(code16_5, np.ones((1, k), dtype=np.int64))
+    with pytest.raises(UsageError, match=r"got shape \(0,\)"):
+        encode(code16_5, [])
+    for dtype in (np.uint8, np.int16, np.uint64):
+        ones = np.ones(k, dtype=dtype)
+        assert np.array_equal(encode(code16_5, ones), encode(code16_5, [1] * k))
+    empty = WedgeLiftedCode(
+        field=code16_5.field, family=code16_5.family,
+        good_monomials=np.zeros((0, 2), dtype=np.int64), exact_dimension=0, parity_rows=None,
+    )
+    assert not encode(empty, []).any()
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +764,7 @@ def test_binary_redundancy_meets_exact_bound(code16_5, code16_15, code4_3) -> No
 
 def test_trace_requires_full_build(fam4_3) -> None:
     code = build_code(fam4_3, dimension_only=True)
-    with pytest.raises(UsageError, match="kernel"):
+    with pytest.raises(UsageError, match="parity rows missing"):
         trace_code(code)
 
 

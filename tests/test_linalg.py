@@ -10,7 +10,8 @@ compared with unpacked column permutations, the table reduction with a
 reduction one pivot at a time, and the translation closure with the RREF of
 every translate of its seeds. Kernels are taken of translation closures,
 whose row spaces are invariant under the column reversal the kernel read-out
-relies on.
+relies on, and read from their bases both in the order the rows were found
+and shuffled.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from wedgelift.linalg import (
     GF2Echelon,
     gf2_echelon,
     pack_rows,
+    rref_kernel,
     translate_rows,
     translation_closure,
     unpack_rows,
@@ -126,9 +128,18 @@ def test_rref_properties() -> None:
             assert acc == 0
 
 
+def read_kernel(echelon: GF2Echelon) -> np.ndarray:
+    """rref_kernel of the basis, fed in the order its rows were found and
+    shuffled; the two kernels must be the same."""
+    found = echelon._rows[: echelon.rank]
+    kernel = rref_kernel(found, echelon.ncols)
+    shuffled = np.random.default_rng(echelon.rank).permutation(found)
+    assert np.array_equal(rref_kernel(shuffled, echelon.ncols), kernel)
+    return kernel
+
+
 def packed_kernel(bitsets: list[int], ncols: int) -> list[int]:
-    echelon = gf2_echelon([ints_to_packed(bitsets, ncols)], ncols)
-    return packed_to_ints(echelon.kernel())
+    return packed_to_ints(read_kernel(gf2_echelon([ints_to_packed(bitsets, ncols)], ncols)))
 
 
 def test_nullspace_properties() -> None:
@@ -149,7 +160,7 @@ def test_nullspace_properties() -> None:
     for m in cases:
         ncols = m.shape[1]
         every = every_translate(m)
-        kernel = translation_closure([pack_rows(m)], ncols).kernel()
+        kernel = read_kernel(translation_closure([pack_rows(m)], ncols))
         basis = packed_to_ints(kernel)
         rank = gf2_rank(rows_to_bitsets(every))
         assert len(basis) == ncols - rank
@@ -171,7 +182,7 @@ def test_nullspace_properties() -> None:
 def test_closure_is_invariant_under_column_reversal() -> None:
     """The basis of a translation closure, with its columns reversed
     (j -> ncols - 1 - j, the translate by ncols - 1), reduces to zero against
-    the closure: the fact GF2Echelon.kernel reads its reversed-pivot basis
+    the closure: the fact rref_kernel reads its reversed-pivot basis
     from. A space that is not translation-invariant fails the same check."""
     rng = np.random.default_rng(25)
     for ncols in (1, 2, 4, 16, 64, 128, 256):
@@ -193,7 +204,7 @@ def test_kernel_of_full_rank_rows_is_empty() -> None:
     """A full-rank input has a (0, words) kernel, not an empty sequence."""
     for ncols in (4, 64, 70):
         echelon = gf2_echelon([ints_to_packed([1 << j for j in range(ncols)], ncols)], ncols)
-        kernel = echelon.kernel()
+        kernel = read_kernel(echelon)
         assert kernel.shape == (0, -(-ncols // 64)) and kernel.dtype == np.uint64
 
 
@@ -267,7 +278,7 @@ def test_packed_q4h3_width_padding_never_free() -> None:
 def test_packed_empty_and_zero_rows() -> None:
     empty = gf2_echelon([], 70)
     assert empty.rank == 0 and empty.reduced().shape == (0, 2)
-    assert packed_to_ints(empty.kernel()) == [1 << j for j in range(70)]
+    assert packed_to_ints(read_kernel(empty)) == [1 << j for j in range(70)]
     zeros = eliminate(np.zeros((9, 70), dtype=np.uint8), cuts=[4])
     assert zeros.rank == 0 and packed_rref(zeros) == {}
     assert gf2_echelon([np.zeros((0, 1), dtype=np.uint64)], 10).rank == 0

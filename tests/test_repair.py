@@ -18,7 +18,6 @@ from wedgelift import (
     simulate_parallel_reads,
     trace_code,
     verify_drgp,
-    wedge_point_set,
 )
 import wedgelift.repair as repair_module
 from wedgelift.classify import Wedge
@@ -32,6 +31,7 @@ from reference import (
     kernel_codewords_reference,
     repair_groups_reference,
     verify_failures_reference,
+    wedge_point_set_reference,
 )
 
 
@@ -67,7 +67,7 @@ def test_groups_match_wedge_point_sets(plan16_5) -> None:
     for p in [0, 37, 255, 130]:
         x, y = divmod(p, q)
         for j, coset in enumerate(code.family.cosets):
-            pts = wedge_point_set(spec, Wedge(coset, (x, y)))
+            pts = wedge_point_set_reference(spec, Wedge(coset, (x, y)))
             expected = sorted(u * q + v for (u, v) in pts if (u, v) != (x, y))
             assert plan16_5.group(j, p).tolist() == expected
 
@@ -188,9 +188,9 @@ def test_injected_fault_is_the_tampered_group(plan16_5) -> None:
 
 @pytest.mark.parametrize("ell,h", [(4, 5), (5, 31)], ids=["q16h5", "q32h31"])
 def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
-    """The binary words verify hands to the group sums lie in the row space
-    of a full build's kernel_basis and, dim C + 16 of them, span it: their
-    reduced row-echelon basis is kernel_basis itself, as is that of the same
+    """The binary words verify hands to the group sums lie in the trace code
+    of a full build and, dim C + 16 of them, span it: their reduced
+    row-echelon basis is its binary_generators, as is that of the same
     number of words drawn from the kernel rows by the reference."""
     code = build_code(make_coset_family(make_field(ell), h))
     plan = build_repair_plan(code)
@@ -207,7 +207,7 @@ def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
     assert np.array_equal(seen, _words_drawn_by_verify(code, trials, 18, binary=True))
     for words in (seen, kernel_codewords_reference(code, trials, 18)):
         span = gf2_echelon([pack_rows(np.stack(words))], code.length).reduced()
-        assert np.array_equal(span, code.kernel_basis)
+        assert np.array_equal(span, trace_code(code).binary_generators)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
