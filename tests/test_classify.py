@@ -417,9 +417,7 @@ def test_sampled_oracle_rejects_negative_wedges(f16: FieldSpec) -> None:
 def test_wedge_restriction_rejects_non_elements(f16: FieldSpec) -> None:
     """Every input is checked before the gather, where numpy would wrap a
     negative index or read past a table row: exponents in [0, q-1],
-    coefficients, slopes and both coordinates in [0, q). y is only XORed into
-    the points, so it is checked like x: an unchecked y = 16 or -1 would put
-    every point off the plane."""
+    coefficients, slopes and both coordinates in [0, q)."""
     coset = make_coset_family(f16, 5).cosets[1]
     wedge = Wedge(coset, (3, 7))
     for poly in ([((16, 1), 1)], [((1, -1), 1)], [((2, 3), 16)]):
@@ -428,10 +426,22 @@ def test_wedge_restriction_rejects_non_elements(f16: FieldSpec) -> None:
     poly = [((15, 15), 1)]
     bad_wedges = [Wedge(coset[:-1] + (16,), (3, 7))]
     bad_wedges += [Wedge(coset, p) for p in [(16, 7), (-1, 7), (3, 16), (3, -1)]]
-    bad_wedges += [Wedge((16,), (0, 0))]
     for bad in bad_wedges:
         with pytest.raises(UsageError, match="is not an element of GF"):
             wedge_restriction(f16, poly, bad)
+
+
+def test_wedge_point_set_rejects_y_outside_field(f16: FieldSpec) -> None:
+    """The wedge's point set is checked before any sum is read from it. y is
+    only XORed into the points, so it is checked like x: an unchecked y = 16
+    or -1 would put every point off the plane. The empty polynomial reads no
+    exponent, so only the wedge's own check can refuse it."""
+    coset = make_coset_family(f16, 5).cosets[0]
+    for point in [(0, 16), (0, -1), (16, 0), (-1, 0)]:
+        with pytest.raises(UsageError, match="is not an element of GF"):
+            wedge_restriction(f16, [], Wedge(coset, point))
+    with pytest.raises(UsageError):
+        wedge_restriction(f16, [], Wedge((16,), (0, 0)))
 
 
 def test_wedge_restriction_names_the_first_bad_input(f16: FieldSpec) -> None:
