@@ -46,7 +46,6 @@ from .field import (
     make_field,
     plan_dyadic_parameters,
     smallest_irreducible,
-    subgroup_power_sum,
 )
 from .repair import (
     RepairPlan,
@@ -90,7 +89,6 @@ __all__ = [
     "redundancy_exponent",
     "simulate_parallel_reads",
     "smallest_irreducible",
-    "subgroup_power_sum",
     "trace_code",
     "verify_drgp",
     "wedge_restriction",

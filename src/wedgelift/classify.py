@@ -7,14 +7,16 @@ every line; because |C| is odd and the characteristic is 2, this equals the sum
 over the wedge's point set. A monomial is good for a coset family when every
 restriction, over all cosets and all q^2 points, vanishes.
 
-The brute-force oracle evaluates every one of those restrictions (vectorized
-over a chunk of monomials). It regroups their sums by two substitutions that
-use nothing about goodness: U = alpha*T makes every line sum a scaled entry of
-one line-sum vector per monomial, and beta = alpha*x makes the points x of one
-coset of the subgroup share one sum over that coset (see restriction_grid).
-The coset criterion and the block criterion decide badness arithmetically from
-the exponent bits; they are validated against the oracle, never the other way
-around.
+The brute-force oracle decides every one of those restrictions (vectorized
+over a chunk of monomials). It regroups their sums by three steps that use
+nothing about goodness: U = alpha*T makes every line sum a scaled entry of
+one line-sum vector per monomial; beta = alpha*x makes the points x of one
+coset of the subgroup share one sum over that coset (see restriction_grid);
+and since xC runs over every coset of the subgroup as x runs over F_q^x,
+the points x != 0 of all t slope cosets share those same coset sums, so one
+pass decides all t cosets (see oracle_good_mask). The coset criterion and
+the block criterion decide badness arithmetically from the exponent bits;
+they are validated against the oracle, never the other way around.
 """
 
 from __future__ import annotations
@@ -125,6 +127,33 @@ def _coset_residue(spec: FieldSpec, coset: tuple[int, ...]) -> int:
     return residues.pop()
 
 
+def _line_and_coset_sums(spec: FieldSpec, h: int, a: np.ndarray, b: np.ndarray):
+    """For a chunk of monomials X^a Y^b (exponent arrays a, b of length M):
+    the line-sum vectors g[m, s] = sum_U U^a (U + s)^b; the coset sums
+    sums[m, j, y] = sum_{beta in D_j} beta^-a * g[m, beta + y] over every
+    coset D_j = {g^(j + t*k) : k < h} of the subgroup H of order h, t = (q-1)/h;
+    and inv_a[m, alpha] = alpha^-a for alpha != 0, shifted left by ell to index
+    the flat multiplication table. None of them depends on a slope coset.
+    g and sums are each one gather from the multiplication table."""
+    q, ell = spec.q, spec.ell
+    t = (q - 1) // h
+    flat_mul = spec.mul_table().ravel()  # flat_mul[(u << ell) | v] = u * v
+    powers = spec.power_table()
+    s = np.arange(q)
+    line_points = s[:, None] ^ s  # [U, s] -> U + s
+    # Nonzero beta grouped by coset of H: row j holds g^(j + t*k), k < h.
+    betas = spec.antilog[np.arange(t)[:, None] + t * np.arange(h)].ravel()
+    coset_points = betas[:, None] ^ s  # [beta, y] -> beta + y
+    xa = powers[a].astype(np.intp) << ell  # [m, U] -> U^a, shifted
+    inv_a = powers[q - 1 - a].astype(np.intp) << ell  # beta^-a for beta != 0
+    g = np.bitwise_xor.reduce(
+        flat_mul.take(xa[:, :, None] | powers[b][:, line_points]), axis=1
+    )  # [m, s]
+    terms = flat_mul.take(inv_a[:, betas, None] | g[:, coset_points])
+    sums = np.bitwise_xor.reduce(terms.reshape(len(a), t, h, q), axis=2)  # [m, D, y]
+    return g, sums, inv_a
+
+
 def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.ndarray:
     """All q^2 wedge restrictions of every X^a Y^b for one coset C of the
     subgroup H, as an (M, q, q) array indexed [monomial, x, y]; monomials is
@@ -136,34 +165,24 @@ def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.n
     G[s] = sum_U U^a (U + s)^b. For x != 0, beta = alpha*x runs over the coset
     D = xC, so the restriction is x^a * S_D[y] with
     S_D[y] = sum_{beta in D} beta^-a * G[beta + y], one vector per coset of H;
-    at x = 0 it is (sum_alpha alpha^-a) * G[y]. For a chunk of monomials G,
-    every S_D and the grid are each one gather from the multiplication table.
+    at x = 0 it is sigma_C * G[y], sigma_C = sum_alpha alpha^-a. For a chunk of
+    monomials G and every S_D come from _line_and_coset_sums, and the grid is
+    one more gather from the multiplication table.
     """
     q, ell = spec.q, spec.ell
     exps = _check_monomials(monomials, q)
     h = len(coset)
     residue = _coset_residue(spec, coset)
-    t = (q - 1) // h
-    flat_mul = spec.mul_table().ravel()  # flat_mul[(u << ell) | v] = u * v
+    flat_mul = spec.mul_table().ravel()
     powers = spec.power_table()
-    s = np.arange(q)
-    line_points = s[:, None] ^ s  # [U, s] -> U + s
-    # Nonzero beta grouped by coset of H: row j holds g^(j + t*k), k < h.
-    betas = spec.antilog[np.arange(t)[:, None] + t * np.arange(h)].ravel()
-    coset_points = betas[:, None] ^ s  # [beta, y] -> beta + y
     # Coset of xC for x = 1, ..., q-1, as a row of S.
-    rows = (spec.log[1:] + residue) % t
+    rows = (spec.log[1:] + residue) % ((q - 1) // h)
     grids = np.empty((len(exps), q, q), dtype=np.uint16)
     step = _grid_chunk(q)
     for start in range(0, len(exps), step):
         a, b = exps[start : start + step].T
+        g, sums, inv_a = _line_and_coset_sums(spec, h, a, b)
         xa = powers[a].astype(np.intp) << ell  # [m, x] -> x^a, shifted
-        inv_a = powers[q - 1 - a].astype(np.intp) << ell  # beta^-a for beta != 0
-        g = np.bitwise_xor.reduce(
-            flat_mul.take(xa[:, :, None] | powers[b][:, line_points]), axis=1
-        )  # [m, s]
-        terms = flat_mul.take(inv_a[:, betas, None] | g[:, coset_points])
-        sums = np.bitwise_xor.reduce(terms.reshape(len(a), t, h, q), axis=2)  # [m, D, y]
         grid = grids[start : start + step]
         grid[:, 1:] = flat_mul.take(xa[:, 1:, None] | sums[:, rows])
         sigma = np.bitwise_xor.reduce(inv_a[:, list(coset)], axis=1)
@@ -172,8 +191,10 @@ def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.n
 
 
 def oracle_cost(family: CosetFamily) -> int:
-    """Evaluations one exhaustive oracle call performs: q^2 wedges per coset
-    times the wedge size, summed over cosets."""
+    """Nominal evaluations of one monomial's exhaustive oracle, which the
+    budget is charged: q^2 wedges per coset times the wedge size, summed over
+    cosets. It counts every restriction the oracle decides, not the work of
+    the one pass that decides them all."""
     q, h = family.q, family.subgroup_order
     return q * q * family.t * (h * (q - 1) + 1)
 
@@ -183,8 +204,13 @@ def oracle_good_mask(
 ) -> np.ndarray:
     """Brute force: for each X^a Y^b, true iff every wedge restriction vanishes.
 
-    The budget covers oracle_cost for every monomial. Cosets are checked in
-    turn, each on the monomials no earlier coset found bad.
+    The budget covers oracle_cost for every monomial. One pass per chunk of
+    monomials decides all t cosets at once from the line sums G and the coset
+    sums S_D of _line_and_coset_sums, without building a grid. As x runs over
+    F_q^x, xC runs over every coset of H for any slope coset C, and x^a != 0,
+    so the x != 0 restrictions of every C vanish iff every S_D vanishes. The
+    x = 0 column of C is sigma_C * G. So a monomial is good iff S = 0 and
+    (G = 0 or sigma_C = 0 for every C).
     """
     cost = oracle_cost(family) * len(monomials)
     if cost > budget:
@@ -193,14 +219,15 @@ def oracle_good_mask(
             f"sample wedges instead"
         )
     exps = _check_monomials(monomials, family.q)
-    good = np.ones(len(exps), dtype=bool)
+    slopes = np.array(family.cosets, dtype=np.intp)  # [C, alpha]
+    good = np.empty(len(exps), dtype=bool)
     step = _grid_chunk(family.q)
-    for coset in family.cosets:
-        alive = np.flatnonzero(good)
-        for start in range(0, len(alive), step):
-            chunk = alive[start : start + step]
-            grids = restriction_grid(family.field, coset, exps[chunk])
-            good[chunk] = ~grids.reshape(len(chunk), -1).any(axis=1)
+    for start in range(0, len(exps), step):
+        a, b = exps[start : start + step].T
+        g, sums, inv_a = _line_and_coset_sums(family.field, family.subgroup_order, a, b)
+        sigma = np.bitwise_xor.reduce(inv_a[:, slopes], axis=2)  # [m, C], shifted
+        x_zero = ~g.any(axis=1) | ~sigma.any(axis=1)
+        good[start : start + step] = ~sums.reshape(len(a), -1).any(axis=1) & x_zero
     return good
 
 

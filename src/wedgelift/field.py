@@ -352,17 +352,6 @@ def make_coset_family(field: FieldSpec, subgroup_order: int) -> CosetFamily:
     )
 
 
-def subgroup_power_sum(field: FieldSpec, subgroup: tuple[int, ...], n: int) -> int:
-    """Sum of alpha^n over the subgroup: 1 when |H| divides n (|H| odd, char 2),
-    else 0. Computed by direct summation, not by the case split."""
-    if n < 0:
-        raise UsageError("exponent must be nonnegative")
-    total = 0
-    for alpha in subgroup:
-        total ^= field.pow(alpha, n)
-    return total
-
-
 def plan_dyadic_parameters(a_num: int, b_exp: int, n: int) -> tuple[int, int, int]:
     """Parameters (ell, h, t) realizing repair-group exponent alpha = (1 - a/2^b)/2.
 

@@ -9,6 +9,8 @@ only ever eliminates 0/1 rows over GF(2);
 `trace2`, `pow_vector` and `eval_monomial` map one field element or one
 monomial at a time, where the library builds the trace table by linearity
 from the traces of the polynomial basis and evaluates monomials in batches;
+`subgroup_power_sum` sums alpha^n over a subgroup element by element, which
+no library code needs (the power-sum case split is what the tests check);
 `traced_span` is the trace code by its definition, the GF(2)
 span of tr(2^j * g) over a kernel basis, which the library no longer
 computes because tr(C) is the binary kernel itself;
@@ -251,6 +253,15 @@ def eval_monomial(spec, m: Monomial) -> np.ndarray:
     """Evaluation vector of X^a Y^b over F_q^2: entry[x*q + y] = x^a * y^b."""
     a, b = m
     return spec.mul_table()[pow_vector(spec, a)[:, None], pow_vector(spec, b)[None, :]].reshape(-1)
+
+
+def subgroup_power_sum(spec, subgroup: tuple[int, ...], n: int) -> int:
+    """Sum of alpha^n over the subgroup: 1 when |H| divides n (|H| odd, char 2),
+    else 0. Computed by direct summation, not by the case split."""
+    total = 0
+    for alpha in subgroup:
+        total ^= spec.pow(alpha, n)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,12 @@ from wedgelift import (
     make_field,
     plan_dyadic_parameters,
     redundancy_exponent,
-    subgroup_power_sum,
     trace_code,
     verify_drgp,
 )
 from wedgelift.classify import Monomial
 
-from reference import traced_span
+from reference import subgroup_power_sum, traced_span
 
 
 def announce(capsys, n: int, ok: bool, detail: str) -> None:

@@ -584,39 +584,58 @@ def test_oracle_budget_guard(fam16_5: CosetFamily) -> None:
 
 
 def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeypatch) -> None:
-    """With 7-monomial chunks the q16h5 sweep over its 3 cosets takes many
-    gathers and still equals the coset criterion on all 256 monomials; each
-    coset after the first sees only the monomials no earlier coset found
-    bad. The budget covers the cost of every monomial in the batch."""
+    """With 7-monomial chunks a sweep of all 256 monomials takes ceil(256/7)
+    = 37 passes of the line- and coset-sum helper whatever the coset count
+    (3 at q16h5, 15 at q16h1), and still equals the coset criterion on every
+    monomial. The budget covers the cost of every monomial in the batch."""
     monkeypatch.setattr(classify_module, "BATCH_BYTES", 8 * 16 * 16 * 7)
-    seen = []
-    real = classify_module.restriction_grid
+    chunks = []
+    real = classify_module._line_and_coset_sums
 
-    def recording(spec, coset, monomials):
-        seen.append((coset, [tuple(map(int, m)) for m in monomials]))
-        return real(spec, coset, monomials)
+    def recording(spec, h, a, b):
+        chunks.append(len(a))
+        return real(spec, h, a, b)
 
-    monkeypatch.setattr(classify_module, "restriction_grid", recording)
+    monkeypatch.setattr(classify_module, "_line_and_coset_sums", recording)
     monomials = [Monomial(a, b) for a in range(16) for b in range(16)]
-    bad = np.array([is_bad_coset_criterion(m, 5, 4) for m in monomials])
-    cost = oracle_cost(fam16_5) * len(monomials)
-    good = oracle_good_mask(fam16_5, monomials, budget=cost)
-    assert good.dtype == bool and np.array_equal(good, ~bad)
+    families = (fam16_5, make_coset_family(fam16_5.field, 1))
+    assert [family.t for family in families] == [3, 15]
+    for family in families:
+        bad = np.array([is_bad_coset_criterion(m, family.subgroup_order, 4) for m in monomials])
+        cost = oracle_cost(family) * len(monomials)
+        chunks.clear()
+        good = oracle_good_mask(family, monomials, budget=cost)
+        assert good.dtype == bool and np.array_equal(good, ~bad)
+        assert len(chunks) == 37 and max(chunks) == 7 and sum(chunks) == 256, family.t
 
-    assert all(len(batch) <= 7 for _, batch in seen)
-    survivors, sizes = monomials, []
-    for coset in fam16_5.cosets:
-        checked = [m for c, batch in seen if c == coset for m in batch]
-        assert checked == survivors
-        sizes.append(len(checked))
-        nonzero = real(fam16_5.field, coset, checked).reshape(len(checked), -1).any(axis=1)
-        survivors = [m for m, z in zip(checked, nonzero) if not z]
-    assert len(survivors) == 256 - 49
-    assert sizes[0] == 256 > sizes[1] >= sizes[2]
-
-    with pytest.raises(OracleBudgetError, match="oracle infeasible"):
-        oracle_good_mask(fam16_5, monomials, budget=cost - 1)
+        with pytest.raises(OracleBudgetError, match="oracle infeasible"):
+            oracle_good_mask(family, monomials, budget=cost - 1)
     assert oracle_good_mask(fam16_5, [], budget=0).shape == (0,)
+
+
+def test_oracle_equals_union_of_coset_grids() -> None:
+    """The one-pass oracle is good exactly where no coset's full restriction
+    grid has a nonzero entry: on all q^2 monomials at every odd h | q-1 for
+    q <= 32, and on 300 seeded monomials at q64h{1, 9, 63}."""
+    cases = [(ell, None, [h for h in range(1, 1 << ell) if ((1 << ell) - 1) % h == 0])
+             for ell in (2, 3, 4, 5)]
+    cases.append((6, 300, [1, 9, 63]))
+    for ell, sampled, orders in cases:
+        spec = make_field(ell)
+        q = spec.q
+        if sampled is None:
+            monomials = np.indices((q, q)).reshape(2, -1).T
+        else:
+            monomials = np.random.default_rng(2206).integers(q, size=(sampled, 2))
+        for h in orders:
+            family = make_coset_family(spec, h)
+            bad = np.zeros(len(monomials), dtype=bool)
+            for coset in family.cosets:
+                grids = restriction_grid(spec, coset, monomials)
+                bad |= grids.reshape(len(monomials), -1).any(axis=1)
+            budget = oracle_cost(family) * len(monomials)
+            good = oracle_good_mask(family, monomials, budget)
+            assert np.array_equal(good, ~bad), (q, h)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ from wedgelift import (
     make_field,
     plan_dyadic_parameters,
     smallest_irreducible,
-    subgroup_power_sum,
 )
 from wedgelift.field import additive_fft
 
-from reference import pow_vector, trace2
+from reference import pow_vector, subgroup_power_sum, trace2
 
 AXIOM_ELLS = (2, 3, 4, 6, 8)
 
