@@ -8,19 +8,20 @@ over the wedge's point set. A monomial is good for a coset family when every
 restriction, over all cosets and all q^2 points, vanishes.
 
 The brute-force oracle decides every one of those restrictions (vectorized
-over a chunk of monomials). It regroups their sums by three steps that use
-nothing about goodness: U = alpha*T makes every line sum a scaled entry of
-one line-sum vector per monomial; beta = alpha*x makes the points x of one
-coset of the subgroup share one sum over that coset (see restriction_grid);
-and since xC runs over every coset of the subgroup as x runs over F_q^x,
-the points x != 0 of all t slope cosets share those same coset sums, so one
-pass decides all t cosets (see oracle_good_mask). The coset criterion and
-the block criterion decide badness arithmetically from the exponent bits;
-they are validated against the oracle, never the other way around.
+over a chunk of monomials). It regroups their sums by steps that use nothing
+about goodness: U = alpha*T makes every line sum a scaled entry of one
+line-sum vector per monomial; beta = alpha*x makes the points x != 0 of a
+slope coset share one sum per coset of the subgroup H; and the dilation
+U = gamma*V scales the sums of the coset gamma*H by nonzero factors of the
+subgroup's own, so the subgroup alone decides all t cosets (see
+oracle_good_mask). The coset criterion and the block criterion decide
+badness arithmetically from the exponent bits; they are validated against
+the oracle, never the other way around.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,13 @@ class Wedge(NamedTuple):
 
 
 def _check_monomial(m: Monomial, q: int) -> Monomial:
-    a, b = m
+    """The pair as a Monomial of Python ints, each in [0, q-1]. Any integer
+    type is accepted; floats and anything but a pair are refused."""
+    try:
+        a, b = m
+        a, b = operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        raise UsageError(f"a monomial is a pair of integer exponents, got {m!r}") from None
     if not (0 <= a <= q - 1 and 0 <= b <= q - 1):
         raise UsageError(f"exponents must lie in [0, {q - 1}], got ({a}, {b})")
     return Monomial(a, b)
@@ -97,97 +104,51 @@ def wedge_restriction(
 
 
 def _check_monomials(monomials, q: int) -> np.ndarray:
-    """(M, 2) array of exponent pairs, each exponent in [0, q-1]."""
-    exps = np.asarray(monomials, dtype=np.intp).reshape(-1, 2)
+    """(M, 2) intp array of exponent pairs, each an integer in [0, q-1]; an
+    empty sequence is the empty batch. Numpy integers are accepted; floats,
+    ragged rows and any other shape are refused."""
+    try:
+        exps = np.asarray(monomials) if len(monomials) else np.empty((0, 2), np.intp)
+    except ValueError:  # ragged rows
+        raise UsageError("monomials must be (a, b) exponent pairs of one shape") from None
+    if exps.ndim != 2 or exps.shape[1] != 2:
+        raise UsageError(f"monomials must be (a, b) exponent pairs, got shape {exps.shape}")
+    if exps.dtype.kind not in "iu":
+        checked = [_check_monomial(m, q) for m in exps.tolist()]
+        return np.array(checked, dtype=np.intp).reshape(-1, 2)
     outside = ((exps < 0) | (exps > q - 1)).any(axis=1)
     if outside.any():
-        _check_monomial(Monomial(*exps[outside.argmax()].tolist()), q)
-    return exps
+        _check_monomial(exps[outside.argmax()].tolist(), q)
+    return exps.astype(np.intp, copy=False)
 
 
-def _grid_chunk(q: int) -> int:
+def _oracle_chunk(q: int) -> int:
     """Monomials per gather: the chunk's (M, q, q) index array holds about
     BATCH_BYTES."""
     return max(1, BATCH_BYTES // (8 * q * q))
 
 
-def _coset_residue(spec: FieldSpec, coset: tuple[int, ...]) -> int:
-    """The residue r of a coset of the subgroup H of order h = len(coset):
-    coset = {g^i : i = r (mod (q-1)/h)}. Anything else is refused, because
-    restriction_grid groups slopes by these residues."""
-    q, h = spec.q, len(coset)
-    if h == 0 or (q - 1) % h:
-        raise UsageError(f"coset size {h} does not divide q-1 = {q - 1}")
-    spec._check(*coset)
-    if 0 in coset or len(set(coset)) != h:
-        raise UsageError("coset entries must be distinct and nonzero")
-    residues = {int(spec.log[alpha]) % ((q - 1) // h) for alpha in coset}
-    if len(residues) != 1:
-        raise UsageError(f"{coset} is not a coset of the subgroup of order {h}")
-    return residues.pop()
-
-
-def _line_and_coset_sums(spec: FieldSpec, h: int, a: np.ndarray, b: np.ndarray):
-    """For a chunk of monomials X^a Y^b (exponent arrays a, b of length M):
-    the line-sum vectors g[m, s] = sum_U U^a (U + s)^b; the coset sums
-    sums[m, j, y] = sum_{beta in D_j} beta^-a * g[m, beta + y] over every
-    coset D_j = {g^(j + t*k) : k < h} of the subgroup H of order h, t = (q-1)/h;
-    and inv_a[m, alpha] = alpha^-a for alpha != 0, shifted left by ell to index
-    the flat multiplication table. None of them depends on a slope coset.
-    g and sums are each one gather from the multiplication table."""
+def _line_and_coset_sums(spec: FieldSpec, subgroup: np.ndarray, a, b):
+    """For a chunk of monomials X^a Y^b (exponent arrays a, b of length M) and
+    the subgroup H (an array of its h elements): the line-sum vectors
+    g[m, s] = sum_U U^a (U + s)^b, the subgroup sums
+    sums[m, y] = sum_{beta in H} beta^-a * g[m, beta + y], and
+    sigma[m] = sum_{beta in H} beta^-a. g and sums are each one gather from
+    the multiplication table."""
     q, ell = spec.q, spec.ell
-    t = (q - 1) // h
     flat_mul = spec.mul_table().ravel()  # flat_mul[(u << ell) | v] = u * v
     powers = spec.power_table()
     s = np.arange(q)
     line_points = s[:, None] ^ s  # [U, s] -> U + s
-    # Nonzero beta grouped by coset of H: row j holds g^(j + t*k), k < h.
-    betas = spec.antilog[np.arange(t)[:, None] + t * np.arange(h)].ravel()
-    coset_points = betas[:, None] ^ s  # [beta, y] -> beta + y
+    coset_points = subgroup[:, None] ^ s  # [beta, y] -> beta + y
     xa = powers[a].astype(np.intp) << ell  # [m, U] -> U^a, shifted
-    inv_a = powers[q - 1 - a].astype(np.intp) << ell  # beta^-a for beta != 0
+    inv_a = powers[q - 1 - a][:, subgroup]  # [m, beta] -> beta^-a, as beta != 0
     g = np.bitwise_xor.reduce(
         flat_mul.take(xa[:, :, None] | powers[b][:, line_points]), axis=1
     )  # [m, s]
-    terms = flat_mul.take(inv_a[:, betas, None] | g[:, coset_points])
-    sums = np.bitwise_xor.reduce(terms.reshape(len(a), t, h, q), axis=2)  # [m, D, y]
-    return g, sums, inv_a
-
-
-def restriction_grid(spec: FieldSpec, coset: tuple[int, ...], monomials) -> np.ndarray:
-    """All q^2 wedge restrictions of every X^a Y^b for one coset C of the
-    subgroup H, as an (M, q, q) array indexed [monomial, x, y]; monomials is
-    a sequence of M exponent pairs.
-
-    The restriction at (x, y) is sum_alpha sum_T T^a (alpha*T + alpha*x + y)^b
-    over alpha in C. Two substitutions regroup it. U = alpha*T turns the line
-    sum into alpha^-a * G[alpha*x + y] with the one line-sum vector
-    G[s] = sum_U U^a (U + s)^b. For x != 0, beta = alpha*x runs over the coset
-    D = xC, so the restriction is x^a * S_D[y] with
-    S_D[y] = sum_{beta in D} beta^-a * G[beta + y], one vector per coset of H;
-    at x = 0 it is sigma_C * G[y], sigma_C = sum_alpha alpha^-a. For a chunk of
-    monomials G and every S_D come from _line_and_coset_sums, and the grid is
-    one more gather from the multiplication table.
-    """
-    q, ell = spec.q, spec.ell
-    exps = _check_monomials(monomials, q)
-    h = len(coset)
-    residue = _coset_residue(spec, coset)
-    flat_mul = spec.mul_table().ravel()
-    powers = spec.power_table()
-    # Coset of xC for x = 1, ..., q-1, as a row of S.
-    rows = (spec.log[1:] + residue) % ((q - 1) // h)
-    grids = np.empty((len(exps), q, q), dtype=np.uint16)
-    step = _grid_chunk(q)
-    for start in range(0, len(exps), step):
-        a, b = exps[start : start + step].T
-        g, sums, inv_a = _line_and_coset_sums(spec, h, a, b)
-        xa = powers[a].astype(np.intp) << ell  # [m, x] -> x^a, shifted
-        grid = grids[start : start + step]
-        grid[:, 1:] = flat_mul.take(xa[:, 1:, None] | sums[:, rows])
-        sigma = np.bitwise_xor.reduce(inv_a[:, list(coset)], axis=1)
-        grid[:, 0] = flat_mul.take(sigma[:, None] | g)
-    return grids
+    terms = flat_mul.take((inv_a.astype(np.intp) << ell)[:, :, None] | g[:, coset_points])
+    sums = np.bitwise_xor.reduce(terms, axis=1)  # [m, y]
+    return g, sums, np.bitwise_xor.reduce(inv_a, axis=1)
 
 
 def oracle_cost(family: CosetFamily) -> int:
@@ -204,30 +165,38 @@ def oracle_good_mask(
 ) -> np.ndarray:
     """Brute force: for each X^a Y^b, true iff every wedge restriction vanishes.
 
-    The budget covers oracle_cost for every monomial. One pass per chunk of
-    monomials decides all t cosets at once from the line sums G and the coset
-    sums S_D of _line_and_coset_sums, without building a grid. As x runs over
-    F_q^x, xC runs over every coset of H for any slope coset C, and x^a != 0,
-    so the x != 0 restrictions of every C vanish iff every S_D vanishes. The
-    x = 0 column of C is sigma_C * G. So a monomial is good iff S = 0 and
-    (G = 0 or sigma_C = 0 for every C).
+    The budget covers oracle_cost for every monomial. The restriction to the
+    wedge of slope coset C at (x, y) is
+    sum_{alpha in C} sum_T T^a (alpha*T + alpha*x + y)^b. U = alpha*T turns
+    each line sum into alpha^-a * G[alpha*x + y], with the one line-sum vector
+    G[s] = sum_U U^a (U + s)^b. For x != 0, beta = alpha*x runs over the coset
+    D = xC of H, so the restriction is x^a * S_D[y] with
+    S_D[y] = sum_{beta in D} beta^-a * G[beta + y]; at x = 0 it is
+    sigma_C * G[y] with sigma_C = sum_{alpha in C} alpha^-a. As x runs over
+    F_q^x, xC runs over every coset of H, and x^a != 0.
+
+    Every coset is gamma*H for some gamma != 0, and U = gamma*V gives
+    G[gamma*s] = gamma^(a+b) * G[s]. So beta = gamma*beta' gives
+    S_{gamma H}[gamma*y] = gamma^-a * gamma^(a+b) * S_H[y] = gamma^b * S_H[y],
+    and sigma_{gamma H} = gamma^-a * sigma_H. Both scalings are nonzero, so a
+    monomial is good iff S_H = 0 and (G = 0 or sigma_H = 0): one pass per
+    chunk of monomials decides all t cosets from the subgroup's sums, which
+    _line_and_coset_sums gathers.
     """
-    cost = oracle_cost(family) * len(monomials)
+    exps = _check_monomials(monomials, family.q)
+    cost = oracle_cost(family) * len(exps)
     if cost > budget:
         raise OracleBudgetError(
             f"oracle infeasible: {cost} evaluations exceed budget {budget}; "
             f"sample wedges instead"
         )
-    exps = _check_monomials(monomials, family.q)
-    slopes = np.array(family.cosets, dtype=np.intp)  # [C, alpha]
+    subgroup = np.array(family.subgroup, dtype=np.intp)
     good = np.empty(len(exps), dtype=bool)
-    step = _grid_chunk(family.q)
+    step = _oracle_chunk(family.q)
     for start in range(0, len(exps), step):
         a, b = exps[start : start + step].T
-        g, sums, inv_a = _line_and_coset_sums(family.field, family.subgroup_order, a, b)
-        sigma = np.bitwise_xor.reduce(inv_a[:, slopes], axis=2)  # [m, C], shifted
-        x_zero = ~g.any(axis=1) | ~sigma.any(axis=1)
-        good[start : start + step] = ~sums.reshape(len(a), -1).any(axis=1) & x_zero
+        g, sums, sigma = _line_and_coset_sums(family.field, subgroup, a, b)
+        good[start : start + step] = ~sums.any(axis=1) & (~g.any(axis=1) | (sigma == 0))
     return good
 
 

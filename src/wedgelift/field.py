@@ -73,7 +73,7 @@ def _poly_mulmod(a: int, b: int, modulus: int, ell: int) -> int:
 # per ell, so identity comparison is the right semantics.
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """A concrete GF(2^ell) with log/antilog tables for fast mul/inv/pow.
+    """A concrete GF(2^ell) with log/antilog tables for fast mul/inv.
 
     antilog[i] = generator^i for 0 <= i < q-1; log[antilog[i]] = i.
     """
@@ -94,10 +94,6 @@ class FieldSpec:
             if not 0 <= a < self.q:
                 raise UsageError(f"{a} is not an element of GF(2^{self.ell})")
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         if a == 0 or b == 0:
@@ -109,17 +105,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.antilog[(self.q - 1 - int(self.log[a])) % (self.q - 1)])
-
-    def pow(self, a: int, n: int) -> int:
-        """a^n for n >= 0, with 0^0 = 1 so that X^0 evaluates to 1 on the axis."""
-        self._check(a)
-        if n < 0:
-            raise UsageError("exponent must be nonnegative")
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self.antilog[(int(self.log[a]) * n) % (self.q - 1)])
 
     def mul_table(self) -> np.ndarray:
         """Full q x q multiplication table (lazily built and cached)."""

@@ -18,10 +18,12 @@ computes because tr(C) is the binary kernel itself;
 where the library's verify traces F_q codewords; `encode_reference`
 evaluates the coefficient grid by power-table gathers, where the library
 runs two additive FFTs; `restriction_grid_reference`
-is the oracle's grid for one monomial with one line-sum vector G_alpha
-gathered per slope, where the library takes a whole chunk of monomials at
-once and regroups the sums into one line-sum vector per monomial and one
-sum per coset of the subgroup;
+is one coset's grid of all q^2 restrictions of one monomial, with one
+line-sum vector G_alpha gathered per slope, and `restriction_grids_reference`
+is that grid for a chunk of monomials at once, regrouped into one line-sum
+vector per monomial and one sum per coset of the subgroup, where the
+library's oracle forms no grid and sums over the subgroup alone;
+`field_pow` is the scalar power the library no longer offers;
 `wedge_point_set_reference` and `wedge_restriction_reference` walk one
 wedge point by point with scalar field calls, where the library's
 `wedge_restriction` gathers all of a wedge's points from the log tables at
@@ -237,6 +239,17 @@ def trace2(spec, a: int) -> int:
     return total
 
 
+def field_pow(spec, a: int, n: int) -> int:
+    """a^n for one element a and n >= 0 from the log/antilog tables, with
+    0^0 = 1 so that X^0 evaluates to 1 on the axis."""
+    spec._check(a)
+    if n == 0:
+        return 1
+    if a == 0:
+        return 0
+    return int(spec.antilog[(int(spec.log[a]) * n) % (spec.q - 1)])
+
+
 def pow_vector(spec, n: int) -> np.ndarray:
     """Vector of t^n over all t in F_q, indexed by t (0^0 = 1), as uint16."""
     q = spec.q
@@ -260,7 +273,7 @@ def subgroup_power_sum(spec, subgroup: tuple[int, ...], n: int) -> int:
     else 0. Computed by direct summation, not by the case split."""
     total = 0
     for alpha in subgroup:
-        total ^= spec.pow(alpha, n)
+        total ^= field_pow(spec, alpha, n)
     return total
 
 
@@ -357,6 +370,48 @@ def restriction_grid_reference(spec, coset: tuple[int, ...], m: Monomial) -> np.
     return grid
 
 
+def restriction_grids_reference(spec, coset: tuple[int, ...], monomials) -> np.ndarray:
+    """All q^2 wedge restrictions of every X^a Y^b for one coset C of the
+    subgroup H of order h = len(coset), as an (M, q, q) uint16 array indexed
+    [monomial, x, y]; monomials is an (M, 2) array of exponent pairs. Neither
+    input is validated.
+
+    The restriction at (x, y) is sum_alpha sum_T T^a (alpha*T + alpha*x + y)^b
+    over alpha in C. U = alpha*T turns each line sum into
+    alpha^-a * G[alpha*x + y], with G[s] = sum_U U^a (U + s)^b. For x != 0,
+    beta = alpha*x runs over the coset D = xC, so the restriction is
+    x^a * S_D[y] with S_D[y] = sum_{beta in D} beta^-a * G[beta + y], summed
+    here for every coset D of H; at x = 0 it is sigma_C * G[y] with
+    sigma_C = sum_alpha alpha^-a. Monomials go in chunks whose (M, q, q)
+    index array holds about BATCH_BYTES.
+    """
+    q, ell = spec.q, spec.ell
+    exps = np.asarray(monomials, dtype=np.intp).reshape(-1, 2)
+    h = len(coset)
+    t = (q - 1) // h
+    mul = spec.mul_table().ravel()  # mul[(u << ell) | v] = u * v
+    powers = spec.power_table()
+    s = np.arange(q)
+    # Nonzero beta grouped by coset of H: row j holds g^(j + t*k), k < h, and
+    # xC is row (log x + log c) mod t for any c in C.
+    betas = spec.antilog[np.arange(t)[:, None] + t * np.arange(h)].ravel()
+    rows = (spec.log[1:] + int(spec.log[coset[0]])) % t
+    grids = np.empty((len(exps), q, q), dtype=np.uint16)
+    step = max(1, BATCH_BYTES // (8 * q * q))
+    for start in range(0, len(exps), step):
+        a, b = exps[start : start + step].T
+        xa = powers[a].astype(np.intp) << ell  # [m, x] -> x^a, shifted
+        inv_a = powers[q - 1 - a].astype(np.intp) << ell  # beta^-a for beta != 0
+        g = np.bitwise_xor.reduce(mul[xa[:, :, None] | powers[b][:, s[:, None] ^ s]], axis=1)
+        terms = mul[inv_a[:, betas, None] | g[:, betas[:, None] ^ s]]
+        sums = np.bitwise_xor.reduce(terms.reshape(len(a), t, h, q), axis=2)  # [m, D, y]
+        grid = grids[start : start + step]
+        grid[:, 1:] = mul[xa[:, 1:, None] | sums[:, rows]]
+        sigma = np.bitwise_xor.reduce(inv_a[:, list(coset)], axis=1)
+        grid[:, 0] = mul[sigma[:, None] | g]
+    return grids
+
+
 # ---------------------------------------------------------------------------
 # One wedge, point by point
 # ---------------------------------------------------------------------------
@@ -381,7 +436,7 @@ def wedge_restriction_reference(spec, poly, wedge: Wedge) -> int:
     def value(u: int, v: int) -> int:
         acc = 0
         for (a, b), coeff in poly:
-            acc ^= spec.mul(coeff, spec.mul(spec.pow(u, a), spec.pow(v, b)))
+            acc ^= spec.mul(coeff, spec.mul(field_pow(spec, u, a), field_pow(spec, v, b)))
         return acc
 
     x, y = wedge.point

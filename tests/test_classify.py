@@ -33,13 +33,15 @@ from wedgelift.classify import (
     classification,
     oracle_cost,
     oracle_good_mask,
-    restriction_grid,
     write_classification_csv,
 )
 
+import reference
 from reference import (
+    field_pow,
     is_good_oracle_sampled_reference,
     restriction_grid_reference,
+    restriction_grids_reference,
     wedge_point_set_reference,
     wedge_restriction_reference,
 )
@@ -206,7 +208,7 @@ def test_good_monomial_restricts_to_zero_everywhere(f16: FieldSpec) -> None:
     m = Monomial(14, 1)  # good: a|b = 15 but no submask of a&b=0 is = 1 mod 5
     assert not is_bad_coset_criterion(m, 5, 4)
     for coset in family.cosets:
-        grid = restriction_grid(f16, coset, [m])
+        grid = restriction_grids_reference(f16, coset, [m])
         assert not grid.any()
 
 
@@ -216,7 +218,7 @@ def test_restriction_grid_matches_scalar_restriction(f16: FieldSpec) -> None:
     for _ in range(25):
         m = Monomial(int(rng.integers(16)), int(rng.integers(16)))
         coset = family.cosets[int(rng.integers(3))]
-        grid = restriction_grid(f16, coset, [m])[0]
+        grid = restriction_grids_reference(f16, coset, [m])[0]
         x, y = int(rng.integers(16)), int(rng.integers(16))
         scalar = wedge_restriction(f16, [((m.a, m.b), 1)], Wedge(coset, (x, y)))
         assert int(grid[x, y]) == scalar
@@ -226,57 +228,61 @@ def test_restriction_grid_matches_scalar_restriction(f16: FieldSpec) -> None:
 @pytest.mark.parametrize("ell, h", [(2, 3), (3, 7), (4, 1), (4, 3), (4, 5), (4, 15),
                                    (5, 1), (5, 31), (6, 9), (6, 21), (6, 63)])
 def test_restriction_grid_matches_reference(ell: int, h: int, chunk, monkeypatch) -> None:
-    """The batched grids equal the slope-by-slope reference bit for bit,
-    dtype included, on a random batch of 40 monomials that holds a = 0 and
-    b = 0 (0^0 = 1). The batch crosses chunk boundaries at q = 64 with the
-    default chunk (16 monomials) and everywhere with a 5-monomial chunk. The
-    families run from one coset of the subgroup (h = q - 1) to 31 (q32h1)."""
+    """The batched test-side grids equal the slope-by-slope reference bit for
+    bit, dtype included, on a random batch of 40 monomials that holds a = 0
+    and b = 0 (0^0 = 1). The batch crosses chunk boundaries at q = 64 with
+    the default chunk (16 monomials) and everywhere with a 5-monomial chunk.
+    The families run from one coset of the subgroup (h = q - 1) to 31
+    (q32h1)."""
     spec = make_field(ell)
     q = spec.q
     if chunk is not None:
-        monkeypatch.setattr(classify_module, "BATCH_BYTES", 8 * q * q * chunk)
-    assert (classify_module._grid_chunk(q) < 40) == (chunk is not None or q == 64)
+        monkeypatch.setattr(reference, "BATCH_BYTES", 8 * q * q * chunk)
+    assert (reference.BATCH_BYTES // (8 * q * q) < 40) == (chunk is not None or q == 64)
     rng = np.random.default_rng(100 * ell + h)
     monomials = rng.integers(q, size=(40, 2))
     monomials[:4] = [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
     monomials[4:8, 0] = 0
     monomials[8:12, 1] = 0
     for coset in make_coset_family(spec, h).cosets:
-        grids = restriction_grid(spec, coset, monomials)
+        grids = restriction_grids_reference(spec, coset, monomials)
         assert grids.shape == (40, q, q) and grids.dtype == np.uint16  # as the reference's
         for m, grid in zip(monomials, grids):
             expected = restriction_grid_reference(spec, coset, Monomial(*map(int, m)))
             assert np.array_equal(grid, expected), (q, h, m)
 
 
-def test_restriction_grid_rejects_bad_exponents(f16: FieldSpec) -> None:
-    coset = make_coset_family(f16, 5).cosets[0]
-    assert restriction_grid(f16, coset, []).shape == (0, 16, 16)
-    with pytest.raises(UsageError, match=r"got \(16, 2\)"):
-        restriction_grid(f16, coset, [(1, 1), (16, 2), (-1, 0)])
-
-
-def test_restriction_grid_rejects_non_cosets(f16: FieldSpec) -> None:
-    """The grid groups slopes by coset of the subgroup of order len(coset),
-    so any other tuple of slopes is refused; a coset in any order is not."""
-    family = make_coset_family(f16, 5)
-    coset, other = family.cosets[1], family.cosets[2]
-    g = f16.generator
-    monomials = [(3, 7), (0, 15), (12, 0)]
-    refused = {
-        (): "coset size 0 does not divide",
-        (1, 2): "coset size 2 does not divide",
-        (0, *coset[1:]): "distinct and nonzero",
-        (coset[0], coset[0], *coset[2:]): "distinct and nonzero",
-        (1, g, f16.mul(g, g)): "not a coset of the subgroup of order 3",
-        (*coset[:4], other[0]): "not a coset of the subgroup of order 5",
-        (16, *coset[1:]): "not an element",
-    }
-    for slopes, message in refused.items():
-        with pytest.raises(UsageError, match=message):
-            restriction_grid(f16, slopes, monomials)
-    assert np.array_equal(restriction_grid(f16, coset[::-1], monomials),
-                          restriction_grid(f16, coset, monomials))
+@pytest.mark.parametrize("ell, h, sample", [(4, 5, None), (6, 9, 12)])
+def test_restriction_grid_dilation(ell: int, h: int, sample) -> None:
+    """The dilation (x, y) -> (x, gamma*y) maps the wedges of slope coset C
+    to those of gamma*C and scales X^a Y^b by gamma^b, so
+    R_{gamma C}[x, gamma*y] = gamma^b * R_C[x, y] for every gamma != 0, the
+    fact that lets the oracle decide every coset from the subgroup's sums.
+    It is checked on the scalar reference grids alone: on every monomial at
+    q16h5, and at q64h9 on a seeded sample that holds bad monomials, whose
+    grids are not zero."""
+    spec = make_field(ell)
+    q = spec.q
+    family = make_coset_family(spec, h)
+    mul = spec.mul_table()
+    coset_of = {alpha: coset for coset in family.cosets for alpha in coset}
+    if sample is None:
+        monomials = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = np.random.default_rng(2309)
+        bad = np.argwhere(bad_mask(family))
+        picked = bad[rng.choice(len(bad), sample // 2, replace=False)]
+        monomials = picked.tolist() + rng.integers(q, size=(sample // 2, 2)).tolist()
+    nonzero = 0
+    for a, b in monomials:
+        grids = {c: restriction_grid_reference(spec, c, Monomial(a, b)) for c in family.cosets}
+        nonzero += any(grid.any() for grid in grids.values())
+        for gamma in range(1, q):
+            scale = mul[field_pow(spec, gamma, b)]
+            for coset, grid in grids.items():
+                dilated = grids[coset_of[spec.mul(gamma, coset[0])]]
+                assert np.array_equal(dilated[:, mul[gamma]], scale[grid]), (a, b, gamma, coset)
+    assert nonzero >= (49 if sample is None else sample // 2)
 
 
 @pytest.mark.parametrize("ell, orders", [(4, (1, 3, 5, 15)), (6, (3, 9, 21))])
@@ -293,7 +299,7 @@ def test_line_sum_equals_point_set_sum(ell: int, orders: tuple[int, ...]) -> Non
     def value(poly, u: int, v: int) -> int:
         acc = 0
         for (a, b), coeff in poly:
-            acc ^= spec.mul(coeff, spec.mul(spec.pow(u, a), spec.pow(v, b)))
+            acc ^= spec.mul(coeff, spec.mul(field_pow(spec, u, a), field_pow(spec, v, b)))
         return acc
 
     for h in orders:
@@ -472,7 +478,7 @@ def test_wedge_functions_make_no_scalar_field_calls(f16: FieldSpec, monkeypatch)
     def forbidden(*args):
         raise AssertionError("scalar field call")
 
-    for op in ("add", "mul", "pow", "inv"):
+    for op in ("mul", "inv"):
         monkeypatch.setattr(FieldSpec, op, forbidden)
     assert wedge_restriction(f16, [((15, 15), 3), ((7, 8), 1)], wedge) == expected
     assert is_good_oracle_sampled(family, Monomial(14, 1), 8, np.random.default_rng(3))
@@ -583,6 +589,51 @@ def test_oracle_budget_guard(fam16_5: CosetFamily) -> None:
     assert is_good_oracle(fam16_5, Monomial(1, 1), budget=cost)
 
 
+_MALFORMED_EXPONENTS = {
+    "float-in-batch": (lambda fam: oracle_good_mask(fam, [(14, 1), (1.5, 2)]), "integer exponents"),
+    "integral-float": (lambda fam: oracle_good_mask(fam, np.array([[2.0, 2.0]])), "integer exponents"),
+    "flat-batch": (lambda fam: oracle_good_mask(fam, [1, 2, 3, 4]), "exponent pairs"),
+    "triple-in-batch": (lambda fam: oracle_good_mask(fam, [(1, 2, 3)]), "exponent pairs"),
+    "ragged-batch": (lambda fam: oracle_good_mask(fam, [(1, 2), (3,)]), "exponent pairs"),
+    "outside-in-batch": (lambda fam: oracle_good_mask(fam, [(1, 1), (16, 2), (-1, 0)]),
+                         r"got \(16, 2\)"),
+    "float-oracle": (lambda fam: is_good_oracle(fam, Monomial(1.5, 2)), "integer exponents"),
+    "triple-oracle": (lambda fam: is_good_oracle(fam, (1, 2, 3)), "exponent pairs"),
+    "float-sampled": (lambda fam: is_good_oracle_sampled(
+        fam, Monomial(1.5, 2), 3, np.random.default_rng(0)), "integer exponents"),
+    "float-coset-criterion": (lambda fam: is_bad_coset_criterion(Monomial(1.5, 2), 5, 4),
+                              "integer exponents"),
+    "triple-coset-criterion": (lambda fam: is_bad_coset_criterion((1, 2, 3), 5, 4),
+                               "integer exponents"),
+    "float-block-criterion": (lambda fam: is_bad_block_criterion(Monomial(1.5, 2), 2, 2),
+                              "integer exponents"),
+    "float-wedge-term": (lambda fam: wedge_restriction(
+        fam.field, [((1.5, 2), 1)], Wedge(fam.cosets[0], (3, 7))), "integer exponents"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_EXPONENTS))
+def test_exponents_must_be_integer_pairs(case: str, fam16_5: CosetFamily) -> None:
+    """Every classifier refuses, with UsageError, an exponent that is not an
+    integer (where a truncation would decide (1, 2) for (1.5, 2)) and a batch
+    of any shape but (M, 2) (where a flat list would be read as pairs)."""
+    call, message = _MALFORMED_EXPONENTS[case]
+    with pytest.raises(UsageError, match=message):
+        call(fam16_5)
+
+
+def test_exponents_accept_numpy_integers(fam16_5: CosetFamily) -> None:
+    """Numpy integer exponents of any width decide as Python ints do, and an
+    empty batch is the empty answer."""
+    pairs = [(14, 1), (15, 15), (0, 0)]
+    expected = [True, False, True]
+    for dtype in (np.uint8, np.int32, np.int64, np.uint64):
+        assert oracle_good_mask(fam16_5, np.array(pairs, dtype=dtype)).tolist() == expected
+    m = Monomial(np.int64(15), np.uint8(15))
+    assert not is_good_oracle(fam16_5, m) and is_bad_coset_criterion(m, 5, 4)
+    assert oracle_good_mask(fam16_5, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+
+
 def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeypatch) -> None:
     """With 7-monomial chunks a sweep of all 256 monomials takes ceil(256/7)
     = 37 passes of the line- and coset-sum helper whatever the coset count
@@ -592,9 +643,9 @@ def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeyp
     chunks = []
     real = classify_module._line_and_coset_sums
 
-    def recording(spec, h, a, b):
+    def recording(spec, subgroup, a, b):
         chunks.append(len(a))
-        return real(spec, h, a, b)
+        return real(spec, subgroup, a, b)
 
     monkeypatch.setattr(classify_module, "_line_and_coset_sums", recording)
     monomials = [Monomial(a, b) for a in range(16) for b in range(16)]
@@ -631,7 +682,7 @@ def test_oracle_equals_union_of_coset_grids() -> None:
             family = make_coset_family(spec, h)
             bad = np.zeros(len(monomials), dtype=bool)
             for coset in family.cosets:
-                grids = restriction_grid(spec, coset, monomials)
+                grids = restriction_grids_reference(spec, coset, monomials)
                 bad |= grids.reshape(len(monomials), -1).any(axis=1)
             budget = oracle_cost(family) * len(monomials)
             good = oracle_good_mask(family, monomials, budget)
