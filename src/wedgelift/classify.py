@@ -13,10 +13,12 @@ about goodness: U = alpha*T makes every line sum a scaled entry of one
 line-sum vector per monomial; beta = alpha*x makes the points x != 0 of a
 slope coset share one sum per coset of the subgroup H; and the dilation
 U = gamma*V scales the sums of the coset gamma*H by nonzero factors of the
-subgroup's own, so the subgroup alone decides all t cosets (see
-oracle_good_mask). The coset criterion and the block criterion decide
-badness arithmetically from the exponent bits; they are validated against
-the oracle, never the other way around.
+subgroup's own, so the subgroup alone decides all t cosets. The same
+dilation fixes the line-sum vector from two of its entries and the
+subgroup's sums from one point per orbit of H, so a monomial costs O(q)
+table reads (see oracle_good_mask). The coset criterion and the block
+criterion decide badness arithmetically from the exponent bits; they are
+validated against the oracle, never the other way around.
 """
 
 from __future__ import annotations
@@ -123,31 +125,40 @@ def _check_monomials(monomials, q: int) -> np.ndarray:
 
 
 def _oracle_chunk(q: int) -> int:
-    """Monomials per gather: the chunk's (M, q, q) index array holds about
-    BATCH_BYTES."""
-    return max(1, BATCH_BYTES // (8 * q * q))
+    """Monomials per gather: the chunk's largest index array, the (M, 2, q)
+    one for G, holds about BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (16 * q))
 
 
 def _line_and_coset_sums(spec: FieldSpec, subgroup: np.ndarray, a, b):
     """For a chunk of monomials X^a Y^b (exponent arrays a, b of length M) and
-    the subgroup H (an array of its h elements): the line-sum vectors
-    g[m, s] = sum_U U^a (U + s)^b, the subgroup sums
-    sums[m, y] = sum_{beta in H} beta^-a * g[m, beta + y], and
-    sigma[m] = sum_{beta in H} beta^-a. g and sums are each one gather from
-    the multiplication table."""
+    the subgroup H (an ascending array of its h elements, as CosetFamily keeps
+    it): the line sums g[m, s] = G[s] = sum_U U^a (U + s)^b at s = 0 and
+    s = 1, the subgroup sums sums[m, k] = S_H[y_k] =
+    sum_{beta in H} beta^-a * G[beta + y_k] at y_0 = 0 and at one element
+    y_k = antilog[k - 1] of each coset of H (k = 1..t), and
+    sigma[m] = sum_{beta in H} beta^-a. G[v] is read as
+    v^((a+b) mod (q-1)) * G[1] for v != 0 and as G[0] at v = 0, which
+    beta + y_k is only at y_1 = 1 = beta. g, G[beta + y_k] and sums are one
+    gather from the multiplication table each."""
     q, ell = spec.q, spec.ell
     flat_mul = spec.mul_table().ravel()  # flat_mul[(u << ell) | v] = u * v
     powers = spec.power_table()
-    s = np.arange(q)
-    line_points = s[:, None] ^ s  # [U, s] -> U + s
-    coset_points = subgroup[:, None] ^ s  # [beta, y] -> beta + y
-    xa = powers[a].astype(np.intp) << ell  # [m, U] -> U^a, shifted
-    inv_a = powers[q - 1 - a][:, subgroup]  # [m, beta] -> beta^-a, as beta != 0
+    line_points = np.arange(q) ^ [[0], [1]]  # [s, U] -> U + s
+    ys = np.append(0, spec.antilog[: (q - 1) // len(subgroup)])
+    coset_points = ys[:, None] ^ subgroup  # [k, beta] -> beta + y_k
+    xa = np.left_shift(powers[a], ell, dtype=np.intp)  # [m, U] -> U^a, shifted
+    inv_a = powers[(q - 1 - a)[:, None], subgroup]  # [m, beta] -> beta^-a, as beta != 0
     g = np.bitwise_xor.reduce(
-        flat_mul.take(xa[:, :, None] | powers[b][:, line_points]), axis=1
+        flat_mul.take(xa[:, None, :] | powers[b[:, None, None], line_points]), axis=2
     )  # [m, s]
-    terms = flat_mul.take((inv_a.astype(np.intp) << ell)[:, :, None] | g[:, coset_points])
-    sums = np.bitwise_xor.reduce(terms, axis=1)  # [m, y]
+    values = flat_mul.take(
+        np.left_shift(g[:, 1, None, None], ell, dtype=np.intp)
+        | powers[((a + b) % (q - 1))[:, None, None], coset_points]
+    )  # [m, k, beta] -> G[beta + y_k]
+    values[:, 1, 0] = g[:, 0]  # beta + y_1 = 0 at beta = subgroup[0] = 1
+    terms = flat_mul.take(np.left_shift(inv_a, ell, dtype=np.intp)[:, None, :] | values)
+    sums = np.bitwise_xor.reduce(terms, axis=2)  # [m, k]
     return g, sums, np.bitwise_xor.reduce(inv_a, axis=1)
 
 
@@ -180,8 +191,14 @@ def oracle_good_mask(
     S_{gamma H}[gamma*y] = gamma^-a * gamma^(a+b) * S_H[y] = gamma^b * S_H[y],
     and sigma_{gamma H} = gamma^-a * sigma_H. Both scalings are nonzero, so a
     monomial is good iff S_H = 0 and (G = 0 or sigma_H = 0): one pass per
-    chunk of monomials decides all t cosets from the subgroup's sums, which
-    _line_and_coset_sums gathers.
+    chunk of monomials decides all t cosets from the subgroup's sums.
+
+    The same scalings shrink each sum to a few points. (i) G[s] =
+    s^(a+b) * G[1] for s != 0, so G = 0 iff G[0] = G[1] = 0. (ii) For beta0
+    in H, gamma = beta0 gives S_H[beta0*y] = beta0^b * S_H[y], so S_H = 0 iff
+    it vanishes at y = 0 and at one element of each coset of H. Per monomial,
+    _line_and_coset_sums reads 2q table entries for G and 2(q - 1 + h) for
+    S_H, where the restrictions number t*q^2.
     """
     exps = _check_monomials(monomials, family.q)
     cost = oracle_cost(family) * len(exps)

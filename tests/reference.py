@@ -22,7 +22,8 @@ is one coset's grid of all q^2 restrictions of one monomial, with one
 line-sum vector G_alpha gathered per slope, and `restriction_grids_reference`
 is that grid for a chunk of monomials at once, regrouped into one line-sum
 vector per monomial and one sum per coset of the subgroup, where the
-library's oracle forms no grid and sums over the subgroup alone;
+library's oracle forms no grid and reads the line-sum vector at two points
+and the subgroup's sums at one point per orbit of the subgroup;
 `field_pow` is the scalar power the library no longer offers;
 `wedge_point_set_reference` and `wedge_restriction_reference` walk one
 wedge point by point with scalar field calls, where the library's

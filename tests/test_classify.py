@@ -40,6 +40,7 @@ import reference
 from reference import (
     field_pow,
     is_good_oracle_sampled_reference,
+    pow_vector,
     restriction_grid_reference,
     restriction_grids_reference,
     wedge_point_set_reference,
@@ -283,6 +284,40 @@ def test_restriction_grid_dilation(ell: int, h: int, sample) -> None:
                 dilated = grids[coset_of[spec.mul(gamma, coset[0])]]
                 assert np.array_equal(dilated[:, mul[gamma]], scale[grid]), (a, b, gamma, coset)
     assert nonzero >= (49 if sample is None else sample // 2)
+
+
+def _line_sums_by_definition(spec: FieldSpec, a: int, b: int) -> np.ndarray:
+    """G[s] = sum_U U^a (U + s)^b for every s, one term per (U, s)."""
+    shifted = np.arange(spec.q)[:, None] ^ np.arange(spec.q)  # [U, s] -> U + s
+    terms = spec.mul_table()[pow_vector(spec, a)[:, None], pow_vector(spec, b)[shifted]]
+    return np.bitwise_xor.reduce(terms, axis=0)
+
+
+@pytest.mark.parametrize("ell, h, sample", [(4, 5, None), (6, 9, 40)])
+def test_line_sums_scale_under_dilation(ell: int, h: int, sample) -> None:
+    """The line-sum vector G[s] = sum_U U^a (U + s)^b, computed from its
+    definition, satisfies G[s] = s^(a+b) * G[1] for every s != 0 (substitute
+    U = s*V), so G[0] and G[1] fix it: scaling (i) of the oracle. Checked on
+    every monomial at q16h5, and at q64h9 on a seeded sample that holds bad
+    monomials. Scaling (ii), S_H[beta0*y] = beta0^b * S_H[y] for beta0 in H,
+    is test_restriction_grid_dilation with gamma in H, since gamma*H = H."""
+    spec = make_field(ell)
+    q = spec.q
+    mul = spec.mul_table()
+    if sample is None:
+        monomials = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = np.random.default_rng(2401)
+        bad = np.argwhere(bad_mask(make_coset_family(spec, h)))
+        picked = bad[rng.choice(len(bad), sample // 2, replace=False)]
+        monomials = picked.tolist() + rng.integers(q, size=(sample // 2, 2)).tolist()
+    nonzero = 0
+    for a, b in monomials:
+        line_sums = _line_sums_by_definition(spec, a, b)
+        nonzero += bool(line_sums[1])
+        scaled = mul[pow_vector(spec, a + b)[1:], line_sums[1]]
+        assert np.array_equal(line_sums[1:], scaled), (a, b)
+    assert nonzero >= (1 if sample is None else sample // 2)
 
 
 @pytest.mark.parametrize("ell, orders", [(4, (1, 3, 5, 15)), (6, (3, 9, 21))])
@@ -551,10 +586,11 @@ def test_oracle_full_grid_gf64_sampled_monomials(fam64_9: CosetFamily) -> None:
         assert g == (not is_bad_coset_criterion(m, 9, 6)), m
 
 
-@pytest.mark.parametrize("ell, h", [(5, 1), (6, 21)])
+@pytest.mark.parametrize("ell, h", [(5, 1), (6, 21), (7, 127), (7, 1)])
 def test_oracle_sweep_matches_bad_mask(ell: int, h: int) -> None:
     """The exhaustive oracle over all q^2 monomials equals the coset
-    criterion at q32h1 (31 cosets of one slope) and q64h21 (3 cosets)."""
+    criterion at q32h1 (31 cosets of one slope), q64h21 (3 cosets),
+    q128h127 (one coset) and q128h1 (127 cosets of one slope)."""
     family = make_coset_family(make_field(ell), h)
     q = family.q
     monomials = np.indices((q, q)).reshape(2, -1).T
@@ -635,11 +671,12 @@ def test_exponents_accept_numpy_integers(fam16_5: CosetFamily) -> None:
 
 
 def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeypatch) -> None:
-    """With 7-monomial chunks a sweep of all 256 monomials takes ceil(256/7)
-    = 37 passes of the line- and coset-sum helper whatever the coset count
-    (3 at q16h5, 15 at q16h1), and still equals the coset criterion on every
+    """With 7-monomial chunks (a chunk's (M, 2, q) index array for G takes
+    16q bytes a monomial) a sweep of all 256 monomials takes ceil(256/7) = 37
+    passes of the line- and coset-sum helper whatever the coset count (3 at
+    q16h5, 15 at q16h1), and still equals the coset criterion on every
     monomial. The budget covers the cost of every monomial in the batch."""
-    monkeypatch.setattr(classify_module, "BATCH_BYTES", 8 * 16 * 16 * 7)
+    monkeypatch.setattr(classify_module, "BATCH_BYTES", 16 * 16 * 7)
     chunks = []
     real = classify_module._line_and_coset_sums
 
@@ -662,6 +699,32 @@ def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeyp
         with pytest.raises(OracleBudgetError, match="oracle infeasible"):
             oracle_good_mask(family, monomials, budget=cost - 1)
     assert oracle_good_mask(fam16_5, [], budget=0).shape == (0,)
+
+
+@pytest.mark.parametrize("ell, h, sample", [(4, 5, None), (4, 1, None), (5, 1, None), (6, 9, 200)])
+def test_line_and_coset_sums_match_definitions(ell: int, h: int, sample) -> None:
+    """The oracle's helper returns G at s = 0 and s = 1 as the line sums'
+    definition gives them, S_H at y = 0 and at y = antilog[k] (k < t) as the
+    x = 1 row of the test-side restriction grid of H gives it, and
+    sigma_H = sum_{beta in H} beta^-a: on all monomials at q16h5, q16h1 and
+    q32h1, and at q64h9 on a seeded sample. Where a + b is q - 1 or
+    2(q - 1), G[0] != 0 enters S_H at y = 1."""
+    spec = make_field(ell)
+    q = spec.q
+    family = make_coset_family(spec, h)
+    if sample is None:
+        monomials = np.indices((q, q)).reshape(2, -1).T
+    else:
+        monomials = np.random.default_rng(2402).integers(q, size=(sample, 2))
+    subgroup = np.array(family.subgroup, dtype=np.intp)
+    g, sums, sigma = classify_module._line_and_coset_sums(spec, subgroup, *monomials.T)
+    grids = restriction_grids_reference(spec, family.subgroup, monomials)
+    ys = [0, *spec.antilog[: family.t].tolist()]
+    assert np.array_equal(sums, grids[:, 1, ys]), (q, h)
+    for m, (a, b) in enumerate(monomials.tolist()):
+        assert np.array_equal(g[m], _line_sums_by_definition(spec, a, b)[:2]), (a, b)
+        assert sigma[m] == np.bitwise_xor.reduce(pow_vector(spec, q - 1 - a)[subgroup]), (a, b)
+    assert (g[:, 0] != 0).any() and sums.any()
 
 
 def test_oracle_equals_union_of_coset_grids() -> None:
