@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path through a temp file and a rename, so that readers
-    see the old file or the complete new one. The file gets mode 0o666
-    minus the process umask, as open() would give it."""
+    """atomic_write_chunks of the one string text."""
+    atomic_write_chunks(path, (text,))
+
+
+def atomic_write_chunks(path, chunks: Iterable[str]) -> None:
+    """Write the strings of chunks, in order, to path through a temp file and
+    a rename, so that readers see the old file or the complete new one; if
+    chunks raises, the temp file is removed and path is left as it was. The
+    file gets mode 0o666 minus the process umask, as open() would give it."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     while True:
@@ -20,7 +27,7 @@ def atomic_write_text(path, text: str) -> None:
             continue
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -97,6 +97,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     q, t = family.q, family.t
     try:
         code = _code.build_code(family, dimension_only=args.dimension_only)
+        # The export's one whole matrix, made (and charged) before anything
+        # is printed or written; the 0/1 matrices are written from packed
+        # rows a chunk at a time.
+        generator = None if args.dimension_only else code.generator_matrix()
     except MemoryGuardError as exc:
         if args.dimension_only:
             raise
@@ -109,18 +113,20 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"bad={bad} dimension={code.exact_dimension} redundancy={code.redundancy}"
     )
     _code.write_descriptor(_out_path(args.out_dir, f"descriptor_q{q}_h{h}.json"), code)
-    if not args.dimension_only:
-        _code.export_matrix(
-            _out_path(args.out_dir, f"generator_q{q}_h{h}.txt"), code.generator_matrix(), q
-        )
-        _code.export_matrix(
-            _out_path(args.out_dir, f"parity_q{q}_h{h}.txt"), code.parity_check_matrix(), q
+    if generator is not None:
+        _code.export_matrix(_out_path(args.out_dir, f"generator_q{q}_h{h}.txt"), generator, q)
+        _code.export_packed(
+            _out_path(args.out_dir, f"parity_q{q}_h{h}.txt"),
+            [code.parity_rows],
+            (code.redundancy, code.length),
+            q,
         )
         if args.binary:
             binary = _code.trace_code(code)
-            _code.export_matrix(
+            _code.export_packed(
                 _out_path(args.out_dir, f"binary_generator_q{q}_h{h}.txt"),
-                binary.generator_matrix(),
+                binary.generator_chunks(),
+                (binary.binary_dimension, code.length),
                 q,
             )
             print(

@@ -8,9 +8,10 @@ is what lets one representation serve both the F_q code and the binary code).
 Because the checks are 0/1, C = F_q ⊗ C_2 with C_2 = C ∩ F_2^n the GF(2)
 kernel, and the binary trace code tr(C) is C_2 itself (Delsarte 1975), so one
 elimination gives both codes: trace_code reads C_2 from the reduced parity
-rows (linalg.rref_kernel). Every wedge is a translate of a wedge at the
-origin, so that elimination starts from one seed row per coset and closes
-their span under translation (linalg.translation_closure).
+rows (linalg.RrefKernel), a range of rows at a time. Every wedge is a
+translate of a wedge at the origin, so that elimination starts from one seed
+row per coset and closes their span under translation
+(linalg.translation_closure).
 """
 
 from __future__ import annotations
@@ -18,16 +19,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_chunks, atomic_write_text
 from .classify import bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec, additive_fft
 from .linalg import (
-    BATCH_BYTES, closure_bytes, pack_rows, rref_kernel, translation_closure, unpack_rows
+    BATCH_BYTES,
+    WORD,
+    RrefKernel,
+    closure_bytes,
+    pack_rows,
+    packed_bytes,
+    translation_closure,
+    unpack_rows,
 )
 
 DEFAULT_MEMORY_GUARD_BYTES = 1 << 31
@@ -111,17 +119,32 @@ class WedgeLiftedCode:
 
     def generator_matrix(self) -> np.ndarray:
         """Good-monomial evaluation vectors as rows (a spanning subset, not
-        necessarily a basis: dimension_slack rows may be missing)."""
+        necessarily a basis: dimension_slack rows may be missing), as uint16:
+        charged len(good_monomials) * q^2 * 2 bytes against the guard."""
+        _guard_bytes("generator matrix", self.family, 2 * len(self.good_monomials) * self.length)
         return _eval_monomials(self.field, self.good_monomials)
 
     def parity_check_matrix(self) -> np.ndarray:
+        """parity_rows unpacked to a 0/1 uint8 matrix: charged
+        redundancy * q^2 bytes against the guard."""
         if self.parity_rows is None:
             raise UsageError("code was built in dimension-only mode")
+        _guard_bytes("parity-check matrix", self.family, self.redundancy * self.length)
         return unpack_rows(self.parity_rows, self.length)
 
 
 # The full-build guard's advice, in the library's terms (the CLI names its flag).
 FULL_BUILD_HINT = "; build with dimension_only=True"
+
+
+def _guard_bytes(what: str, family: CosetFamily, estimated: int, hint: str = "") -> None:
+    """Raise MemoryGuardError if `what` would take more than
+    DEFAULT_MEMORY_GUARD_BYTES (read at each call): estimated bytes."""
+    if estimated > DEFAULT_MEMORY_GUARD_BYTES:
+        raise MemoryGuardError(
+            f"{what} for q={family.q}, t={family.t} needs ~{estimated} bytes "
+            f"(guard {DEFAULT_MEMORY_GUARD_BYTES}){hint}"
+        )
 
 
 def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
@@ -132,22 +155,16 @@ def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
     b - i to be one of the t+1 multiples of h in [0, q-1]). Beside it the
     closure holds one batch of translates, one temporary of at most a batch
     and one table of 2^TABLE_BITS row sums (linalg.closure_bytes). A full
-    build is charged 2*q^4 bytes for the uint16 generator matrix callers
-    export (q^2 x q^2 at most), which covers the packed trace code (q^4/8
-    bytes) too; it holds neither. The limit is DEFAULT_MEMORY_GUARD_BYTES,
-    read at each call."""
+    build also holds the reduced() copy of the basis, at most (t+1)*q rows of
+    q^2/8 bytes. Dense matrices are charged where they are made
+    (generator_matrix, parity_check_matrix and the trace code's views)."""
     q = family.q
-    estimated = closure_bytes(q * q, (family.t + 1) * q)
+    bound = (family.t + 1) * q
+    estimated = closure_bytes(q * q, bound)
     if dimension_only:
-        mode, hint = "dimension-only", ""
+        _guard_bytes("dimension-only build", family, estimated)
     else:
-        mode, hint = "full", FULL_BUILD_HINT
-        estimated = max(estimated, 2 * q**4)
-    if estimated > DEFAULT_MEMORY_GUARD_BYTES:
-        raise MemoryGuardError(
-            f"{mode} build for q={q}, t={family.t} needs ~{estimated} bytes "
-            f"(guard {DEFAULT_MEMORY_GUARD_BYTES}){hint}"
-        )
+        _guard_bytes("full build", family, estimated + packed_bytes(bound, q * q), FULL_BUILD_HINT)
 
 
 def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLiftedCode:
@@ -288,14 +305,58 @@ def _axes_codeword(q: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BinaryTraceCode:
-    """tr(C): the parent code mapped coordinate-wise through the trace to GF(2)."""
+    """tr(C): the parent code mapped coordinate-wise through the trace to GF(2).
+
+    Its generators, the kernel's reduced row-echelon basis, are not held:
+    kernel_rows forms any range of them from the parent's parity rows, and
+    generator_chunks all of them a chunk at a time. binary_generators and
+    generator_matrix() are those chunks put together, made anew on each
+    call and charged against the guard.
+    """
 
     parent: WedgeLiftedCode
-    binary_generators: np.ndarray  # packed, read-only, in reduced row-echelon form
     binary_dimension: int
+    _kernel: RrefKernel
+
+    def kernel_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Generators lo..hi-1 as packed (hi - lo, q^2/64) uint64 rows."""
+        if not all(isinstance(k, (int, np.integer)) for k in (lo, hi)):
+            raise UsageError(f"kernel rows must be integers, got {lo!r}..{hi!r}")
+        if not 0 <= lo <= hi <= self.binary_dimension:
+            raise UsageError(
+                f"kernel rows {lo}..{hi} must satisfy 0 <= lo <= hi <= {self.binary_dimension}"
+            )
+        return self._kernel.rows(lo, hi)
+
+    def generator_chunks(self) -> Iterator[np.ndarray]:
+        """Every generator in order, packed, in chunks of about BATCH_BYTES."""
+        return self._kernel.chunks()
+
+    @property
+    def binary_generators(self) -> np.ndarray:
+        """Every generator, packed, read-only: charged
+        binary_dimension * q^2/8 bytes against the guard."""
+        n = self.parent.length
+        _guard_bytes("binary generators", self.parent.family, packed_bytes(self.binary_dimension, n))
+        rows = self._fill(np.empty((self.binary_dimension, packed_bytes(1, n) // 8), dtype=WORD), False)
+        rows.flags.writeable = False
+        return rows
 
     def generator_matrix(self) -> np.ndarray:
-        return unpack_rows(self.binary_generators, self.parent.length)
+        """Every generator as a 0/1 uint8 row: charged
+        binary_dimension * q^2 bytes against the guard."""
+        n = self.parent.length
+        _guard_bytes("binary generator matrix", self.parent.family, self.binary_dimension * n)
+        return self._fill(np.empty((self.binary_dimension, n), dtype=np.uint8), True)
+
+    def _fill(self, out: np.ndarray, unpack: bool) -> np.ndarray:
+        """out, one row per generator, filled chunk by chunk with the packed
+        words, or with the bits they unpack to."""
+        lo = 0
+        for chunk in self.generator_chunks():
+            out[lo : lo + len(chunk)] = unpack_rows(chunk, self.parent.length) if unpack else chunk
+            lo += len(chunk)
+        return out
 
 
 def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
@@ -305,15 +366,16 @@ def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:
     F_q, and for binary g_i, tr(sum c_i g_i) = sum tr(c_i) g_i with tr onto
     F_2: tr(C) = C ∩ F_2^n (the trace code of a Galois-closed code is its
     subfield subcode). Its generators are the kernel's reduced row-echelon
-    basis, read from the parent's reduced parity rows (linalg.rref_kernel),
-    and dim tr(C) = dim C.
+    basis, read from the parent's reduced parity rows (linalg.RrefKernel),
+    and dim tr(C) = dim C. Only each parity row's pivot is read here; no
+    generator is formed until one is asked for.
     """
     if code.parity_rows is None:
         raise UsageError("trace code needs a full build (parity rows missing)")
-    generators = rref_kernel(code.parity_rows, code.length)
-    generators.flags.writeable = False
     return BinaryTraceCode(
-        parent=code, binary_generators=generators, binary_dimension=code.exact_dimension
+        parent=code,
+        binary_dimension=code.exact_dimension,
+        _kernel=RrefKernel(code.parity_rows, code.length),
     )
 
 
@@ -332,15 +394,38 @@ def export_matrix(path, matrix: np.ndarray, q: int) -> None:
         raise UsageError("matrix must be two-dimensional")
     if matrix.size and (matrix.min() < 0 or matrix.max() >= q):
         raise UsageError(f"matrix entries must lie in [0, {q})")
+    _write_matrix(path, [matrix], matrix.shape, q, np.asarray)
+
+
+def export_packed(path, chunks: Iterable[np.ndarray], shape: tuple[int, int], q: int) -> None:
+    """The 0/1 matrix of `shape` whose packed rows (see linalg) come in
+    `chunks`, written as export_matrix writes it, without unpacking more
+    than a few rows at a time."""
+    _write_matrix(path, chunks, shape, q, lambda rows: unpack_rows(rows, shape[1]))
+
+
+def _write_matrix(path, blocks, shape: tuple[int, int], q: int, convert) -> None:
+    """export_matrix's text of the row blocks, streamed to the file a few
+    rows at a time: convert(rows) gives their entries. A whole-matrix
+    .tolist() would hold 8 bytes of list slot per entry while the text is
+    built (118 MB at q = 64), and the whole text as much again."""
+    nrows, ncols = shape
     hexes = [format(v, "x") for v in range(q)]
-    lines = [f"# q={q} rows={matrix.shape[0]} cols={matrix.shape[1]}"]
-    # A chunk of rows at a time: a whole-matrix .tolist() holds 8 bytes of
-    # list slot per entry while the text is built (118 MB at q = 64).
-    step = max(1, BATCH_BYTES // (8 * max(1, matrix.shape[1])))
-    for start in range(0, matrix.shape[0], step):
-        lines += [" ".join(map(hexes.__getitem__, row))
-                  for row in matrix[start : start + step].tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    step = max(1, BATCH_BYTES // (8 * max(1, ncols)))
+    written = 0
+
+    def text() -> Iterator[str]:
+        nonlocal written
+        yield f"# q={q} rows={nrows} cols={ncols}\n"
+        for block in blocks:
+            for start in range(0, len(block), step):
+                rows = convert(block[start : start + step]).tolist()
+                written += len(rows)
+                yield "".join(" ".join(map(hexes.__getitem__, row)) + "\n" for row in rows)
+        if written != nrows:
+            raise UsageError(f"matrix has {written} rows, expected {nrows}")
+
+    atomic_write_chunks(path, text())
 
 
 def write_descriptor(path, code: WedgeLiftedCode) -> None:

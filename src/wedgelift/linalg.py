@@ -6,8 +6,9 @@ a basis kept in fully reduced row-echelon form.
 `translation_closure` grows such a basis from a few seed rows to the smallest
 row space that also holds every translate j -> j ^ c of its rows. Such a space
 is invariant under the column reversal (the translate by ncols - 1), so
-`rref_kernel` reads the kernel's unique reduced row-echelon basis from the
-reduced basis itself, with its columns reversed, and eliminates nothing.
+`RrefKernel` reads the kernel's unique reduced row-echelon basis from the
+reduced basis itself, with its columns reversed, a range of rows at a time,
+and eliminates nothing.
 
 For 0/1 matrices the rank over any GF(2^ell) equals the GF(2) rank (row
 operations on unit pivots stay in the subfield), which is why one GF(2) path
@@ -16,7 +17,7 @@ serves both codes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class GF2Echelon:
     inside it row by row, each new pivot row XORed into every other row of
     the batch with its pivot bit. The new rows are appended together, and
     the basis rows that were there before are reduced against them, the same
-    way as a batch. rref_kernel reads the kernel from the reduced rows.
+    way as a batch. RrefKernel reads the kernel from the reduced rows.
 
     translation_closure adds the translates of the basis one index bit at a
     time (_close_bit). During such a step the last reduction skips the basis
@@ -216,34 +217,81 @@ class GF2Echelon:
         self.rank = end
 
 
-def rref_kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
+def packed_bytes(nrows: int, ncols: int) -> int:
+    """Bytes of nrows packed rows of ncols columns."""
+    return nrows * 8 * _words(ncols)
+
+
+def lowest_set_columns(rows: np.ndarray) -> np.ndarray:
+    """The lowest set column of each packed row, which must be nonzero."""
+    word = (rows != 0).argmax(axis=1)
+    low = rows[np.arange(len(rows)), word]
+    low &= ~low + np.uint64(1)
+    return 64 * word + np.bitwise_count(low - np.uint64(1)).astype(np.int64)
+
+
+class RrefKernel:
     """The kernel {v : v . r = 0 for every row r} of a fully reduced basis
     `rows`, given in any row order, as its unique reduced row-echelon basis:
-    packed (ncols - rank, words) rows, pivot = lowest set column, increasing.
+    ncols - rank packed rows, pivot = lowest set column, increasing. The
+    rows are formed on request, one range at a time (rows, chunks); the
+    reader itself holds the basis and one reversed pivot per basis row.
 
     Precondition: the row space is invariant under the column reversal
     j -> ncols - 1 - j, as every translation_closure is (ncols is a power of
     two there, so the reversal is the translation j -> j ^ (ncols - 1)).
     Then the rows, read with their columns reversed, are the space's reduced
     basis whose pivots are the *highest* set columns, ncols - 1 - p for each
-    pivot p. For each free column f of that basis the kernel vector is the
-    unit vector at f plus the pivot column of every row with bit f set;
-    those pivots lie above f, so f is the vector's lowest set column, and no
-    other vector has bit f. The vectors are written straight into packed
-    words: every unit bit in one assignment, then each row's pivot bit, by
-    one OR, into the vectors of the free columns where that row is set.
+    pivot p: the systematic form [I | P] of the kernel's dual, from which
+    its generators [P^T | I] are read (MacWilliams & Sloane, ch. 1). For
+    each free column f of that basis the kernel vector is the unit vector
+    at f plus the reversed pivot of every row with bit f set; those pivots
+    lie above f, so f is the vector's lowest set column, and no other
+    vector has bit f. Kernel row i is the vector of the i-th free column.
     """
-    # The rows unpacked once; each pivot is its row's lowest set column.
-    bits = unpack_rows(rows, ncols)
-    pivots = ncols - 1 - bits.argmax(axis=1)
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    kernel = np.zeros((free.size, _words(ncols)), dtype=WORD)
-    kernel[np.arange(free.size), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
-    for p, row in zip(pivots.tolist(), bits[:, ::-1].view(bool)):
-        kernel[row[free], p >> 6] |= np.uint64(1 << (p & 63))
-    return kernel
+
+    def __init__(self, rows: np.ndarray, ncols: int) -> None:
+        self.basis = rows
+        self.ncols = ncols
+        self.dimension = ncols - len(rows)
+        pivots = ncols - 1 - lowest_set_columns(rows)
+        self._pivot_word = pivots >> 6
+        self._pivot_bit = np.uint64(1) << (pivots & 63).astype(WORD)
+        # With the reversed pivots P_0 < P_1 < ..., P_k - k free columns lie
+        # below P_k, so free column i is i plus the number of k with
+        # P_k - k <= i.
+        ordered = np.sort(pivots)
+        self._free_below = ordered - np.arange(len(ordered))
+
+    def free_columns(self, lo: int, hi: int) -> np.ndarray:
+        """The free columns of kernel rows lo..hi-1, increasing."""
+        i = np.arange(lo, hi)
+        return i + np.searchsorted(self._free_below, i, side="right")
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Kernel rows lo..hi-1, packed: each row's unit bit in one
+        assignment, then the reversed pivot of every basis row set at the
+        row's free column, by one OR over all such pairs. The basis is read
+        at those columns (reversed) from one unpack of the words they span,
+        about (hi - lo + rank) / 64 words a row."""
+        free = self.free_columns(lo, hi)
+        out = np.zeros((len(free), _words(self.ncols)), dtype=WORD)
+        if not len(free):
+            return out
+        out[np.arange(len(free)), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
+        cols = self.ncols - 1 - free
+        first, last = cols[-1] >> 6, (cols[0] >> 6) + 1
+        span = unpack_rows(self.basis[:, first:last], 64 * (last - first))
+        row, vec = np.nonzero(span[:, cols - 64 * first])
+        np.bitwise_or.at(out, (vec, self._pivot_word[row]), self._pivot_bit[row])
+        return out
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """All kernel rows in order, as consecutive rows(lo, hi) of about
+        BATCH_BYTES each."""
+        step = max(1, BATCH_BYTES // packed_bytes(1, self.ncols))
+        for lo in range(0, self.dimension, step):
+            yield self.rows(lo, min(lo + step, self.dimension))
 
 
 def _table_pays(hits: int, chunk: int, nrows: int) -> bool:
@@ -270,7 +318,7 @@ def closure_bytes(ncols: int, rank_bound: int) -> int:
     a few bytes per batch row and chunk pivot, are not counted."""
     words = _words(ncols)
     batch = min(_batch_rows(words), rank_bound)
-    return (rank_bound + 2 * batch + (1 << TABLE_BITS)) * 8 * words + 24 * rank_bound
+    return packed_bytes(rank_bound + 2 * batch + (1 << TABLE_BITS), ncols) + 24 * rank_bound
 
 
 def gf2_echelon(blocks: Iterable[np.ndarray], ncols: int, capacity: int = 64) -> GF2Echelon:

@@ -53,7 +53,7 @@ from wedgelift.classify import Monomial, Wedge, _check_monomial
 from wedgelift.code import _eval_monomials, _origin_wedges
 from wedgelift.errors import InvariantError
 from wedgelift.linalg import (
-    BATCH_BYTES, WORD, _words, gf2_echelon, pack_rows, rref_kernel, unpack_rows
+    BATCH_BYTES, WORD, RrefKernel, _words, gf2_echelon, pack_rows, unpack_rows
 )
 
 
@@ -290,16 +290,16 @@ def traced_span(code) -> np.ndarray:
     asserted."""
     spec = code.field
     n = code.length
-    kernel = rref_kernel(code.parity_rows, n)
     # trace_of_multiple[j][v] = trace(2^j * v)
     trace_of_multiple = spec.trace_table()[spec.mul_table()[1 << np.arange(spec.ell)]]
     step = max(1, BATCH_BYTES // (n * spec.ell))
 
     def traced_rows():
-        for start in range(0, len(kernel), step):
-            g = unpack_rows(kernel[start : start + step], n)
-            for table in trace_of_multiple:
-                yield pack_rows(table[g])
+        for kernel in RrefKernel(code.parity_rows, n).chunks():
+            for start in range(0, len(kernel), step):
+                g = unpack_rows(kernel[start : start + step], n)
+                for table in trace_of_multiple:
+                    yield pack_rows(table[g])
 
     generators = gf2_echelon(traced_rows(), n).reduced()
     assert code.exact_dimension <= len(generators) <= spec.ell * code.exact_dimension
@@ -311,7 +311,7 @@ def kernel_codewords_reference(code, trials: int, seed: int) -> list[np.ndarray]
     build's parity rows: each the XOR of the packed kernel rows picked by
     fair coins, unpacked to uint8."""
     rng = np.random.default_rng(seed)
-    kernel = rref_kernel(code.parity_rows, code.length)
+    kernel = np.concatenate([*RrefKernel(code.parity_rows, code.length).chunks()])
     words = []
     for _ in range(trials):
         coins = rng.integers(0, 2, size=len(kernel))

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import wedgelift.classify as classify_module
+import wedgelift.code as code_module
 from wedgelift.cli import main
 
 
@@ -285,26 +286,37 @@ def test_build_reruns_byte_identical(capsys, tmp_path) -> None:
     }
 
 
-def test_build_memory_guard_exit_code(capsys, tmp_path) -> None:
-    status, _, err = run(
-        capsys, "build", "--ell", "8", "--subgroup-order", "255",
-        "--out-dir", str(tmp_path),
-    )
-    assert status == 3
+def test_build_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
+    """`build --binary` holds one whole matrix, the uint16 generator matrix
+    (207 * 256 * 2 bytes at q16h5); the parity and binary generator files are
+    written from packed rows a chunk at a time. It exits 0 with the guard at
+    exactly that charge and 3, having written nothing, one byte below it."""
+    estimate = 207 * 256 * 2
+    argv = ["build", "--ell", "4", "--subgroup-order", "5", "--binary"]
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    status, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "at"))
+    assert status == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "at").iterdir()}
+    assert digests == BUILD_Q16_H5_SHA256
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
+    status, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "below"))
+    assert status == 3 and out == ""
     assert "resource guard:" in err and "--dimension-only" in err
+    assert not (tmp_path / "below").exists()
 
 
 def test_build_memory_guard_hint_names_cli_flag(capsys, tmp_path) -> None:
-    """The CLI's guard message advises the --dimension-only flag, not the
-    library keyword that the library's message names (test_code pins that
-    one); nothing is written."""
+    """At q256h255 the full build and the trace code fit the default guard,
+    but the generator matrix (65 025 * 65 536 * 2 bytes) does not; the CLI's
+    guard message names that matrix and advises the --dimension-only flag,
+    and nothing is printed or written."""
     status, out, err = run(
-        capsys, "build", "--ell", "8", "--subgroup-order", "255",
+        capsys, "build", "--ell", "8", "--subgroup-order", "255", "--binary",
         "--out-dir", str(tmp_path),
     )
     assert status == 3 and out == ""
     assert err == (
-        "resource guard: full build for q=256, t=1 needs ~8589934592 bytes "
+        "resource guard: generator matrix for q=256, t=1 needs ~8522956800 bytes "
         "(guard 2147483648); rerun with --dimension-only\n"
     )
     assert list(tmp_path.iterdir()) == []

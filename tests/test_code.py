@@ -39,6 +39,7 @@ from wedgelift.classify import Monomial, Wedge
 from wedgelift.code import (
     _axes_codeword,
     export_matrix,
+    export_packed,
     iter_parity_rows,
     write_descriptor,
 )
@@ -492,25 +493,114 @@ def test_full_build_bytes_pinned(ell, h, monkeypatch) -> None:
     assert len(made) == 1
 
 
+def record_kernel_rows(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) of every range of kernel rows formed from now on."""
+    ranges = []
+    rows = linalg_module.RrefKernel.rows
+
+    def recording(self, lo, hi):
+        ranges.append((lo, hi))
+        return rows(self, lo, hi)
+
+    monkeypatch.setattr(linalg_module.RrefKernel, "rows", recording)
+    return ranges
+
+
+@pytest.mark.parametrize("ell,h", PINNED_BUILDS, ids=[f"q{1 << e}h{h}" for e, h in PINNED_BUILDS])
+def test_kernel_chunks_reproduce_pinned_bytes(ell, h, monkeypatch) -> None:
+    """With chunks of 100 rows, the last one short, the views put together
+    from the chunks keep the pinned sha256: binary_generators, the
+    generator_chunks concatenated and the kernel_rows of ranges that cut
+    across the chunks. Each view forms every row exactly once."""
+    import hashlib
+
+    code = build_code(make_coset_family(make_field(ell), h))
+    binary = trace_code(code)
+    dim = binary.binary_dimension
+    monkeypatch.setattr(linalg_module, "BATCH_BYTES", 100 * (code.length // 8))
+    ranges = record_kernel_rows(monkeypatch)
+    views = [
+        binary.binary_generators,
+        np.concatenate(list(binary.generator_chunks())),
+        np.concatenate([binary.kernel_rows(lo, min(lo + 333, dim)) for lo in range(0, dim, 333)]),
+    ]
+    for rows in views:
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == PINNED_BUILDS[ell, h][0]
+    chunks = [(lo, min(lo + 100, dim)) for lo in range(0, dim, 100)]
+    assert len(chunks) >= 10 and 0 < dim % 100
+    assert ranges[: 2 * len(chunks)] == 2 * chunks
+    assert len(ranges) == 2 * len(chunks) + -(-dim // 333)
+
+
+def test_kernel_rows_bounds(trace16_5) -> None:
+    """kernel_rows(lo, hi) reads integers (numpy ones too) with
+    0 <= lo <= hi <= binary_dimension; any other range is a UsageError, and
+    an empty one is an empty array."""
+    dim = trace16_5.binary_dimension
+    for lo, hi in [(5, 4), (-1, 3), (0, dim + 1), (dim + 1, dim + 1), (-2, -1), (1.5, 3), (0, 2.0)]:
+        with pytest.raises(UsageError, match="kernel rows"):
+            trace16_5.kernel_rows(lo, hi)
+    assert trace16_5.kernel_rows(dim, dim).shape == (0, 4)
+    assert np.array_equal(trace16_5.kernel_rows(np.int64(3), np.uint8(5)), trace16_5.kernel_rows(3, 5))
+    assert np.array_equal(trace16_5.kernel_rows(dim - 1, dim), trace16_5.binary_generators[-1:])
+
+
 def test_kernel_is_read_by_trace_code_alone(fam16_5, monkeypatch) -> None:
-    """No build reads the kernel, in full or dimension-only mode, and a
-    trace code reads it once; the code keeps no kernel of its own."""
-    calls = []
-    read = linalg_module.rref_kernel
-
-    def counting(*args):
-        calls.append(args)
-        return read(*args)
-
-    monkeypatch.setattr(linalg_module, "rref_kernel", counting)
-    monkeypatch.setattr(code_module, "rref_kernel", counting)
+    """No build forms a kernel row, in full or dimension-only mode, nor does
+    trace_code or reading binary_dimension; the kernel is formed only when a
+    view asks for it, and neither the code nor the trace code keeps it."""
+    ranges = record_kernel_rows(monkeypatch)
     build_code(fam16_5, dimension_only=True)
     code = build_code(fam16_5)
-    assert calls == []
-    trace_code(code)
-    assert len(calls) == 1
+    binary = trace_code(code)
+    assert binary.binary_dimension == 208
+    assert ranges == []
+    binary.binary_generators
+    binary.generator_matrix()
+    assert ranges == [(0, 208), (0, 208)]
     assert not hasattr(code, "kernel_basis")
     assert not hasattr(linalg_module.GF2Echelon, "kernel")
+    # The trace code holds the parent's parity rows themselves and arrays of
+    # one entry per parity row.
+    kernel = binary._kernel
+    assert kernel.basis is code.parity_rows
+    held = [v for v in [*vars(binary).values(), *vars(kernel).values()] if isinstance(v, np.ndarray)]
+    assert all(v is code.parity_rows or v.shape == (48,) for v in held) and len(held) == 4
+
+
+def test_trace_code_at_q256_under_the_default_guard() -> None:
+    """q256h255 under the 2 GiB default guard: build_code + trace_code give
+    binary_dimension 65 026 in well under 2 s at a tracemalloc peak under
+    64 MB; a chunk of generators is orthogonal over GF(2) to every parity
+    row, each with its free column as lowest set bit; and the dense views
+    are refused with their byte counts."""
+    import time
+    import tracemalloc
+
+    family = make_coset_family(make_field(8), 255)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = build_code(family)
+        binary = trace_code(code)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert binary.binary_dimension == 65026
+    assert peak < 64 << 20
+    assert elapsed < 2.0
+    lo = binary.binary_dimension - 64
+    chunk = binary.kernel_rows(lo, lo + 64)
+    products = np.bitwise_count(chunk[:, None, :] & code.parity_rows[None, :, :]).sum(axis=2)
+    assert not (products % 2).any()
+    free = binary._kernel.free_columns(lo, lo + 64)
+    assert np.array_equal(linalg_module.lowest_set_columns(chunk), free)
+    assert (np.bitwise_count(chunk).sum(axis=1) > 1).any()
+    with pytest.raises(MemoryGuardError, match=r"generator matrix for q=256, t=1 needs ~8522956800 bytes"):
+        code.generator_matrix()
+    with pytest.raises(MemoryGuardError, match=r"binary generator matrix for q=256, t=1 needs ~4261543936 bytes"):
+        binary.generator_matrix()
 
 
 def test_dimension_only_build(fam16_5, code16_5) -> None:
@@ -531,32 +621,66 @@ def test_exact_redundancy_beyond_q64(ell, h, redundancy) -> None:
     assert code.redundancy == count_bad(family) - 1
 
 
-def test_memory_guard(monkeypatch) -> None:
-    spec = make_field(8)
-    family = make_coset_family(spec, 255)
-    with pytest.raises(MemoryGuardError, match="dimension_only"):
-        build_code(family)
-    # A generous guard cannot be bypassed by accident: the dense generator
-    # matrix alone takes 2 * q^4 bytes (8 GiB at q = 256).
-    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", 1 << 30)
-    with pytest.raises(MemoryGuardError):
+def test_memory_guard() -> None:
+    """Under the default 2 GiB guard a full build is refused, before any
+    work, where the closure and the reduced copy of its basis do not fit:
+    at q1024h93 (t = 11) the closure is charged 1.71 GiB for a basis of at
+    most 12 * 1024 rows of 128 KiB, which fits, and the copy 1.5 GiB more."""
+    family = make_coset_family(make_field(10), 93)
+    bound = 12 * 1024
+    closure = closure_bytes(1024**2, bound)
+    assert closure == (bound + 2 * 256 + 256) * 2**17 + 24 * bound
+    code_module._guard_build(family, dimension_only=True)
+    with pytest.raises(
+        MemoryGuardError,
+        match=rf"full build for q=1024, t=11 needs ~{closure + bound * 2**17} bytes "
+        rf"\(guard 2147483648\); build with dimension_only=True",
+    ):
         build_code(family)
 
 
 def test_memory_guard_boundary(f16, monkeypatch) -> None:
-    """A full build's estimate at q = 16 is the dense generator matrix,
-    2 * 16^4 bytes, above the closure's estimate for every t <= 15: the
-    build passes at exactly the estimate and raises one byte below it, at
-    q16h5 (t = 3) and at q16h1 (t = 15)."""
-    estimate = 2 * 16**4
-    for h, redundancy in [(5, 48), (1, 80)]:
+    """A full build's estimate is the closure's plus the reduced() copy of
+    the basis, at most (t + 1) * q rows of q^2/8 bytes: 17 920 bytes at
+    q16h5 (t = 3) and 47 104 at q16h1 (t = 15). The build passes at exactly
+    the estimate and raises one byte below it."""
+    for h, redundancy, estimate in [(5, 48, 17920), (1, 80, 47104)]:
         family = make_coset_family(f16, h)
-        assert estimate > closure_bytes(16**2, (family.t + 1) * 16)
+        bound = (family.t + 1) * 16
+        assert estimate == closure_bytes(16**2, bound) + bound * 32
         monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
         assert build_code(family).redundancy == redundancy
         monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
-        with pytest.raises(MemoryGuardError, match="dimension_only"):
+        with pytest.raises(MemoryGuardError, match=f"full build for q=16, t={family.t} needs ~{estimate} bytes"):
             build_code(family)
+
+
+@pytest.mark.parametrize(
+    "view,estimate",
+    [
+        ("generator matrix", 207 * 256 * 2),
+        ("parity-check matrix", 48 * 256),
+        ("binary generators", 208 * 256 // 8),
+        ("binary generator matrix", 208 * 256),
+    ],
+)
+def test_dense_views_guard_boundary(view, estimate, code16_5, trace16_5, monkeypatch) -> None:
+    """Each dense matrix is charged where it is made, for the bytes it
+    holds: at q16h5 the uint16 generator matrix 207 * 256 * 2, the 0/1
+    parity-check matrix 48 * 256, the packed binary generators 208 * 256/8
+    and their 0/1 matrix 208 * 256. Each is made at exactly its charge and
+    refused one byte below it."""
+    make = {
+        "generator matrix": code16_5.generator_matrix,
+        "parity-check matrix": code16_5.parity_check_matrix,
+        "binary generators": lambda: trace16_5.binary_generators,
+        "binary generator matrix": trace16_5.generator_matrix,
+    }[view]
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    assert make().nbytes == estimate
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
+    with pytest.raises(MemoryGuardError, match=rf"^{view} for q=16, t=3 needs ~{estimate} bytes \(guard {estimate - 1}\)$"):
+        make()
 
 
 def test_dimension_only_memory_guard_boundary(fam16_5, monkeypatch) -> None:
@@ -804,6 +928,26 @@ def test_export_matrix_rejects_entries_outside_the_field(tmp_path) -> None:
         with pytest.raises(UsageError, match=r"\[0, 16\)"):
             export_matrix(tmp_path / "m.txt", np.array(bad), q=16)
     assert not (tmp_path / "m.txt").exists()
+
+
+def test_export_packed_matches_export_matrix(tmp_path, code16_5, trace16_5) -> None:
+    """Packed rows, in one block or in uneven chunks, are written byte for
+    byte as export_matrix writes their 0/1 matrix; a shape whose row count
+    the chunks do not give is refused, and neither the file nor a temp file
+    is left behind."""
+    n = code16_5.length
+    for rows, dense in [
+        (code16_5.parity_rows, code16_5.parity_check_matrix()),
+        (trace16_5.binary_generators, trace16_5.generator_matrix()),
+    ]:
+        export_matrix(tmp_path / "dense.txt", dense, q=16)
+        chunks = [rows[:7], rows[7:8], rows[8:]]
+        export_packed(tmp_path / "packed.txt", chunks, (len(rows), n), q=16)
+        assert (tmp_path / "packed.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
+    for nrows in (207, 209):
+        with pytest.raises(UsageError, match=f"matrix has 208 rows, expected {nrows}"):
+            export_packed(tmp_path / "short.txt", trace16_5.generator_chunks(), (nrows, n), q=16)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dense.txt", "packed.txt"]
 
 
 def test_descriptor_golden(tmp_path, code4_3) -> None:

@@ -25,10 +25,12 @@ from wedgelift import make_coset_family, make_field
 from wedgelift.code import iter_parity_rows
 from wedgelift.linalg import (
     TABLE_BITS,
+    WORD,
     GF2Echelon,
+    RrefKernel,
+    _words,
     gf2_echelon,
     pack_rows,
-    rref_kernel,
     translate_rows,
     translation_closure,
     unpack_rows,
@@ -128,13 +130,24 @@ def test_rref_properties() -> None:
             assert acc == 0
 
 
+def whole_kernel(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Every row of the RrefKernel of rows, its chunks concatenated."""
+    return np.concatenate([np.zeros((0, _words(ncols)), dtype=WORD), *RrefKernel(rows, ncols).chunks()])
+
+
 def read_kernel(echelon: GF2Echelon) -> np.ndarray:
-    """rref_kernel of the basis, fed in the order its rows were found and
-    shuffled; the two kernels must be the same."""
+    """The kernel of the basis, fed in the order its rows were found and
+    shuffled, and read three rows at a time; the kernels must be the same."""
     found = echelon._rows[: echelon.rank]
-    kernel = rref_kernel(found, echelon.ncols)
+    kernel = whole_kernel(found, echelon.ncols)
     shuffled = np.random.default_rng(echelon.rank).permutation(found)
-    assert np.array_equal(rref_kernel(shuffled, echelon.ncols), kernel)
+    assert np.array_equal(whole_kernel(shuffled, echelon.ncols), kernel)
+    reader = RrefKernel(shuffled, echelon.ncols)
+    assert reader.dimension == len(kernel)
+    for lo in range(0, len(kernel), 3):
+        hi = min(lo + 3, len(kernel))
+        assert np.array_equal(reader.rows(lo, hi), kernel[lo:hi])
+    assert reader.rows(len(kernel), len(kernel)).shape == (0, _words(echelon.ncols))
     return kernel
 
 
@@ -182,7 +195,7 @@ def test_nullspace_properties() -> None:
 def test_closure_is_invariant_under_column_reversal() -> None:
     """The basis of a translation closure, with its columns reversed
     (j -> ncols - 1 - j, the translate by ncols - 1), reduces to zero against
-    the closure: the fact rref_kernel reads its reversed-pivot basis
+    the closure: the fact RrefKernel reads its reversed-pivot basis
     from. A space that is not translation-invariant fails the same check."""
     rng = np.random.default_rng(25)
     for ncols in (1, 2, 4, 16, 64, 128, 256):
