@@ -163,12 +163,14 @@ def _line_and_coset_sums(spec: FieldSpec, subgroup: np.ndarray, a, b):
 
 
 def oracle_cost(family: CosetFamily) -> int:
-    """Nominal evaluations of one monomial's exhaustive oracle, which the
-    budget is charged: q^2 wedges per coset times the wedge size, summed over
-    cosets. It counts every restriction the oracle decides, not the work of
-    the one pass that decides them all."""
-    q, h = family.q, family.subgroup_order
-    return q * q * family.t * (h * (q - 1) + 1)
+    """Table entries that _line_and_coset_sums reads for one monomial, which
+    the budget is charged: from the power table q for U^a, h for beta^-a,
+    2q for (U + s)^b and (t+1)*h for (beta + y_k)^(a+b); from the
+    multiplication table 2q for the terms of G[0] and G[1], (t+1)*h for
+    G[beta + y_k] and (t+1)*h for its products with beta^-a. That is
+    5q + (3t + 4)h, O(q), where the restrictions it decides number t*q^2."""
+    q, h, t = family.q, family.subgroup_order, family.t
+    return 5 * q + (3 * t + 4) * h
 
 
 def oracle_good_mask(
@@ -196,15 +198,15 @@ def oracle_good_mask(
     The same scalings shrink each sum to a few points. (i) G[s] =
     s^(a+b) * G[1] for s != 0, so G = 0 iff G[0] = G[1] = 0. (ii) For beta0
     in H, gamma = beta0 gives S_H[beta0*y] = beta0^b * S_H[y], so S_H = 0 iff
-    it vanishes at y = 0 and at one element of each coset of H. Per monomial,
-    _line_and_coset_sums reads 2q table entries for G and 2(q - 1 + h) for
-    S_H, where the restrictions number t*q^2.
+    it vanishes at y = 0 and at one element of each coset of H. So
+    _line_and_coset_sums reads O(q) table entries per monomial
+    (oracle_cost), where the restrictions number t*q^2.
     """
     exps = _check_monomials(monomials, family.q)
     cost = oracle_cost(family) * len(exps)
     if cost > budget:
         raise OracleBudgetError(
-            f"oracle infeasible: {cost} evaluations exceed budget {budget}; "
+            f"oracle infeasible: {cost} table reads exceed budget {budget}; "
             f"sample wedges instead"
         )
     subgroup = np.array(family.subgroup, dtype=np.intp)
@@ -299,6 +301,21 @@ def bad_mask(family: CosetFamily) -> np.ndarray:
     mask[a, b] = residues[a & b, b % h]
     mask.flags.writeable = False
     return mask
+
+
+def bad_bound(q: int, h: int) -> int:
+    """(t+1)*q with t = (q-1)/h: a bound on the bad count of the coset
+    family, and so on the redundancy, which is at most the bad count (the
+    dimension is at least the good count). The coset count t alone is no
+    bound (30 > 16 at q16h15).
+
+    A bad X^a Y^b has a|b = q-1 and some submask i of a&b with i = b
+    (mod h). As i is a submask of b, j = b - i is b without the bits of i:
+    it lies in [0, q-1] and is one of the t+1 multiples k*h there. For a
+    given j the monomial is fixed by i, any submask of the complement of j
+    (2^(ell - |j|) choices), and by the bits of j that a also has (2^|j|):
+    b = i + j and a = (q-1-b) + i + those bits. So q monomials for each k."""
+    return ((q - 1) // h + 1) * q
 
 
 def count_bad(family: CosetFamily) -> int:

@@ -61,8 +61,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     criterion = "coset" if ell_prime is None else "block"
     _classify.write_classification_csv(csv_path, bad, criterion)
 
-    # (t+1)*q bounds the bad count, for the reason given in cmd_plan.
-    parts = [f"q={q}", f"h={h}", f"t={t}", f"bad={exact}", f"bad_bound={(t + 1) * q}"]
+    parts = [f"q={q}", f"h={h}", f"t={t}", f"bad={exact}", f"bad_bound={_classify.bad_bound(q, h)}"]
     status = 0
     if ell_prime is not None:
         closed = _classify.count_bad_closed_form(ell_prime, d)
@@ -71,9 +70,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             status = 1
 
     # Cross-check the criterion against the exhaustive oracle whenever the
-    # whole sweep fits the evaluation budget (all q=16 families do by default).
-    # The cost is checked first, so that a refused sweep never allocates the
-    # (q^2, 2) monomial array (268 MB at q = 4096).
+    # whole sweep fits the budget of table reads (by default every family
+    # with q <= 256, and none with q >= 512). The cost is checked first, so
+    # that a refused sweep never allocates the (q^2, 2) monomial array
+    # (268 MB at q = 4096).
     sweep_cost = _classify.oracle_cost(family) * q * q
     if sweep_cost <= args.budget:
         monomials = np.indices((q, q)).reshape(2, -1).T
@@ -187,13 +187,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     ell, h, t = plan_dyadic_parameters(args.a_num, args.b_exp, args.n)
     q = 1 << ell
     feasible = (q - 1) % h == 0
-    # Bad monomials need b - i = k*h for one of the t+1 multiples k*h in
-    # [0, q-1], at most q monomials each: (t+1)*q bounds the bad count and so
-    # the redundancy. The coset count t alone does not (30 > 16 at q16h15).
     print(
         f"alpha={(1 - args.a_num / (1 << args.b_exp)) / 2:.4f} ell={ell} q={q} "
         f"h={h} t={t} h_divides_q_minus_1={'yes' if feasible else 'no'} "
-        f"redundancy_bound={(t + 1) * q}"
+        f"redundancy_bound={_classify.bad_bound(q, h)}"
     )
     return 0
 
@@ -215,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[params], help="classify all monomials")
     p.add_argument("--budget", type=int, default=_classify.DEFAULT_ORACLE_BUDGET,
-                   help="evaluation budget for the oracle cross-check")
+                   help="table-read budget for the oracle cross-check")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("build", parents=[params], help="build the code and export it")

@@ -24,12 +24,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._io import atomic_write_chunks, atomic_write_text
-from .classify import bad_mask
+from .classify import bad_bound, bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
 from .field import CosetFamily, FieldSpec, additive_fft
 from .linalg import (
     BATCH_BYTES,
-    WORD,
     RrefKernel,
     closure_bytes,
     pack_rows,
@@ -53,17 +52,16 @@ def _eval_monomials(spec: FieldSpec, monomials: np.ndarray) -> np.ndarray:
 
 
 def _origin_wedges(family: CosetFamily) -> np.ndarray:
-    """Sorted coordinate indices t*q + alpha*t of each coset's wedge at (0, 0),
-    t in F_q and alpha in the coset: a (t, h*(q-1) + 1) array, one row per
-    coset, which starts with the origin, index 0, then holds the h points of
-    each column t = 1..q-1 in turn."""
-    q, t = family.q, family.t
-    ts = np.arange(q, dtype=np.intp)
+    """Sorted coordinate indices x*q + alpha*x of each coset's wedge at
+    (0, 0), x in F_q and alpha in the coset: a (t, h*(q-1) + 1) array, one
+    row per coset, which starts with the origin, index 0, then holds the h
+    points of each column x = 1..q-1 in turn, sorted within the column."""
+    q = family.q
+    xs = np.arange(1, q, dtype=np.intp)
     slopes = np.array(family.cosets, dtype=np.intp)
-    ys = family.field.mul_table()[slopes[:, None, :], ts[:, None]]
-    on_wedge = np.zeros((t, q, q), dtype=bool)
-    on_wedge[np.arange(t)[:, None, None], ts[:, None], ys] = True
-    return on_wedge.reshape(t, q * q).nonzero()[1].reshape(t, -1)
+    ys = np.sort(family.field.mul_table()[slopes[:, None, :], xs[:, None]], axis=2)
+    points = (xs[:, None] * q + ys).reshape(family.t, -1)
+    return np.concatenate([np.zeros((family.t, 1), dtype=np.intp), points], axis=1)
 
 
 def iter_parity_rows(family: CosetFamily) -> Iterator[np.ndarray]:
@@ -124,14 +122,6 @@ class WedgeLiftedCode:
         _guard_bytes("generator matrix", self.family, 2 * len(self.good_monomials) * self.length)
         return _eval_monomials(self.field, self.good_monomials)
 
-    def parity_check_matrix(self) -> np.ndarray:
-        """parity_rows unpacked to a 0/1 uint8 matrix: charged
-        redundancy * q^2 bytes against the guard."""
-        if self.parity_rows is None:
-            raise UsageError("code was built in dimension-only mode")
-        _guard_bytes("parity-check matrix", self.family, self.redundancy * self.length)
-        return unpack_rows(self.parity_rows, self.length)
-
 
 # The full-build guard's advice, in the library's terms (the CLI names its flag).
 FULL_BUILD_HINT = "; build with dimension_only=True"
@@ -149,17 +139,15 @@ def _guard_bytes(what: str, family: CosetFamily, estimated: int, hint: str = "")
 
 def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
     """The largest arrays of a build. Every build runs the translation
-    closure, which holds the packed parity basis, allocated once with one row
-    of q^2/8 bytes per bad monomial: the rank is at most bad <= (t+1)*q (the
-    dimension is at least the good-monomial count, and bad monomials need
-    b - i to be one of the t+1 multiples of h in [0, q-1]). Beside it the
-    closure holds one batch of translates, one temporary of at most a batch
-    and one table of 2^TABLE_BITS row sums (linalg.closure_bytes). A full
-    build also holds the reduced() copy of the basis, at most (t+1)*q rows of
-    q^2/8 bytes. Dense matrices are charged where they are made
-    (generator_matrix, parity_check_matrix and the trace code's views)."""
+    closure, which holds the packed parity basis, allocated once with at
+    most classify.bad_bound rows of q^2/8 bytes (the rank is at most the bad
+    count). Beside it the closure holds one batch of translates, one
+    temporary of at most a batch and one table of 2^TABLE_BITS row sums
+    (linalg.closure_bytes). A full build also holds the reduced() copy of
+    the basis, at most as many rows. Matrices read from the code are charged
+    where they are made (generator_matrix and the trace code's kernel_rows)."""
     q = family.q
-    bound = (family.t + 1) * q
+    bound = bad_bound(q, family.subgroup_order)
     estimated = closure_bytes(q * q, bound)
     if dimension_only:
         _guard_bytes("dimension-only build", family, estimated)
@@ -308,10 +296,10 @@ class BinaryTraceCode:
     """tr(C): the parent code mapped coordinate-wise through the trace to GF(2).
 
     Its generators, the kernel's reduced row-echelon basis, are not held:
-    kernel_rows forms any range of them from the parent's parity rows, and
-    generator_chunks all of them a chunk at a time. binary_generators and
-    generator_matrix() are those chunks put together, made anew on each
-    call and charged against the guard.
+    kernel_rows forms any range of them from the parent's parity rows, in
+    one packed array charged against the guard, and generator_chunks all of
+    them a chunk at a time. The whole kernel is
+    kernel_rows(0, binary_dimension); unpack_rows gives its 0/1 rows.
     """
 
     parent: WedgeLiftedCode
@@ -319,44 +307,21 @@ class BinaryTraceCode:
     _kernel: RrefKernel
 
     def kernel_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Generators lo..hi-1 as packed (hi - lo, q^2/64) uint64 rows."""
+        """Generators lo..hi-1 as packed (hi - lo, q^2/64) uint64 rows:
+        charged (hi - lo) * q^2/8 bytes against the guard."""
         if not all(isinstance(k, (int, np.integer)) for k in (lo, hi)):
             raise UsageError(f"kernel rows must be integers, got {lo!r}..{hi!r}")
+        lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi <= self.binary_dimension:
             raise UsageError(
                 f"kernel rows {lo}..{hi} must satisfy 0 <= lo <= hi <= {self.binary_dimension}"
             )
+        _guard_bytes("binary generators", self.parent.family, packed_bytes(hi - lo, self.parent.length))
         return self._kernel.rows(lo, hi)
 
     def generator_chunks(self) -> Iterator[np.ndarray]:
         """Every generator in order, packed, in chunks of about BATCH_BYTES."""
         return self._kernel.chunks()
-
-    @property
-    def binary_generators(self) -> np.ndarray:
-        """Every generator, packed, read-only: charged
-        binary_dimension * q^2/8 bytes against the guard."""
-        n = self.parent.length
-        _guard_bytes("binary generators", self.parent.family, packed_bytes(self.binary_dimension, n))
-        rows = self._fill(np.empty((self.binary_dimension, packed_bytes(1, n) // 8), dtype=WORD), False)
-        rows.flags.writeable = False
-        return rows
-
-    def generator_matrix(self) -> np.ndarray:
-        """Every generator as a 0/1 uint8 row: charged
-        binary_dimension * q^2 bytes against the guard."""
-        n = self.parent.length
-        _guard_bytes("binary generator matrix", self.parent.family, self.binary_dimension * n)
-        return self._fill(np.empty((self.binary_dimension, n), dtype=np.uint8), True)
-
-    def _fill(self, out: np.ndarray, unpack: bool) -> np.ndarray:
-        """out, one row per generator, filled chunk by chunk with the packed
-        words, or with the bits they unpack to."""
-        lo = 0
-        for chunk in self.generator_chunks():
-            out[lo : lo + len(chunk)] = unpack_rows(chunk, self.parent.length) if unpack else chunk
-            lo += len(chunk)
-        return out
 
 
 def trace_code(code: WedgeLiftedCode) -> BinaryTraceCode:

@@ -27,9 +27,11 @@ from wedgelift import (
     wedge_restriction,
 )
 import wedgelift.classify as classify_module
+from wedgelift.bitlattice import enumerate_2_shadow
 from wedgelift.classify import (
     Monomial,
     Wedge,
+    bad_bound,
     classification,
     oracle_cost,
     oracle_good_mask,
@@ -618,7 +620,7 @@ def test_sampled_oracle_api_gf64(fam64_9: CosetFamily) -> None:
 
 def test_oracle_budget_guard(fam16_5: CosetFamily) -> None:
     cost = oracle_cost(fam16_5)
-    assert cost == 16 * 16 * 3 * (5 * 15 + 1)
+    assert cost == 5 * 16 + (3 * 3 + 4) * 5
     with pytest.raises(OracleBudgetError, match="oracle infeasible"):
         is_good_oracle(fam16_5, Monomial(1, 1), budget=cost - 1)
     # At exactly the cost the call is allowed.
@@ -668,6 +670,43 @@ def test_exponents_accept_numpy_integers(fam16_5: CosetFamily) -> None:
     m = Monomial(np.int64(15), np.uint8(15))
     assert not is_good_oracle(fam16_5, m) and is_bad_coset_criterion(m, 5, 4)
     assert oracle_good_mask(fam16_5, np.empty((0, 2), dtype=np.int64)).shape == (0,)
+
+
+class _CountingTable(np.ndarray):
+    """A field table that records the number of entries each indexing or
+    take reads from it in `reads`, and hands out plain arrays."""
+
+    reads: list[int] = []
+
+    def __getitem__(self, key):
+        out = np.asarray(super().__getitem__(key))
+        self.reads.append(out.size)
+        return out
+
+    def take(self, *args, **kwargs):
+        out = np.asarray(super().take(*args, **kwargs))
+        self.reads.append(out.size)
+        return out
+
+
+@pytest.mark.parametrize("ell, h", [(2, 3), (4, 5), (4, 1), (5, 31), (6, 9), (6, 63)])
+def test_oracle_cost_counts_table_reads(ell: int, h: int, monkeypatch) -> None:
+    """oracle_cost is the number of entries a sweep reads from the
+    multiplication and power tables, per monomial: with both tables wrapped
+    to count their reads, oracle_good_mask over all q^2 monomials, in
+    chunks of 7, reads exactly oracle_cost * q^2 of them."""
+    spec = make_field(ell)
+    family = make_coset_family(spec, h)
+    q = family.q
+    reads = []
+    monkeypatch.setattr(_CountingTable, "reads", reads)
+    for name, table in (("mul", spec.mul_table()), ("power", spec.power_table())):
+        monkeypatch.setitem(spec._tables, name, table.view(_CountingTable))
+    monkeypatch.setattr(classify_module, "BATCH_BYTES", 16 * q * 7)
+    monomials = np.indices((q, q)).reshape(2, -1).T
+    oracle_good_mask(family, monomials, budget=oracle_cost(family) * q * q)
+    assert len(reads) == 7 * -(-q * q // 7)
+    assert sum(reads) == oracle_cost(family) * q * q
 
 
 def test_oracle_good_mask_chunks_cosets_and_budget(fam16_5: CosetFamily, monkeypatch) -> None:
@@ -828,10 +867,31 @@ def test_naive_bound_relation_recorded() -> None:
         spec = make_field(q.bit_length() - 1)
         family = make_coset_family(spec, h)
         t = family.t
-        assert count <= (t + 1) * q, "corrected bound must always hold"
+        assert count <= bad_bound(q, h), "corrected bound must always hold"
         if count > t * q:
             violations.add((q, h))
     assert violations == {(4, 3), (8, 7), (16, 5), (16, 15), (64, 21), (64, 63)}
+
+
+def test_bad_bound_counts_q_monomials_per_multiple() -> None:
+    """bad_bound's derivation, by brute force at q <= 16: for each of the
+    t + 1 multiples j = k*h in [0, q-1], exactly q monomials with a|b = q-1
+    have a submask i of a&b with b - i = j, and the bad monomials are those
+    that have one for some j."""
+    for ell in (2, 3, 4):
+        q = 1 << ell
+        for h in (h for h in range(1, q, 2) if (q - 1) % h == 0):
+            t = (q - 1) // h
+            pairs = [(a, b) for a in range(q) for b in range(q) if a | b == q - 1]
+            witnessed = set()
+            for k in range(t + 1):
+                have = {(a, b) for a, b in pairs
+                        if any(b - i == k * h for i in enumerate_2_shadow(a & b))}
+                assert len(have) == q, (q, h, k)
+                witnessed |= have
+            bad = {(a, b) for a, b in pairs if is_bad_coset_criterion(Monomial(a, b), h, ell)}
+            assert bad == witnessed
+            assert bad_bound(q, h) == (t + 1) * q
 
 
 def test_count_bad_closed_form_validates_inputs() -> None:

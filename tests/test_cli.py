@@ -76,13 +76,23 @@ def test_classify_block_mode_reports_the_block_criterion(capsys, tmp_path, monke
     assert sum(int(line.split(",")[2]) for line in csv[1:]) == int(fields["bad"])
 
 
-def test_classify_gf64_skips_oracle_by_budget(capsys, tmp_path) -> None:
+def test_classify_default_budget_stops_below_q512(capsys, tmp_path) -> None:
+    """Under the default budget of 10^9 table reads the oracle cross-checks
+    q64h9 (a sweep of 3.1 * 10^6 reads) and skips q512h511 (1.6 * 10^9),
+    and so every q = 512 family, the cheapest of which reads 1.07 * 10^9."""
     status, out, _ = run(
         capsys, "classify", "--ell", "6", "--subgroup-order", "9",
         "--out-dir", str(tmp_path),
     )
     assert status == 0
     assert "bad=343" in out
+    assert "oracle_disagreements=0" in out
+    status, out, _ = run(
+        capsys, "classify", "--ell", "9", "--subgroup-order", "511",
+        "--out-dir", str(tmp_path),
+    )
+    assert status == 0
+    assert "bad=1023" in out
     assert "oracle=skipped-budget" in out
     assert "oracle_disagreements" not in out
 
@@ -104,8 +114,10 @@ def test_classify_gf64_with_raised_budget(capsys, tmp_path) -> None:
 
 def test_classify_q32_sweep_at_exact_budget_pinned(capsys, tmp_path) -> None:
     """A budget of exactly oracle_cost * q^2 admits the whole exhaustive
-    sweep; stdout and the CSV are pinned byte for byte."""
-    budget = 32 * 32 * (31 * 31 + 1) * 32 * 32
+    sweep: (5q + (3t + 4)h) * q^2 table reads, with t = 1 and h = 31 at
+    q = 32. Stdout and the CSV are pinned byte for byte, and one read less
+    skips the sweep."""
+    budget = (5 * 32 + 7 * 31) * 32 * 32
     status, out, _ = run(
         capsys, "classify", "--ell", "5", "--subgroup-order", "31",
         "--budget", str(budget), "--out-dir", str(tmp_path),

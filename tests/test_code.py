@@ -44,7 +44,7 @@ from wedgelift.code import (
     write_descriptor,
 )
 from wedgelift.classify import bad_mask, count_bad, is_bad_coset_criterion
-from wedgelift.linalg import closure_bytes, gf2_echelon, pack_rows
+from wedgelift.linalg import closure_bytes, gf2_echelon, pack_rows, unpack_rows
 
 from reference import (
     array_to_bitset,
@@ -65,6 +65,11 @@ from reference import (
     wedge_point_set_reference,
     wedge_rows,
 )
+
+
+def all_generators(binary) -> np.ndarray:
+    """Every generator of a trace code, packed: its whole kernel."""
+    return binary.kernel_rows(0, binary.binary_dimension)
 
 
 # (q, h) -> (good monomials, exact dimension). The dimension exceeds the
@@ -237,7 +242,7 @@ def test_rank_cross_checked_by_dense_eliminators(code4_3, code16_5, code16_15) -
 
 def test_kernel_basis_properties(code16_5) -> None:
     code = code16_5
-    basis = packed_to_ints(trace_code(code).binary_generators)
+    basis = packed_to_ints(all_generators(trace_code(code)))
     assert len(basis) == code.exact_dimension
     assert gf2_rank(basis) == code.exact_dimension
     n = code.length
@@ -251,7 +256,7 @@ def test_kernel_basis_properties(code16_5) -> None:
 def test_nullspace_sampling_gf4(code4_3, rng) -> None:
     # Random GF(2) combinations of the kernel basis stay annihilated by all
     # 16 parity rows (sampled nullspace enumeration).
-    basis = packed_to_ints(trace_code(code4_3).binary_generators)
+    basis = packed_to_ints(all_generators(trace_code(code4_3)))
     rows = wedge_rows(code4_3.family)
     for _ in range(50):
         picks = rng.integers(0, 2, size=len(basis))
@@ -264,7 +269,7 @@ def test_nullspace_sampling_gf4(code4_3, rng) -> None:
 
 
 def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, code64_9) -> None:
-    """binary_generators is the big-int RREF of the kernel vectors read off
+    """The whole kernel is the big-int RREF of the kernel vectors read off
     the gf2_rref of the parity rows (a unit vector per free column plus
     pivot bits), and bit-identical to the RREF of the trace rows
     tr(2^j * g), the trace code by its definition. At q32h31 and q64h9,
@@ -283,7 +288,7 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, 
                 kernel.append(v)
         kernel_rref = gf2_rref(kernel)
         binary = trace_code(code)
-        assert packed_to_ints(binary.binary_generators) == [kernel_rref[c] for c in sorted(kernel_rref)]
+        assert packed_to_ints(all_generators(binary)) == [kernel_rref[c] for c in sorted(kernel_rref)]
 
         spec = code.field
         raw = [
@@ -292,10 +297,10 @@ def test_kernel_and_trace_match_big_int_reference(code4_3, code16_5, code16_15, 
             for j in range(spec.ell)
         ]
         traced = gf2_rref(raw)
-        assert packed_to_ints(binary.binary_generators) == [traced[c] for c in sorted(traced)]
+        assert packed_to_ints(all_generators(binary)) == [traced[c] for c in sorted(traced)]
 
     for code in (build_code(make_coset_family(make_field(5), 31)), code64_9):
-        assert np.array_equal(trace_code(code).binary_generators, traced_span(code))
+        assert np.array_equal(all_generators(trace_code(code)), traced_span(code))
 
 
 def _patch_bad_mask(monkeypatch, good: set[tuple[int, int]], q: int) -> None:
@@ -417,8 +422,7 @@ def test_good_monomial_grids_vanish_sampled(code64_9, rng) -> None:
 @pytest.mark.parametrize("name", ["code4_3", "code16_5", "code16_15"])
 def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
     """parity_rows is the big-int RREF of every raw wedge row, sorted by
-    pivot, as a read-only (redundancy, words) packed array; the trace
-    generators are read-only too."""
+    pivot, as a read-only (redundancy, words) packed array."""
     code = request.getfixturevalue(name)
     n = code.length
     rref = gf2_rref(wedge_rows(code.family))
@@ -427,23 +431,26 @@ def test_parity_rows_are_rref_of_wedge_rows(name, request) -> None:
     assert code.parity_rows.dtype == np.uint64
     assert packed_to_ints(code.parity_rows) == expected
     assert np.array_equal(
-        code.parity_check_matrix(), np.stack([bitset_to_array(r, n) for r in expected])
+        unpack_rows(code.parity_rows, n), np.stack([bitset_to_array(r, n) for r in expected])
     )
-    for rows in (code.parity_rows, trace_code(code).binary_generators):
-        assert not rows.flags.writeable
+    assert not code.parity_rows.flags.writeable
 
 
 def test_parity_export_does_not_depend_on_batching(fam16_5, monkeypatch, tmp_path) -> None:
     """With 8-row elimination batches (each bit step of the closure split
     into batches of the translates of 8 basis rows, not one batch of all of
     them) the exported parity file is byte for byte the same."""
+    def export(path) -> None:
+        code = build_code(fam16_5)
+        export_packed(path, [code.parity_rows], (code.redundancy, code.length), q=16)
+
     default = tmp_path / "default.txt"
-    export_matrix(default, build_code(fam16_5).parity_check_matrix(), q=16)
+    export(default)
     monkeypatch.setattr(linalg_module, "MIN_BATCH_ROWS", 1)
     monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8 * 4 * 8)
     monkeypatch.setattr(code_module, "BATCH_BYTES", 8 * 4 * 8)
     small = tmp_path / "small.txt"
-    export_matrix(small, build_code(fam16_5).parity_check_matrix(), q=16)
+    export(small)
     assert small.read_text().splitlines()[0] == "# q=16 rows=48 cols=256"
     assert small.read_bytes() == default.read_bytes()
 
@@ -487,7 +494,7 @@ def test_full_build_bytes_pinned(ell, h, monkeypatch) -> None:
 
     monkeypatch.setattr(linalg_module.GF2Echelon, "__init__", counting)
     code = build_code(make_coset_family(make_field(ell), h))
-    kernel = trace_code(code).binary_generators
+    kernel = all_generators(trace_code(code))
     digests = tuple(hashlib.sha256(rows.tobytes()).hexdigest() for rows in (kernel, code.parity_rows))
     assert digests == PINNED_BUILDS[ell, h]
     assert len(made) == 1
@@ -508,10 +515,12 @@ def record_kernel_rows(monkeypatch) -> list[tuple[int, int]]:
 
 @pytest.mark.parametrize("ell,h", PINNED_BUILDS, ids=[f"q{1 << e}h{h}" for e, h in PINNED_BUILDS])
 def test_kernel_chunks_reproduce_pinned_bytes(ell, h, monkeypatch) -> None:
-    """With chunks of 100 rows, the last one short, the views put together
-    from the chunks keep the pinned sha256: binary_generators, the
-    generator_chunks concatenated and the kernel_rows of ranges that cut
-    across the chunks. Each view forms every row exactly once."""
+    """With chunks of 100 rows, the last one short, and sub-ranges of
+    BATCH_BYTES / (8 * (rank + 1)) rows, the last of each range short too,
+    the reads of the whole kernel keep the pinned sha256: kernel_rows of
+    the whole range, the generator_chunks concatenated and the kernel_rows
+    of ranges that cut across the chunks. Each forms every row exactly
+    once."""
     import hashlib
 
     code = build_code(make_coset_family(make_field(ell), h))
@@ -520,7 +529,7 @@ def test_kernel_chunks_reproduce_pinned_bytes(ell, h, monkeypatch) -> None:
     monkeypatch.setattr(linalg_module, "BATCH_BYTES", 100 * (code.length // 8))
     ranges = record_kernel_rows(monkeypatch)
     views = [
-        binary.binary_generators,
+        all_generators(binary),
         np.concatenate(list(binary.generator_chunks())),
         np.concatenate([binary.kernel_rows(lo, min(lo + 333, dim)) for lo in range(0, dim, 333)]),
     ]
@@ -528,8 +537,10 @@ def test_kernel_chunks_reproduce_pinned_bytes(ell, h, monkeypatch) -> None:
         assert hashlib.sha256(rows.tobytes()).hexdigest() == PINNED_BUILDS[ell, h][0]
     chunks = [(lo, min(lo + 100, dim)) for lo in range(0, dim, 100)]
     assert len(chunks) >= 10 and 0 < dim % 100
-    assert ranges[: 2 * len(chunks)] == 2 * chunks
-    assert len(ranges) == 2 * len(chunks) + -(-dim // 333)
+    assert ranges[: 1 + len(chunks)] == [(0, dim), *chunks]
+    assert len(ranges) == 1 + len(chunks) + -(-dim // 333)
+    step = linalg_module.BATCH_BYTES // (8 * (code.redundancy + 1))
+    assert 1 < step < dim and 0 < dim % step
 
 
 def test_kernel_rows_bounds(trace16_5) -> None:
@@ -542,22 +553,38 @@ def test_kernel_rows_bounds(trace16_5) -> None:
             trace16_5.kernel_rows(lo, hi)
     assert trace16_5.kernel_rows(dim, dim).shape == (0, 4)
     assert np.array_equal(trace16_5.kernel_rows(np.int64(3), np.uint8(5)), trace16_5.kernel_rows(3, 5))
-    assert np.array_equal(trace16_5.kernel_rows(dim - 1, dim), trace16_5.binary_generators[-1:])
+    assert np.array_equal(trace16_5.kernel_rows(dim - 1, dim), all_generators(trace16_5)[-1:])
+
+
+def test_whole_kernel_peak_is_its_packed_result(trace64_9) -> None:
+    """kernel_rows(0, binary_dimension) at q64h9 (3 754 rows, about 126 set
+    bits each) forms its rows in bounded sub-ranges: its tracemalloc peak is
+    at most 8 MiB above the 1.8 MiB packed result it returns."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rows = all_generators(trace64_9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (3754, 64)
+    assert peak - rows.nbytes <= 8 << 20
 
 
 def test_kernel_is_read_by_trace_code_alone(fam16_5, monkeypatch) -> None:
     """No build forms a kernel row, in full or dimension-only mode, nor does
-    trace_code or reading binary_dimension; the kernel is formed only when a
-    view asks for it, and neither the code nor the trace code keeps it."""
+    trace_code or reading binary_dimension; the kernel is formed only when
+    kernel_rows asks for it, and neither the code nor the trace code keeps
+    it."""
     ranges = record_kernel_rows(monkeypatch)
     build_code(fam16_5, dimension_only=True)
     code = build_code(fam16_5)
     binary = trace_code(code)
     assert binary.binary_dimension == 208
     assert ranges == []
-    binary.binary_generators
-    binary.generator_matrix()
-    assert ranges == [(0, 208), (0, 208)]
+    all_generators(binary)
+    assert ranges == [(0, 208)]
     assert not hasattr(code, "kernel_basis")
     assert not hasattr(linalg_module.GF2Echelon, "kernel")
     # The trace code holds the parent's parity rows themselves and arrays of
@@ -572,8 +599,8 @@ def test_trace_code_at_q256_under_the_default_guard() -> None:
     """q256h255 under the 2 GiB default guard: build_code + trace_code give
     binary_dimension 65 026 in well under 2 s at a tracemalloc peak under
     64 MB; a chunk of generators is orthogonal over GF(2) to every parity
-    row, each with its free column as lowest set bit; and the dense views
-    are refused with their byte counts."""
+    row, each with its free column as lowest set bit; and the F_q generator
+    matrix is refused with its byte count."""
     import time
     import tracemalloc
 
@@ -599,16 +626,12 @@ def test_trace_code_at_q256_under_the_default_guard() -> None:
     assert (np.bitwise_count(chunk).sum(axis=1) > 1).any()
     with pytest.raises(MemoryGuardError, match=r"generator matrix for q=256, t=1 needs ~8522956800 bytes"):
         code.generator_matrix()
-    with pytest.raises(MemoryGuardError, match=r"binary generator matrix for q=256, t=1 needs ~4261543936 bytes"):
-        binary.generator_matrix()
 
 
 def test_dimension_only_build(fam16_5, code16_5) -> None:
     code = build_code(fam16_5, dimension_only=True)
     assert code.exact_dimension == code16_5.exact_dimension
     assert code.parity_rows is None
-    with pytest.raises(UsageError, match="dimension-only"):
-        code.parity_check_matrix()
 
 
 @pytest.mark.parametrize("ell,h,redundancy", [(7, 127, 254), (8, 255, 510)], ids=["q128h127", "q256h255"])
@@ -659,22 +682,17 @@ def test_memory_guard_boundary(f16, monkeypatch) -> None:
     "view,estimate",
     [
         ("generator matrix", 207 * 256 * 2),
-        ("parity-check matrix", 48 * 256),
         ("binary generators", 208 * 256 // 8),
-        ("binary generator matrix", 208 * 256),
     ],
 )
 def test_dense_views_guard_boundary(view, estimate, code16_5, trace16_5, monkeypatch) -> None:
-    """Each dense matrix is charged where it is made, for the bytes it
-    holds: at q16h5 the uint16 generator matrix 207 * 256 * 2, the 0/1
-    parity-check matrix 48 * 256, the packed binary generators 208 * 256/8
-    and their 0/1 matrix 208 * 256. Each is made at exactly its charge and
-    refused one byte below it."""
+    """Each matrix is charged where it is made, for the bytes it holds: at
+    q16h5 the uint16 generator matrix 207 * 256 * 2 and the packed binary
+    generators kernel_rows(0, 208) 208 * 256/8. Each is made at exactly its
+    charge and refused one byte below it."""
     make = {
         "generator matrix": code16_5.generator_matrix,
-        "parity-check matrix": code16_5.parity_check_matrix,
-        "binary generators": lambda: trace16_5.binary_generators,
-        "binary generator matrix": trace16_5.generator_matrix,
+        "binary generators": lambda: trace16_5.kernel_rows(0, 208),
     }[view]
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
     assert make().nbytes == estimate
@@ -847,14 +865,14 @@ def test_trace_dimension_equals_parent(code4_3, code16_5, code16_15, code64_9) -
 
 def test_trace_rows_orthogonal_to_wedges(trace16_5) -> None:
     rows = wedge_rows(trace16_5.parent.family)
-    for gen in packed_to_ints(trace16_5.binary_generators):
+    for gen in packed_to_ints(all_generators(trace16_5)):
         for row in rows:
             assert bin(gen & row).count("1") % 2 == 0
 
 
 def test_trace_rows_orthogonal_to_wedges_sampled_gf64(trace64_9, rng) -> None:
     rows = wedge_rows(trace64_9.parent.family)
-    gens = packed_to_ints(trace64_9.binary_generators)
+    gens = packed_to_ints(all_generators(trace64_9))
     for _ in range(200):
         g = gens[int(rng.integers(len(gens)))]
         r = rows[int(rng.integers(len(rows)))]
@@ -862,7 +880,7 @@ def test_trace_rows_orthogonal_to_wedges_sampled_gf64(trace64_9, rng) -> None:
 
 
 def test_trace_generator_matrix_shape(trace16_5) -> None:
-    m = trace16_5.generator_matrix()
+    m = unpack_rows(all_generators(trace16_5), 256)
     assert m.shape == (208, 256)
     assert set(np.unique(m)) <= {0, 1}
     # Rows are in reduced echelon form: leading columns are distinct units.
@@ -936,11 +954,8 @@ def test_export_packed_matches_export_matrix(tmp_path, code16_5, trace16_5) -> N
     the chunks do not give is refused, and neither the file nor a temp file
     is left behind."""
     n = code16_5.length
-    for rows, dense in [
-        (code16_5.parity_rows, code16_5.parity_check_matrix()),
-        (trace16_5.binary_generators, trace16_5.generator_matrix()),
-    ]:
-        export_matrix(tmp_path / "dense.txt", dense, q=16)
+    for rows in (code16_5.parity_rows, all_generators(trace16_5)):
+        export_matrix(tmp_path / "dense.txt", unpack_rows(rows, n), q=16)
         chunks = [rows[:7], rows[7:8], rows[8:]]
         export_packed(tmp_path / "packed.txt", chunks, (len(rows), n), q=16)
         assert (tmp_path / "packed.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()

@@ -22,7 +22,7 @@ from wedgelift import (
 import wedgelift.repair as repair_module
 from wedgelift.classify import Wedge
 from wedgelift.code import _origin_wedges
-from wedgelift.linalg import gf2_echelon, pack_rows
+from wedgelift.linalg import gf2_echelon, pack_rows, unpack_rows
 from wedgelift.repair import _group_sums, _seed_spectra, _verify
 
 from reference import (
@@ -115,7 +115,8 @@ def test_transform_sums_equal_gathered_sums(name, request) -> None:
     groups = repair_groups_reference(code)
     q, n = code.field.q, code.length
     rng = np.random.default_rng(31)
-    binary = trace_code(code).generator_matrix()
+    tc = trace_code(code)
+    binary = unpack_rows(tc.kernel_rows(0, tc.binary_dimension), n)
     words = [
         encode(code, rng.integers(0, q, size=len(code.good_monomials))),
         np.bitwise_xor.reduce(binary[rng.integers(0, 2, size=len(binary)) == 1], axis=0),
@@ -190,9 +191,10 @@ def test_injected_fault_is_the_tampered_group(plan16_5) -> None:
 def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
     """The binary words verify hands to the group sums lie in the trace code
     of a full build and, dim C + 16 of them, span it: their reduced
-    row-echelon basis is its binary_generators, as is that of the same
+    row-echelon basis is its whole kernel_rows, as is that of the same
     number of words drawn from the kernel rows by the reference."""
     code = build_code(make_coset_family(make_field(ell), h))
+    binary = trace_code(code)
     plan = build_repair_plan(code)
     seen = []
 
@@ -207,7 +209,7 @@ def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
     assert np.array_equal(seen, _words_drawn_by_verify(code, trials, 18, binary=True))
     for words in (seen, kernel_codewords_reference(code, trials, 18)):
         span = gf2_echelon([pack_rows(np.stack(words))], code.length).reduced()
-        assert np.array_equal(span, trace_code(code).binary_generators)
+        assert np.array_equal(span, binary.kernel_rows(0, binary.binary_dimension))
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
