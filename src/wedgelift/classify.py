@@ -207,7 +207,7 @@ def oracle_good_mask(
     if cost > budget:
         raise OracleBudgetError(
             f"oracle infeasible: {cost} table reads exceed budget {budget}; "
-            f"sample wedges instead"
+            f"raise the budget (--budget) or pass fewer monomials"
         )
     subgroup = np.array(family.subgroup, dtype=np.intp)
     good = np.empty(len(exps), dtype=bool)

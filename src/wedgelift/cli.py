@@ -186,10 +186,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     ell, h, t = plan_dyadic_parameters(args.a_num, args.b_exp, args.n)
     q = 1 << ell
-    feasible = (q - 1) % h == 0
+    # plan_dyadic_parameters raises unless h divides q - 1.
     print(
         f"alpha={(1 - args.a_num / (1 << args.b_exp)) / 2:.4f} ell={ell} q={q} "
-        f"h={h} t={t} h_divides_q_minus_1={'yes' if feasible else 'no'} "
+        f"h={h} t={t} h_divides_q_minus_1=yes "
         f"redundancy_bound={_classify.bad_bound(q, h)}"
     )
     return 0

@@ -30,11 +30,15 @@ WORD = np.dtype("<u8")
 # memory-friendly.
 BATCH_BYTES = 1 << 19
 MIN_BATCH_ROWS = 256
-# A batch is reduced against the basis TABLE_BITS pivots at a time: their bits
-# are read in one gather, and the chunk is added through a table of its
-# 2^TABLE_BITS row sums when that is cheaper than one XOR per set bit
-# (_table_pays).
+# A batch is reduced against the basis TABLE_BITS pivots at a time: a chunk
+# is added through a table of its 2^TABLE_BITS row sums when that is cheaper
+# than XORing its (row, pivot) pairs (_table_pays).
 TABLE_BITS = 8
+# Rows of at most PAIR_WORDS words take a reduction's pairs in rounds of
+# gather-XORs; wider ones take them one pivot at a time (_add_pairs).
+PAIR_WORDS = 256
+# The cost of one numpy call, counted in words moved (_table_pays).
+CALL_WORDS = 4096
 
 
 def _words(ncols: int) -> int:
@@ -65,21 +69,26 @@ class GF2Echelon:
     space, so it does not depend on the order or blocking of the input rows.
     Rows are added in batches (see gf2_echelon). A batch is first reduced
     against the basis: a row v becomes v + sum of v[p_k] * row_k over the
-    pivots p_k, since no other basis row has bit p_k. The bits v[p_k] are
-    read TABLE_BITS pivots at a time, one gather per chunk, and each chunk is
-    added through a table of its row sums, or by one XOR per pivot when few
-    rows need it (_reduce). The rows the batch has left are then eliminated
-    inside it row by row, each new pivot row XORed into every other row of
-    the batch with its pivot bit. The new rows are appended together, and
-    the basis rows that were there before are reduced against them, the same
-    way as a batch. RrefKernel reads the kernel from the reduced rows.
+    pivots p_k, since no other basis row has bit p_k. The bits v[p_k] of the
+    whole batch are read in one gather, packed, before any row is added.
+    Each chunk of TABLE_BITS pivots is then added through a table of its row
+    sums or by its (row, pivot) pairs, whichever moves fewer words counting
+    each numpy call, and a row with most of its bits set takes the sum of
+    all the rows and then its unset bits (_reduce). The rows the batch has
+    left are then eliminated inside it row by row, each new pivot row XORed
+    into every other row of the batch with its pivot bit. The new rows are
+    appended together, and the basis rows that were there before are
+    reduced against them, the same way as a batch. RrefKernel reads the
+    kernel from the reduced rows.
 
     translation_closure adds the translates of the basis one index bit at a
     time (_close_bit). During such a step the last reduction skips the basis
     rows being translated (the first `frozen` rows), so that they stay as
     they were while their translates are added; they are reduced at the
-    step's end. Until then those rows may have bits at the later pivots, and
-    a batch is reduced against them before the later rows.
+    step's end. Until then those rows may have bits at the later pivots, so
+    a batch is reduced against them in a reduction of its own, before the
+    later rows: within each reduction the basis rows are zero at each
+    other's pivots, which is what lets one gather read all its bits.
 
     The basis array starts with `capacity` rows and doubles (or grows to fit
     a batch's new rows), by copying, each time it is full; a caller that
@@ -92,11 +101,12 @@ class GF2Echelon:
         self.ncols = ncols
         self.words = _words(ncols)
         self.rank = 0
-        # Row k, its pivot column, that column's word and its bit in the word.
+        # Row k, its pivot column, the byte of a packed row that holds that
+        # column and its bit in the byte.
         self._rows = np.zeros((max(capacity, 1), self.words), dtype=WORD)
         self._cols = np.zeros(len(self._rows), dtype=np.int64)
-        self._word = np.zeros(len(self._rows), dtype=np.intp)
-        self._bit = np.zeros(len(self._rows), dtype=WORD)
+        self._byte = np.zeros(len(self._rows), dtype=np.intp)
+        self._mask = np.zeros(len(self._rows), dtype=np.uint8)
         pad = 64 * self.words - ncols
         self._pad_mask = np.uint64(((1 << pad) - 1) << (64 - pad)) if pad else None
 
@@ -113,39 +123,113 @@ class GF2Echelon:
 
     def _reduce(self, block: np.ndarray, lo: int, hi: int) -> None:
         """XOR into each row of `block` the basis rows lo..hi-1 at whose
-        pivots it has a set bit, TABLE_BITS rows at a time in basis order.
-        Each basis row must be zero at the other pivots of its chunk and at
-        the pivots of the chunks before it: then a chunk's bits, read from
-        the block as it stands, are the row's coefficients, and the chunk
-        leaves the block zero at its pivots.
+        pivots it has a set bit. Those basis rows must be zero at each
+        other's pivots: then the block's bits at those pivots, all read
+        before any XOR (_coefficients), are its coefficients, and the
+        reduction leaves the block zero there.
 
-        A chunk of k rows with s set bits in the block's R rows costs s row
-        XORs one pivot at a time, or 2^k to build the table of its row sums
-        and R to add one sum to every row; the cheaper way is taken
-        (_table_pays)."""
-        table = None
-        for start in range(lo, hi, TABLE_BITS):
-            stop = min(start + TABLE_BITS, hi)
-            rows = self._rows[start:stop]
-            bits = block[:, self._word[start:stop]]
-            bits &= self._bit[start:stop]
-            bits = bits.astype(bool)
-            hits = np.count_nonzero(bits)
-            if _table_pays(hits, len(rows), len(block)):
-                if table is None:
-                    table = np.zeros((1 << TABLE_BITS, self.words), dtype=WORD)
-                for k, row in enumerate(rows):
-                    np.bitwise_xor(table[: 1 << k], row, out=table[1 << k : 2 << k])
-                index = np.packbits(bits, axis=1, bitorder="little")[:, 0]
-                block ^= table[index]
-            elif hits:
-                pivot, hit = bits.T.nonzero()
-                ends = np.cumsum(np.bincount(pivot, minlength=len(rows))).tolist()
-                begin = 0
-                for row, end in zip(rows, ends):
-                    if end > begin:
-                        block[hit[begin:end]] ^= row
-                    begin = end
+        A row with more than half its coefficients set takes the sum of
+        all the rows instead, and then the rows of its unset coefficients,
+        when that saves more row XORs than the sum costs. The coefficients
+        are then split into chunks of TABLE_BITS pivots, and each chunk
+        takes the cheaper of two exact forms (_table_pays): one sum per
+        row from a table of the chunk's row sums (_add_table), or its
+        (row, pivot) pairs, XORed in together with the other such chunks'
+        pairs, as many chunks at a time as keep their bits and indices about
+        the size of the block (_add_pairs). Every form adds the same rows,
+        so the basis the closure leaves is the unique RREF whichever forms
+        are taken."""
+        if hi <= lo or not len(block):
+            return
+        coefficients = self._coefficients(block, lo, hi)
+        ones = np.bitwise_count(coefficients)
+        surplus = 2 * ones.sum(axis=1, dtype=np.intp) - (hi - lo)
+        if np.maximum(surplus, 0).sum() > hi - lo:
+            dense = surplus > 0
+            block[dense] ^= np.bitwise_xor.reduce(self._rows[lo:hi], axis=0)
+            flip = np.full(coefficients.shape[1], 0xFF, dtype=np.uint8)
+            flip[-1] >>= -(hi - lo) % TABLE_BITS
+            coefficients[dense] ^= flip
+            ones = np.bitwise_count(coefficients)
+        hits = ones.sum(axis=0, dtype=np.intp)
+        tables = (hits > 0) & _table_pays(hits, len(block), self.words)
+        sums = None
+        paired: list[int] = []
+        held = 0
+        for c, (n, table) in enumerate(zip(hits.tolist(), tables.tolist())):
+            if table:
+                if sums is None:
+                    sums = np.zeros((1 << TABLE_BITS, self.words), dtype=WORD)
+                start = lo + TABLE_BITS * c
+                rows = self._rows[start : min(start + TABLE_BITS, hi)]
+                _add_table(block, coefficients[:, c], rows, sums)
+            elif n:
+                # _add_pairs holds a chunk's bits, a byte a row and pivot,
+                # and about 64 bytes of indices a pair.
+                paired.append(c)
+                held += TABLE_BITS * len(block) + 64 * n
+                if held >= block.nbytes:
+                    self._add_pairs(block, coefficients, paired, lo)
+                    paired, held = [], 0
+        if paired:
+            self._add_pairs(block, coefficients, paired, lo)
+
+    def _coefficients(self, block: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The block's bits at the pivots of basis rows lo..hi-1, packed:
+        bit k % 8 of byte k // 8 of a row is its bit at pivot lo + k, so
+        byte c is the row's table index in chunk c. Each bit is read from
+        the byte of the row that holds it, 8 * words pivots at a time, so
+        that each of a slice's two temporaries holds at most as many bytes
+        as the block. A chunk's 8 flags (bytes of 0 or 1) become one byte by
+        one multiplication, which moves byte k of their word to bit 56 + k
+        with no carries."""
+        out = np.empty((len(block), -(-(hi - lo) // TABLE_BITS)), dtype=np.uint8)
+        raw = block.view(np.uint8)
+        step = TABLE_BITS * self.words
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            size = -(-(stop - start) // TABLE_BITS)
+            flags = np.zeros((len(block), TABLE_BITS * size), dtype=bool)
+            bits = raw.take(self._byte[start:stop], axis=1)
+            bits &= self._mask[start:stop]
+            np.not_equal(bits, 0, out=flags[:, : stop - start])
+            packed = flags.view(WORD)
+            packed *= np.uint64(0x0102040810204080)
+            packed >>= np.uint64(56)
+            first = (start - lo) // TABLE_BITS
+            out[:, first : first + size] = packed
+        return out
+
+    def _add_pairs(
+        self, block: np.ndarray, coefficients: np.ndarray, chunks: list[int], lo: int
+    ) -> None:
+        """XOR into each row of `block` the rows of the basis chunks `chunks`
+        (chunk c starts at row lo + TABLE_BITS * c) at whose pivots it has a
+        set coefficient bit. Rows of at most PAIR_WORDS words take these
+        (row, basis row) pairs in rounds, each row at most once a round, by
+        one gather-XOR a round. Wider rows take them one basis row at a
+        time, broadcast to the rows it hits, which gathers no basis rows."""
+        bits = np.unpackbits(coefficients[:, chunks], axis=1, bitorder="little")
+        basis = (lo + TABLE_BITS * np.array(chunks)[:, None] + np.arange(TABLE_BITS)).ravel()
+        if self.words > PAIR_WORDS:
+            col, hit = bits.T.nonzero()
+            ends = np.cumsum(np.bincount(col, minlength=len(basis))).tolist()
+            begin = 0
+            for row, end in zip(basis.tolist(), ends):
+                if end > begin:
+                    block[hit[begin:end]] ^= self._rows[row]
+                begin = end
+            return
+        hit, col = bits.nonzero()
+        count = np.bincount(hit, minlength=len(bits))
+        # The k-th pair of a row goes to round k; hit is sorted by row.
+        turn = np.arange(len(hit)) - (np.cumsum(count) - count)[hit]
+        order = np.argsort(turn, kind="stable")
+        hit, row = hit[order], basis[col[order]]
+        begin = 0
+        for end in np.cumsum(np.bincount(turn)).tolist():
+            block[hit[begin:end]] ^= self._rows[row[begin:end]]
+            begin = end
 
     def _reduce_basis(self, lo: int, hi: int, plo: int, phi: int) -> None:
         """_reduce the basis rows lo..hi-1 against the basis rows plo..phi-1,
@@ -207,13 +291,13 @@ class GF2Echelon:
             grown = np.zeros((size, self.words), dtype=WORD)
             grown[: self.rank] = self._rows[: self.rank]
             self._rows = grown
-            self._cols, self._word, self._bit = (
-                np.resize(a, size) for a in (self._cols, self._word, self._bit)
+            self._cols, self._byte, self._mask = (
+                np.resize(a, size) for a in (self._cols, self._byte, self._mask)
             )
         np.take(block, index, axis=0, out=self._rows[self.rank : end])
         self._cols[self.rank : end] = cols
-        self._word[self.rank : end] = cols >> 6
-        self._bit[self.rank : end] = np.uint64(1) << (cols & 63).astype(WORD)
+        self._byte[self.rank : end] = cols >> 3
+        self._mask[self.rank : end] = np.uint8(1) << (cols & 7).astype(np.uint8)
         self.rank = end
 
 
@@ -235,7 +319,8 @@ class RrefKernel:
     `rows`, given in any row order, as its unique reduced row-echelon basis:
     ncols - rank packed rows, pivot = lowest set column, increasing. The
     rows are formed on request, one range at a time (rows, chunks); the
-    reader itself holds the basis and one reversed pivot per basis row.
+    reader itself holds the basis and, per basis row, its place in the
+    order of the reversed pivots and its reversed pivot's bit.
 
     Precondition: the row space is invariant under the column reversal
     j -> ncols - 1 - j, as every translation_closure is (ncols is a power of
@@ -255,12 +340,13 @@ class RrefKernel:
         self.ncols = ncols
         self.dimension = ncols - len(rows)
         pivots = ncols - 1 - lowest_set_columns(rows)
-        self._pivot_word = pivots >> 6
-        self._pivot_bit = np.uint64(1) << (pivots & 63).astype(WORD)
-        # With the reversed pivots P_0 < P_1 < ..., P_k - k free columns lie
-        # below P_k, so free column i is i plus the number of k with
-        # P_k - k <= i.
-        ordered = np.sort(pivots)
+        # The basis rows in the order of their reversed pivots P_0 < P_1 <
+        # ..., and the bit of each P_k in its word.
+        self._order = np.argsort(pivots)
+        ordered = pivots[self._order]
+        self._pivot_bit = np.uint64(1) << (ordered & 63).astype(WORD)
+        # P_k - k free columns lie below P_k, so free column i is i plus the
+        # number of k with P_k - k <= i.
         self._free_below = ordered - np.arange(len(ordered))
 
     def free_columns(self, lo: int, hi: int) -> np.ndarray:
@@ -275,26 +361,44 @@ class RrefKernel:
         about BATCH_BYTES each, whatever hi - lo is."""
         out = np.zeros((hi - lo, _words(self.ncols)), dtype=WORD)
         step = max(1, BATCH_BYTES // (8 * (len(self.basis) + 1)))
+        # The word of each P_k.
+        words = (self._free_below + np.arange(len(self._free_below))) >> 6
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            self._form(out[start - lo : stop - lo], start, stop)
+            self._form(out[start - lo : stop - lo], start, stop, words)
         return out
 
-    def _form(self, out: np.ndarray, lo: int, hi: int) -> None:
+    def _form(self, out: np.ndarray, lo: int, hi: int, words: np.ndarray) -> None:
         """Write kernel rows lo..hi-1 into the zeroed rows of out: each row's
-        unit bit in one assignment, then the reversed pivot of every basis
-        row set at the row's free column, by one OR over all such (basis
-        row, vector) pairs. The basis is read at those columns (reversed)
+        unit bit in one assignment, then the reversed pivot P_k (in word
+        words[k]) of every basis row k set at the row's free column. The
+        basis is read at those columns (reversed), its rows in pivot order,
         from one unpack of the words they span, about (hi - lo + rank) / 64
-        words a row."""
+        words a row. The pivot bits that fall in one output word are ORed
+        together first, so that each output word is written once:
+
+        - when at least one bit in 8 is set, every bit becomes its row's
+          pivot bit or 0, and one reduceat over the rows ORs the rows of
+          each pivot word;
+        - otherwise one flat scan, vector by vector, lists the (vector, k)
+          pairs with each vector's pivots increasing, so the pairs that
+          fall in one output word are adjacent, and one reduceat ORs each
+          such run."""
         free = self.free_columns(lo, hi)
         out[np.arange(len(free)), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
         cols = self.ncols - 1 - free
         first, last = cols[-1] >> 6, (cols[0] >> 6) + 1
-        span = unpack_rows(self.basis[:, first:last], 64 * (last - first))
-        # One flat scan of the (rank, rows) bits: a 2-D np.nonzero is 4-7x slower.
-        row, vec = np.divmod(np.flatnonzero(span[:, cols - 64 * first]), len(free))
-        np.bitwise_or.at(out, (vec, self._pivot_word[row]), self._pivot_bit[row])
+        span = unpack_rows(self.basis[self._order, first:last], 64 * (last - first))
+        hit = span[:, cols - 64 * first]
+        if 8 * np.count_nonzero(hit) >= hit.size:
+            starts = np.flatnonzero(np.diff(words, prepend=-1))
+            bits = hit * self._pivot_bit[:, None]
+            out[:, words[starts]] |= np.bitwise_or.reduceat(bits, starts, axis=0).T
+        else:
+            vec, k = np.divmod(np.flatnonzero(hit.T), len(hit))
+            cell = vec * out.shape[1] + words[k]
+            runs = np.flatnonzero(np.diff(cell, prepend=-1))
+            out.reshape(-1)[cell[runs]] |= np.bitwise_or.reduceat(self._pivot_bit[k], runs)
 
     def chunks(self) -> Iterator[np.ndarray]:
         """All kernel rows in order, as consecutive rows(lo, hi) of about
@@ -304,12 +408,28 @@ class RrefKernel:
             yield self.rows(lo, min(lo + step, self.dimension))
 
 
-def _table_pays(hits: int, chunk: int, nrows: int) -> bool:
-    """Whether a chunk of `chunk` basis rows, whose pivots have `hits` set
-    bits in a batch of nrows rows, is added more cheaply through its table
-    (2^chunk row sums to build, one sum added to each of the nrows rows) than
-    by one row XOR per set bit."""
-    return hits > (1 << chunk) + nrows
+def _add_table(block: np.ndarray, index: np.ndarray, rows: np.ndarray, table: np.ndarray) -> None:
+    """Add to each row of `block` the sum of rows[k] over the set bits k of
+    its `index`, from a table of all 2^len(rows) such sums, built by
+    doubling: sum(i + 2^k) = sum(i) + rows[k] for i < 2^k."""
+    for k, row in enumerate(rows):
+        np.bitwise_xor(table[: 1 << k], row, out=table[1 << k : 2 << k])
+    block ^= table[index]
+
+
+def _table_pays(hits: np.ndarray, nrows: int, words: int) -> np.ndarray:
+    """Whether chunks of TABLE_BITS basis rows, whose pivots have `hits` set
+    bits in a block of nrows rows of `words` words, are added more cheaply
+    through a table than by their pairs. Costs are counted in words moved,
+    a numpy call as CALL_WORDS: a table writes 2^TABLE_BITS sums and
+    gathers and XORs one sum per row, in TABLE_BITS + 2 calls. A pair in a
+    round of gather-XORs moves about four rows (a block row gathered and
+    scattered, a basis row gathered and XORed) plus a sixteenth of a call
+    of index work; a pair XORed by its pivot's broadcast moves about two
+    (_add_pairs)."""
+    table = ((1 << TABLE_BITS) + 2 * nrows) * words + (TABLE_BITS + 2) * CALL_WORDS
+    pair = 2 * words if words > PAIR_WORDS else 4 * words + CALL_WORDS // 16
+    return hits * pair > table
 
 
 def _batch_rows(words: int) -> int:
@@ -320,12 +440,16 @@ def _batch_rows(words: int) -> int:
 def closure_bytes(ncols: int, rank_bound: int) -> int:
     """The most bytes translation_closure holds for ncols columns and a rank
     of at most rank_bound: the basis array (rank_bound packed rows, when
-    allocated once) with the pivot column, word and bit of each row (three
-    8-byte integers); one batch of translates (at most a batch, and at most
-    the rank, since a step translates the basis); one temporary of at most as
-    many rows (the batch rows that one pivot hits, or the sums that one table
-    adds); and the table of 2^TABLE_BITS row sums. The coefficient gathers,
-    a few bytes per batch row and chunk pivot, are not counted."""
+    allocated once) with the pivot column, byte and bit mask of each row
+    (charged as three 8-byte integers; they take 17 bytes); one batch of
+    translates (at most a batch, and at most the rank, since a step
+    translates the basis); one temporary of at most as many rows (the rows
+    that one pivot or one round of pairs hits, the sums that one table adds,
+    or the rows that take the sum of all); and the table of 2^TABLE_BITS row
+    sums. Not counted: a reduction's coefficient bits, one bit per batch
+    row and basis pivot (fewer bytes than the batch, since the rank is at
+    most ncols), and the gathers and pair indices that read them, each kept
+    to about the batch's bytes (_reduce)."""
     words = _words(ncols)
     batch = min(_batch_rows(words), rank_bound)
     return packed_bytes(rank_bound + 2 * batch + (1 << TABLE_BITS), ncols) + 24 * rank_bound

@@ -627,6 +627,22 @@ def test_oracle_budget_guard(fam16_5: CosetFamily) -> None:
     assert is_good_oracle(fam16_5, Monomial(1, 1), budget=cost)
 
 
+def test_oracle_budget_error_gives_advice_that_works(fam16_5: CosetFamily) -> None:
+    """The budget error advises a larger budget or fewer monomials, and
+    either one lets the same sweep through."""
+    monomials = [(1, 1), (3, 0), (14, 2)]
+    budget = oracle_cost(fam16_5) * len(monomials) - 1
+    with pytest.raises(
+        OracleBudgetError,
+        match=rf"^oracle infeasible: {budget + 1} table reads exceed budget {budget}; "
+        r"raise the budget \(--budget\) or pass fewer monomials$",
+    ):
+        oracle_good_mask(fam16_5, monomials, budget=budget)
+    whole = oracle_good_mask(fam16_5, monomials, budget=budget + 1)
+    fewer = [oracle_good_mask(fam16_5, part, budget=budget) for part in (monomials[:2], monomials[2:])]
+    assert np.array_equal(np.concatenate(fewer), whole)
+
+
 _MALFORMED_EXPONENTS = {
     "float-in-batch": (lambda fam: oracle_good_mask(fam, [(14, 1), (1.5, 2)]), "integer exponents"),
     "integral-float": (lambda fam: oracle_good_mask(fam, np.array([[2.0, 2.0]])), "integer exponents"),

@@ -406,33 +406,50 @@ def reduce_by_pivots(block: np.ndarray, echelon: GF2Echelon) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("ncols,rank", [(70, 13), (130, 37), (4096, 61)])
+def random_packed_rows(rng: np.random.Generator, nrows: int, ncols: int) -> np.ndarray:
+    """Uniformly random packed rows of ncols columns, zero past column ncols."""
+    rows = rng.integers(0, 1 << 64, size=(nrows, _words(ncols)), dtype=WORD)
+    if ncols % 64:
+        rows[:, -1] &= np.uint64((1 << (ncols % 64)) - 1)
+    return rows
+
+
+@pytest.mark.parametrize("ncols,rank", [(70, 5), (70, 13), (130, 37), (4096, 61), (65536, 13)])
 def test_table_reduction_equals_pivot_reduction(ncols, rank, monkeypatch) -> None:
-    """A block reduced against a fully reduced basis, with every chunk added
-    through its table, with every chunk added one pivot at a time, and with
-    the cost rule choosing, equals the reference reduction, and equals the
-    block's part off the pivot columns. The ranks are not multiples of
-    TABLE_BITS, so the last chunk is short. The blocks have fewer and more
-    rows than a table, and coefficients that make dense chunks (about half
-    the pivots per row) and sparse ones (a few pivots in the whole block)."""
+    """A block reduced against a fully reduced basis equals the reference
+    reduction, and equals the block's part off the pivot columns, with
+    every chunk added through its table, with every chunk added by its
+    pairs, and with the cost rule choosing. The ranks are not multiples of
+    TABLE_BITS, so the last chunk is short, and rank 5 is a single short
+    chunk. Rows of 2 and 64 words take the pairs in rounds of gather-XORs
+    (of 2 words, a chunk or two at a time), rows of 1 024 words one pivot
+    at a time. The blocks have one row, fewer rows than a table and more;
+    the coefficients are all set (every row takes the sum of all the basis
+    rows, as in the last steps at q = 256, h = 255), dense (about half the
+    pivots per row), sparse (a few pivots in the whole block), or sparse
+    with the first row all set."""
     import wedgelift.linalg as linalg_module
 
     assert rank % TABLE_BITS
     rng = np.random.default_rng(ncols + rank)
-    echelon = gf2_echelon([pack_rows(random_bit_matrix(rng, rank, ncols))], ncols)
+    echelon = gf2_echelon([random_packed_rows(rng, rank, ncols)], ncols)
     assert echelon.rank == rank
-    basis = unpack_rows(echelon._rows[:rank], ncols)
     pivots = echelon.pivots
-    for nrows in (1 << TABLE_BITS) // 3, 3 << TABLE_BITS:
-        for density in (0.5, 0.004):
-            coefficients = (rng.random((nrows, rank)) < density).astype(np.float32)
-            rest = random_bit_matrix(rng, nrows, ncols)
-            rest[:, pivots] = 0
-            bits = ((coefficients @ basis.astype(np.float32)) % 2).astype(np.uint8) ^ rest
-            block = pack_rows(bits)
+    clear = np.zeros(_words(ncols), dtype=WORD)
+    np.bitwise_or.at(clear, pivots >> 6, np.uint64(1) << (pivots & 63).astype(WORD))
+    rules = (lambda *_: True, lambda *_: False, linalg_module._table_pays)
+    for nrows in 1, (1 << TABLE_BITS) // 3, 3 << TABLE_BITS:
+        for density in 1.0, 0.5, 0.004, -0.004:
+            coefficients = rng.random((nrows, rank)) < abs(density)
+            if density < 0:
+                coefficients[0] = True
+            rest = random_packed_rows(rng, nrows, ncols) & ~clear
+            block = rest.copy()
+            for k, row in enumerate(echelon._rows[:rank]):
+                block[coefficients[:, k]] ^= row
             expected = reduce_by_pivots(block, echelon)
-            assert np.array_equal(expected, pack_rows(rest))
-            for rule in (lambda *_: True, lambda *_: False, linalg_module._table_pays):
+            assert np.array_equal(expected, rest)
+            for rule in rules:
                 monkeypatch.setattr(linalg_module, "_table_pays", rule)
                 reduced = block.copy()
                 echelon._reduce(reduced, 0, rank)
