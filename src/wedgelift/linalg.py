@@ -375,30 +375,20 @@ class RrefKernel:
         basis is read at those columns (reversed), its rows in pivot order,
         from one unpack of the words they span, about (hi - lo + rank) / 64
         words a row. The pivot bits that fall in one output word are ORed
-        together first, so that each output word is written once:
-
-        - when at least one bit in 8 is set, every bit becomes its row's
-          pivot bit or 0, and one reduceat over the rows ORs the rows of
-          each pivot word;
-        - otherwise one flat scan, vector by vector, lists the (vector, k)
-          pairs with each vector's pivots increasing, so the pairs that
-          fall in one output word are adjacent, and one reduceat ORs each
-          such run."""
+        together first, so that each output word is written once: one flat
+        scan, vector by vector, lists the (vector, k) pairs with each
+        vector's pivots increasing, so the pairs that fall in one output
+        word are adjacent, and one reduceat ORs each such run."""
         free = self.free_columns(lo, hi)
         out[np.arange(len(free)), free >> 6] = np.uint64(1) << (free & 63).astype(WORD)
         cols = self.ncols - 1 - free
         first, last = cols[-1] >> 6, (cols[0] >> 6) + 1
         span = unpack_rows(self.basis[self._order, first:last], 64 * (last - first))
         hit = span[:, cols - 64 * first]
-        if 8 * np.count_nonzero(hit) >= hit.size:
-            starts = np.flatnonzero(np.diff(words, prepend=-1))
-            bits = hit * self._pivot_bit[:, None]
-            out[:, words[starts]] |= np.bitwise_or.reduceat(bits, starts, axis=0).T
-        else:
-            vec, k = np.divmod(np.flatnonzero(hit.T), len(hit))
-            cell = vec * out.shape[1] + words[k]
-            runs = np.flatnonzero(np.diff(cell, prepend=-1))
-            out.reshape(-1)[cell[runs]] |= np.bitwise_or.reduceat(self._pivot_bit[k], runs)
+        vec, k = np.divmod(np.flatnonzero(hit.T), len(hit))
+        cell = vec * out.shape[1] + words[k]
+        runs = np.flatnonzero(np.diff(cell, prepend=-1))
+        out.reshape(-1)[cell[runs]] |= np.bitwise_or.reduceat(self._pivot_bit[k], runs)
 
     def chunks(self) -> Iterator[np.ndarray]:
         """All kernel rows in order, as consecutive rows(lo, hi) of about

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgelift import make_coset_family, make_field
+from wedgelift.classify import bad_bound, count_bad
 from wedgelift.code import iter_parity_rows
 from wedgelift.linalg import (
     TABLE_BITS,
@@ -29,6 +30,7 @@ from wedgelift.linalg import (
     GF2Echelon,
     RrefKernel,
     _words,
+    closure_bytes,
     gf2_echelon,
     pack_rows,
     translate_rows,
@@ -488,6 +490,27 @@ def test_closure_rref_pinned_at_q256h255() -> None:
     assert hashlib.sha256(reduced.tobytes()).hexdigest() == (
         "cbc355cfcc2052f24b638168d0c25078de7314487d55ed2b483b8e788473249a"
     )
+
+
+@pytest.mark.parametrize("ell,h", [(6, 9), (7, 127), (8, 255)], ids=["q64h9", "q128h127", "q256h255"])
+def test_closure_peak_within_closure_bytes(ell, h) -> None:
+    """The memory guard charges a dimension-only build closure_bytes for
+    the bad_bound rank bound; translation_closure, with its basis allocated
+    at the bad count as build_code allocates it, holds no more than that at
+    its tracemalloc peak (about 0.95, 0.89 and 0.82 of the charge)."""
+    import tracemalloc
+
+    family = make_coset_family(make_field(ell), h)
+    ncols = family.q**2
+    rows = iter_parity_rows(family)
+    tracemalloc.start()
+    try:
+        closure = translation_closure(rows, ncols, capacity=count_bad(family))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert closure.rank == count_bad(family) - 1
+    assert peak <= closure_bytes(ncols, bad_bound(family.q, h))
 
 
 # ---------------------------------------------------------------------------
