@@ -12,7 +12,14 @@ Every group is the same coset's group at the origin, its seed, moved by p
 disjointness once. The sums over coset j's groups of every coordinate,
 S_j(p) = XOR of c[p ^ s] over s in seed_j, are an XOR (dyadic) convolution of
 the codeword with the seed's indicator, which verify_drgp computes by fast
-Walsh–Hadamard transforms instead of gathering every group.
+Walsh–Hadamard transforms instead of gathering every group. The seeds'
+transforms are never computed: bit parity is a trace, parity(u & x) =
+tr(lambda_u * x), so seed j's transform is -h + q at the indices (u, v) with
+lambda_u / lambda_v in coset j, -h at the others and h(q-1) at (0, 0), and
+one (n,) int16 label array (_seed_labels) gives every seed's spectrum. Only
+the codeword's packed bit planes and their products with the spectra, a
+chunk of seeds at a time, are transformed, by constant-geometry passes over
+whole half-rows (_transform).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import WedgeLiftedCode, _axes_codeword, _origin_wedges, encode
+from .code import WedgeLiftedCode, _axes_codeword, _guard_bytes, _origin_wedges, encode
 from .errors import InvariantError, UsageError
 from .linalg import BATCH_BYTES
 
@@ -75,36 +82,103 @@ def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
 
 def _transform(a: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh–Hadamard transform of each row of a C-contiguous
-    (rows, n) uint64 array, n a power of two, in place and modulo 2^64:
-    one butterfly (u, v) -> (u + v, u - v) per index bit."""
+    (rows, n) uint64 array, n a power of two, in place and modulo 2^64.
+
+    Constant geometry (Pease 1968): every pass reads each row as n/2
+    interleaved pairs (u, v) and writes u + v to the row's first half and
+    u - v to its second, which is the butterfly on the lowest index bit
+    followed by a rotation of the index bits that brings the next bit down.
+    After log2 n passes every bit has had its butterfly and the rotations
+    compose to the identity. Each pass is two ufunc calls over whole
+    half-rows. The passes ping-pong between `a` and one buffer; an odd pass
+    count ends in the buffer, which is copied back."""
     rows, n = a.shape
-    scratch = np.empty(rows * n // 2, dtype=a.dtype)
-    half = 1
-    while half < n:
-        pairs = a.reshape(rows, n // (2 * half), 2, half)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        diff = scratch.reshape(lo.shape)
-        np.subtract(lo, hi, out=diff)
-        lo += hi
-        hi[...] = diff
-        half *= 2
+    half = n // 2
+    src, dst = a, np.empty_like(a)
+    for _ in range(n.bit_length() - 1):
+        pairs = src.reshape(rows, half, 2)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, :half])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, half:])
+        src, dst = dst, src
+    if src is not a:
+        a[...] = src
     return a
 
 
-def _seed_spectra(plan: RepairPlan) -> np.ndarray:
-    """The transforms of the t seed indicators, (t, n) uint64."""
-    n = plan.code.length
-    spectra = np.zeros((plan.t, n), dtype=np.uint64)
-    spectra[np.arange(plan.t)[:, None], plan.seeds] = 1
-    step = max(1, BATCH_BYTES // (8 * n))
-    for start in range(0, plan.t, step):
-        _transform(spectra[start : start + step])
+def _seed_labels(plan: RepairPlan) -> np.ndarray:
+    """labels[u*q + v] = the coset j holding lambda_u / lambda_v when u and v
+    are nonzero, else -1, as (n,) int16; lambda_u is the field element with
+    parity(u & x) = tr(lambda_u * x) for every x in F_q.
+
+    This labels seed j's transform in closed form. With the index bits
+    split as row-major (x, y) and (u, v), the transform of seed j at (u, v)
+    is the sum over alpha in C_j and x != 0 of (-1)^tr((lambda_u +
+    lambda_v * alpha) * x): q - 1 for each alpha with lambda_u = lambda_v *
+    alpha, and -1 for each other. So it is h(q-1) at (0, 0) and
+    -h + q * [labels = j] everywhere else (_seed_spectra_chunk).
+
+    Bit i of the u belonging to lambda is tr(lambda * alpha^i), read from
+    the trace table for the ell basis elements, and inverting that bijection
+    gives lambda_u. lambda_u / lambda_v lies in the coset of the residue
+    log lambda_u - log lambda_v mod t; coset_of maps each residue to the
+    coset's index in the family's order."""
+    family = plan.code.family
+    spec = family.field
+    q, t, ell = spec.q, family.t, spec.ell
+    bits = np.arange(ell)
+    traces = spec.trace_table()[spec.mul_table()[:, 1 << bits]].astype(np.intp)
+    lam = np.empty(q, dtype=np.intp)
+    lam[(traces << bits).sum(axis=1)] = np.arange(q)
+    coset_of = np.empty(t, dtype=np.int16)
+    coset_of[[int(spec.log[coset[0]]) % t for coset in family.cosets]] = np.arange(t)
+    residue = spec.log[lam[1:]].astype(np.intp) % t
+    labels = np.full((q, q), -1, dtype=np.int16)
+    labels[1:, 1:] = coset_of[(residue[:, None] - residue) % t]
+    return labels.reshape(-1)
+
+
+def _seed_spectra_chunk(plan: RepairPlan, labels: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The transforms of the indicators of seeds start..stop-1, (stop -
+    start, n) uint64 modulo 2^64, from their closed form (_seed_labels)."""
+    q, h = plan.code.field.q, plan.code.family.subgroup_order
+    seeds = np.arange(start, stop, dtype=labels.dtype)[:, None]
+    spectra = np.where(labels == seeds, np.uint64(q - h), np.uint64(-h % (1 << 64)))
+    spectra[:, 0] = h * (q - 1)
     return spectra
 
 
-def _group_sums(plan: RepairPlan, spectra: np.ndarray, codeword: np.ndarray) -> np.ndarray:
+def _layout(plan: RepairPlan, planes: int) -> tuple[int, int, int, int]:
+    """(w, per_word, rows, step) of _group_sums for a word of `planes` bit
+    planes: the slot width, the planes packed per uint64 word, the packed
+    words per coordinate and the seeds per chunk, so that a chunk's products
+    take about BATCH_BYTES."""
+    n = plan.code.length
+    k = n.bit_length() - 1
+    w = plan.group_size.bit_length()
+    per_word = (63 - k) // w + 1
+    rows = -(-planes // per_word)
+    return w, per_word, rows, max(1, BATCH_BYTES // (8 * n * max(rows, 1)))
+
+
+def _verify_bytes(plan: RepairPlan, binary: bool) -> int:
+    """The bytes verify's own arrays take at most while a trial's sums are
+    formed: the (t, n) sums (uint16 F_q symbols, or uint8 traces) and the
+    (t, n) booleans they are compared by, the (n,) int16 labels, the packed
+    planes (ell of them, or 1 binary plane), and one chunk of seeds: its
+    uint64 spectra, its products, the transform's buffer of the same size
+    and the two uint64 words per seed and coordinate its bits are read out
+    through."""
+    n, t = plan.code.length, plan.t
+    planes, symbol = (1, 1) if binary else (plan.code.field.ell, 2)
+    _, _, rows, step = _layout(plan, planes)
+    chunk = min(step, t)
+    return t * n * (symbol + 1) + 2 * n + 8 * n * (rows + chunk * (3 + 2 * rows))
+
+
+def _group_sums(plan: RepairPlan, labels: np.ndarray, codeword: np.ndarray) -> np.ndarray:
     """sums[j, p] = XOR of codeword over group j of coordinate p, for every
-    j and p, as a (t, n) array of the codeword's dtype.
+    j and p, as a (t, n) array of the codeword's dtype; labels is
+    _seed_labels(plan).
 
     Bit b of sums[j] is the parity of the integer convolution of bit plane
     b of the codeword with seed j's indicator. Its transform is the product
@@ -115,28 +189,35 @@ def _group_sums(plan: RepairPlan, spectra: np.ndarray, codeword: np.ndarray) -> 
     slot: the parity of the plane in slot i is bit k + i*w of the result.
     The arithmetic is modulo 2^64, which keeps every bit below 64 of that
     nonnegative integer exact, so a word holds as many slots as keep
-    k + i*w < 64.
+    k + i*w < 64. The packed planes are transformed once; the seeds' spectra
+    are formed from their closed form a chunk of seeds at a time, so only
+    one chunk's spectra and products is held beside the sums.
     """
     n = codeword.size
     k = n.bit_length() - 1
-    w = plan.group_size.bit_length()
     planes = int(codeword.max(initial=0)).bit_length()
-    per_word = (63 - k) // w + 1
-    packed = np.zeros((-(-planes // per_word), n), dtype=np.uint64)
+    w, per_word, rows, step = _layout(plan, planes)
+    packed = np.zeros((rows, n), dtype=np.uint64)
     for b in range(planes):
         plane = (codeword >> b) & 1
         packed[b // per_word] |= plane.astype(np.uint64) << np.uint64(b % per_word * w)
     _transform(packed)
-    sums = np.zeros((plan.t, n), dtype=codeword.dtype)
-    step = max(1, BATCH_BYTES // (8 * n * max(len(packed), 1)))
+    sums = np.empty((plan.t, n), dtype=codeword.dtype)
     for start in range(0, plan.t, step):
-        product = spectra[start : start + step, None, :] * packed
+        stop = min(start + step, plan.t)
+        product = _seed_spectra_chunk(plan, labels, start, stop)[:, None, :] * packed
         _transform(product.reshape(-1, n))
-        chunk = sums[start : start + step]
+        # Bit k + (b % per_word)*w of word b // per_word moves to bit b,
+        # through two preallocated words: fresh temporaries cost more here
+        # than the shifts.
+        chunk = np.zeros((stop - start, n), dtype=np.uint64)
+        bit = np.empty_like(chunk)
         for b in range(planes):
-            shift = np.uint64(k + b % per_word * w)
-            bit = (product[:, b // per_word] >> shift) & np.uint64(1)
-            chunk |= bit.astype(codeword.dtype) << b
+            np.right_shift(product[:, b // per_word], np.uint64(k + b % per_word * w), out=bit)
+            bit &= np.uint64(1)
+            bit <<= np.uint64(b)
+            chunk |= bit
+        sums[start:stop] = chunk
     return sums
 
 
@@ -173,11 +254,12 @@ def _verify(plan: RepairPlan, trials: int, rng_seed: int, binary: bool, fault: b
             f"dimension slack {code.dimension_slack} != 1: the good monomials and "
             "X^(q-1) + Y^(q-1) do not span the code"
         )
+    _guard_bytes("repair check", code.family, _verify_bytes(plan, binary))
     q = code.field.q
     k = len(code.good_monomials)
     axes = _axes_codeword(q)
     rng = np.random.default_rng(rng_seed)
-    spectra = _seed_spectra(plan)
+    labels = _seed_labels(plan)
     failures: list[dict] = []
     checks = 0
     for _ in range(trials):
@@ -186,7 +268,7 @@ def _verify(plan: RepairPlan, trials: int, rng_seed: int, binary: bool, fault: b
         c = encode(code, symbols[:k]) ^ int(symbols[k]) * axes
         if binary:
             c = code.field.trace_table()[c]
-        sums = _group_sums(plan, spectra, c)
+        sums = _group_sums(plan, labels, c)
         if fault:
             sums[0, 0] ^= c[plan.seeds[0, 0]] ^ c[0]
         checks += sums.size

@@ -40,7 +40,12 @@ group from its wedge's point set and checks every coordinate's groups, where
 the library translates and checks the t origin wedges, and
 `group_sums_reference` and `verify_failures_reference` sum a word over those
 groups by gathering every group's symbols, where the library convolves the
-word with the t origin wedges by Walsh–Hadamard transforms.
+word with the t origin wedges by Walsh–Hadamard transforms;
+`walsh_hadamard_reference` is that transform as one in-place butterfly per
+index bit over strided sub-rows, and `seed_spectra_reference` transforms
+each seed's 0/1 indicator with it, where the library's transform reads and
+writes whole half-rows in constant geometry and the seed spectra are read
+from a closed form.
 """
 
 from __future__ import annotations
@@ -585,3 +590,32 @@ def verify_failures_reference(groups: np.ndarray, words: Iterable[np.ndarray]) -
                     {"coordinate": int(p), "group": j, "expected": int(c[p]), "got": int(sums[p])}
                 )
     return failures
+
+
+def walsh_hadamard_reference(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh–Hadamard transform of each row of a C-contiguous
+    (rows, n) uint64 array, n a power of two, in place and modulo 2^64:
+    one butterfly (u, v) -> (u + v, u - v) per index bit."""
+    rows, n = a.shape
+    scratch = np.empty(rows * n // 2, dtype=a.dtype)
+    half = 1
+    while half < n:
+        pairs = a.reshape(rows, n // (2 * half), 2, half)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = scratch.reshape(lo.shape)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        half *= 2
+    return a
+
+
+def seed_spectra_reference(plan) -> np.ndarray:
+    """The transforms of the t seed indicators, (t, n) uint64."""
+    n = plan.code.length
+    spectra = np.zeros((plan.t, n), dtype=np.uint64)
+    spectra[np.arange(plan.t)[:, None], plan.seeds] = 1
+    step = max(1, BATCH_BYTES // (8 * n))
+    for start in range(0, plan.t, step):
+        walsh_hadamard_reference(spectra[start : start + step])
+    return spectra

@@ -386,6 +386,26 @@ def test_verify_binary_q256_runs(capsys, tmp_path) -> None:
     assert binary["checks"] == 65536
 
 
+def test_verify_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
+    """`verify --binary` at q16h5 charges its F_q pass's arrays, 35 584
+    bytes, before the first trial (the binary pass charges less, and the
+    dimension-only build 15 872). It exits 0 with the guard at exactly that
+    charge and 3, having printed and written nothing, one byte below it."""
+    estimate = 35584
+    argv = ["verify", "--ell", "4", "--subgroup-order", "5", "--binary", "--trials", "2"]
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    status, out, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "at"))
+    assert status == 0 and "binary checks=1536 failures=0" in out
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
+    status, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "below"))
+    assert (status, out) == (3, "")
+    assert err == (
+        f"resource guard: repair check for q=16, t=3 needs ~{estimate} bytes "
+        f"(guard {estimate - 1})\n"
+    )
+    assert not (tmp_path / "below").exists()
+
+
 def test_verify_passes_and_writes_report(capsys, tmp_path) -> None:
     status, out, _ = run(
         capsys, "verify", "--ell", "2", "--subgroup-order", "3",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wedgelift import (
     InvariantError,
+    MemoryGuardError,
     UsageError,
     build_code,
     build_repair_plan,
@@ -19,25 +21,35 @@ from wedgelift import (
     trace_code,
     verify_drgp,
 )
+import wedgelift.code as code_module
 import wedgelift.repair as repair_module
 from wedgelift.classify import Wedge
-from wedgelift.code import _origin_wedges
+from wedgelift.code import WedgeLiftedCode, _origin_wedges
 from wedgelift.linalg import gf2_echelon, pack_rows, unpack_rows
-from wedgelift.repair import _group_sums, _seed_spectra, _verify
+from wedgelift.repair import (
+    _group_sums,
+    _seed_labels,
+    _seed_spectra_chunk,
+    _transform,
+    _verify,
+    _verify_bytes,
+)
 
 from reference import (
     eval_monomial,
     group_sums_reference,
     kernel_codewords_reference,
     repair_groups_reference,
+    seed_spectra_reference,
     verify_failures_reference,
     wedge_point_set_reference,
 )
+from test_code import CLOSURE_FAMILIES
 
 
 def sums_of(plan, word):
     """Every group sum of every coordinate, (t, n), by the library's transform."""
-    return _group_sums(plan, _seed_spectra(plan), word)
+    return _group_sums(plan, _seed_labels(plan), word)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +123,7 @@ def test_transform_sums_equal_gathered_sums(name, request) -> None:
     else:
         code = request.getfixturevalue(name)
     plan = build_repair_plan(code)
-    spectra = _seed_spectra(plan)
+    labels = _seed_labels(plan)
     groups = repair_groups_reference(code)
     q, n = code.field.q, code.length
     rng = np.random.default_rng(31)
@@ -125,13 +137,110 @@ def test_transform_sums_equal_gathered_sums(name, request) -> None:
         np.full(n, q - 1, dtype=np.uint8),
     ]
     for word in words:
-        sums = _group_sums(plan, spectra, word)
+        sums = _group_sums(plan, labels, word)
         assert sums.dtype == word.dtype
         for j in range(plan.t):
             assert np.array_equal(sums[j], group_sums_reference(groups, word, j))
-    codeword_sums = _group_sums(plan, spectra, words[0])
+    codeword_sums = _group_sums(plan, labels, words[0])
     assert (codeword_sums == words[0]).all()
-    assert (_group_sums(plan, spectra, words[2]) != words[2]).any()
+    assert (_group_sums(plan, labels, words[2]) != words[2]).any()
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("k", range(1, 11))
+def test_transform_is_the_sylvester_product(k, rows) -> None:
+    """_transform(a) is a @ H for the Sylvester Hadamard matrix H of order
+    n = 2^k, H[u, i] = (-1)^popcount(u & i), computed in Python integers mod
+    2^64 on random full-width uint64 rows. Odd k, which the library never
+    runs (n = q^2), ends the ping-pong in the buffer and is covered here."""
+    n = 1 << k
+    rng = np.random.default_rng(k * 10 + rows)
+    a = rng.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64, endpoint=False)
+    sign = [[-1 if (u & i).bit_count() % 2 else 1 for i in range(n)] for u in range(n)]
+    expected = [
+        [sum(int(x) * s for x, s in zip(row, sign[u])) % (1 << 64) for u in range(n)]
+        for row in a.tolist()
+    ]
+    got = _transform(a)
+    assert got is a
+    assert a.tolist() == expected
+
+
+def _plan_of_family(ell, h):
+    """A repair plan read from the family alone: the plan's seeds and the
+    seed labels read nothing of the code but its family, so no rank is
+    taken (which would dominate the test at q = 256)."""
+    family = make_coset_family(make_field(ell), h)
+    good = np.zeros((0, 2), dtype=np.intp)
+    return build_repair_plan(
+        WedgeLiftedCode(field=family.field, family=family, good_monomials=good,
+                        exact_dimension=0, parity_rows=None)
+    )
+
+
+SPECTRA_FAMILIES = CLOSURE_FAMILIES + [(8, 17), (8, 255)]
+
+
+@pytest.mark.parametrize("ell,h", SPECTRA_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in SPECTRA_FAMILIES])
+def test_closed_form_spectra_equal_transformed_seeds(ell, h) -> None:
+    """The closed-form seed spectra, -h + q * [labels = j] and h(q-1) at
+    (0, 0), equal the butterfly transform of every seed's indicator as
+    uint64 mod 2^64, whole and in chunks; each label j covers exactly
+    h(q-1) cells and -1 the 2q - 1 cells with u = 0 or v = 0."""
+    plan = _plan_of_family(ell, h)
+    q, t = 1 << ell, plan.t
+    labels = _seed_labels(plan)
+    assert labels.dtype == np.int16 and labels.shape == (q * q,)
+    counts = np.bincount(labels + 1, minlength=t + 1)
+    assert counts[0] == 2 * q - 1
+    assert (counts[1:] == h * (q - 1)).all()
+    expected = seed_spectra_reference(plan)
+    assert np.array_equal(_seed_spectra_chunk(plan, labels, 0, t), expected)
+    for start in range(t):
+        chunk = _seed_spectra_chunk(plan, labels, start, min(start + 2, t))
+        assert chunk.dtype == np.uint64
+        assert np.array_equal(chunk, expected[start : start + 2])
+
+
+@pytest.mark.parametrize("binary,estimate", [(False, 35584), (True, 34816)], ids=["F_q", "binary"])
+def test_verify_memory_guard_boundary(plan16_5, monkeypatch, binary, estimate) -> None:
+    """Before its first trial verify charges its own arrays against the
+    guard. At q16h5 (t = 3, n = 256): the sums, 3 * 256 uint16 symbols (or
+    uint8 traces), and as many booleans; the int16 labels, 512 bytes; one
+    packed word of the 4 planes (or of the 1 binary plane), 2048 bytes; and
+    one chunk of all 3 seeds, whose spectra, products, transform buffer and
+    two read-out words take 5 * 3 * 2048 bytes. It runs at exactly that
+    charge and is refused one byte below it."""
+    assert _verify_bytes(plan16_5, binary) == estimate
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
+    assert verify_drgp(plan16_5, 2, 0, binary=binary)["failures"] == []
+    monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
+    with pytest.raises(
+        MemoryGuardError,
+        match=rf"^repair check for q=16, t=3 needs ~{estimate} bytes \(guard {estimate - 1}\)$",
+    ):
+        verify_drgp(plan16_5, 2, 0, binary=binary)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["F_q", "binary"])
+@pytest.mark.parametrize("name", ["plan16_5", "plan64_9"])
+def test_verify_charge_bounds_the_sums_peak(name, binary, request) -> None:
+    """The charge is at least what verify holds while it forms one word's
+    sums: the labels, the (t, n) booleans it compares the sums by, and the
+    peak that tracemalloc sees numpy allocate inside _group_sums, for a
+    word with every bit plane set."""
+    plan = request.getfixturevalue(name)
+    q, n = plan.code.field.q, plan.code.length
+    labels = _seed_labels(plan)
+    word = np.ones(n, dtype=np.uint8) if binary else np.full(n, q - 1, dtype=np.uint16)
+    tracemalloc.start()
+    try:
+        _group_sums(plan, labels, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak + labels.nbytes + plan.t * n
+    assert held <= _verify_bytes(plan, binary)
 
 
 def _words_drawn_by_verify(code, trials, seed, binary=False):
@@ -198,9 +307,9 @@ def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
     plan = build_repair_plan(code)
     seen = []
 
-    def recording_sums(plan, spectra, codeword):
+    def recording_sums(plan, labels, codeword):
         seen.append(codeword.copy())
-        return _group_sums(plan, spectra, codeword)
+        return _group_sums(plan, labels, codeword)
 
     monkeypatch.setattr(repair_module, "_group_sums", recording_sums)
     trials = code.exact_dimension + 16
