@@ -97,42 +97,37 @@ def cmd_build(args: argparse.Namespace) -> int:
     q, t = family.q, family.t
     try:
         code = _code.build_code(family, dimension_only=args.dimension_only)
-        # The export's one whole matrix, made (and charged) before anything
-        # is printed or written; the 0/1 matrices are written from packed
-        # rows a chunk at a time.
-        generator = None if args.dimension_only else code.generator_matrix()
+        binary = _code.trace_code(code) if args.binary else None
+        good = len(code.good_monomials)
+        # (file, writer, row chunks, rows, largest entry), written a chunk of
+        # rows at a time; their bytes are charged before any output.
+        exports = [] if args.dimension_only else [
+            ("generator", _code.export_matrix, code.generator_chunks(), good, q - 1),
+            ("parity", _code.export_packed, [code.parity_rows], code.redundancy, 1),
+        ]
+        if binary is not None:
+            exports.append(("binary_generator", _code.export_packed, binary.generator_chunks(),
+                            binary.binary_dimension, 1))
+        size = sum(_code._export_bytes((rows, code.length), q, top) for *_, rows, top in exports)
+        _code._guard_bytes("export", family, size, _code.FULL_BUILD_HINT)
     except MemoryGuardError as exc:
         if args.dimension_only:
             raise
         # The library's advice names a keyword argument; the CLI names its flag.
         message = str(exc).removesuffix(_code.FULL_BUILD_HINT)
         raise MemoryGuardError(message + "; rerun with --dimension-only") from None
-    bad = q * q - len(code.good_monomials)
     print(
-        f"N={code.length} q={q} h={h} t={t} good={len(code.good_monomials)} "
-        f"bad={bad} dimension={code.exact_dimension} redundancy={code.redundancy}"
+        f"N={code.length} q={q} h={h} t={t} good={good} bad={q * q - good} "
+        f"dimension={code.exact_dimension} redundancy={code.redundancy}"
     )
     _code.write_descriptor(_out_path(args.out_dir, f"descriptor_q{q}_h{h}.json"), code)
-    if generator is not None:
-        _code.export_matrix(_out_path(args.out_dir, f"generator_q{q}_h{h}.txt"), generator, q)
-        _code.export_packed(
-            _out_path(args.out_dir, f"parity_q{q}_h{h}.txt"),
-            [code.parity_rows],
-            (code.redundancy, code.length),
-            q,
+    for name, export, chunks, rows, _ in exports:
+        export(_out_path(args.out_dir, f"{name}_q{q}_h{h}.txt"), chunks, (rows, code.length), q)
+    if binary is not None:
+        print(
+            f"binary_dimension={binary.binary_dimension} "
+            f"binary_redundancy={code.length - binary.binary_dimension}"
         )
-        if args.binary:
-            binary = _code.trace_code(code)
-            _code.export_packed(
-                _out_path(args.out_dir, f"binary_generator_q{q}_h{h}.txt"),
-                binary.generator_chunks(),
-                (binary.binary_dimension, code.length),
-                q,
-            )
-            print(
-                f"binary_dimension={binary.binary_dimension} "
-                f"binary_redundancy={code.length - binary.binary_dimension}"
-            )
     return 0
 
 

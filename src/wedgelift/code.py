@@ -115,12 +115,13 @@ class WedgeLiftedCode:
         """Observed excess of the true dimension over the good-monomial count."""
         return self.exact_dimension - len(self.good_monomials)
 
-    def generator_matrix(self) -> np.ndarray:
-        """Good-monomial evaluation vectors as rows (a spanning subset, not
-        necessarily a basis: dimension_slack rows may be missing), as uint16:
-        charged len(good_monomials) * q^2 * 2 bytes against the guard."""
-        _guard_bytes("generator matrix", self.family, 2 * len(self.good_monomials) * self.length)
-        return _eval_monomials(self.field, self.good_monomials)
+    def generator_chunks(self) -> Iterator[np.ndarray]:
+        """The good-monomial evaluation vectors as uint16 rows, in message
+        order, in chunks of about BATCH_BYTES; no whole matrix is formed.
+        They span a subcode: dimension_slack generators are missing."""
+        step = max(1, BATCH_BYTES // (2 * self.length))
+        for start in range(0, len(self.good_monomials), step):
+            yield _eval_monomials(self.field, self.good_monomials[start : start + step])
 
 
 # The full-build guard's advice, in the library's terms (the CLI names its flag).
@@ -138,21 +139,22 @@ def _guard_bytes(what: str, family: CosetFamily, estimated: int, hint: str = "")
 
 
 def _guard_build(family: CosetFamily, dimension_only: bool) -> None:
-    """The largest arrays of a build. Every build runs the translation
-    closure, which holds the packed parity basis, allocated once with at
-    most classify.bad_bound rows of q^2/8 bytes (the rank is at most the bad
-    count). Beside it the closure holds one batch of translates, one
-    temporary of at most a batch and one table of 2^TABLE_BITS row sums
-    (linalg.closure_bytes). A full build also holds the reduced() copy of
-    the basis, at most as many rows. Matrices read from the code are charged
-    where they are made (generator_matrix and the trace code's kernel_rows)."""
-    q = family.q
-    bound = bad_bound(q, family.subgroup_order)
-    estimated = closure_bytes(q * q, bound)
+    """The largest arrays of a build. Every build holds the int64
+    good_monomials, 16 bytes for each of at most q^2, and runs the
+    translation closure, which holds the packed parity basis, allocated
+    once with at most classify.bad_bound rows of q^2/8 bytes (the rank is
+    at most the bad count). Beside it the closure holds one batch of
+    translates, one temporary of at most a batch and one table of
+    2^TABLE_BITS row sums (linalg.closure_bytes). A full build also holds
+    the reduced() copy of the basis, at most as many rows. Generators are
+    read from a code a chunk at a time, or charged where they are made."""
+    n = family.q ** 2
+    bound = bad_bound(family.q, family.subgroup_order)
+    estimated = closure_bytes(n, bound) + 16 * n
     if dimension_only:
         _guard_bytes("dimension-only build", family, estimated)
     else:
-        _guard_bytes("full build", family, estimated + packed_bytes(bound, q * q), FULL_BUILD_HINT)
+        _guard_bytes("full build", family, estimated + packed_bytes(bound, n), FULL_BUILD_HINT)
 
 
 def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLiftedCode:
@@ -170,9 +172,7 @@ def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLif
     The parity rows are 0/1, so elimination over F_q never leaves {0, 1} and
     the F_q rank equals the GF(2) rank.
     """
-    spec = family.field
-    q = spec.q
-    n = q * q
+    n = family.q ** 2
     _guard_build(family, dimension_only)
     good = np.argwhere(~bad_mask(family))
     good.flags.writeable = False
@@ -188,13 +188,8 @@ def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLif
     if not dimension_only:
         rows = echelon.reduced()
         _check_good_annihilated(family, good)
-    return WedgeLiftedCode(
-        field=spec,
-        family=family,
-        good_monomials=good,
-        exact_dimension=dimension,
-        parity_rows=rows,
-    )
+    return WedgeLiftedCode(field=family.field, family=family, good_monomials=good,
+                           exact_dimension=dimension, parity_rows=rows)
 
 
 def _origin_wedge_sums(family: CosetFamily, monomials: np.ndarray) -> np.ndarray:
@@ -237,9 +232,11 @@ def _check_good_annihilated(family: CosetFamily, good: np.ndarray) -> None:
     a, b = good.T
     is_good = np.zeros((q, q), dtype=bool)
     is_good[a, b] = True
-    cleared = ~(1 << np.arange(ell))
-    a, b = a[:, None], b[:, None]
-    unclosed = np.flatnonzero(~(is_good[a & cleared, b] & is_good[a, b & cleared]).all(axis=1))
+    # One exponent bit at a time, so that every temporary has M entries.
+    closed = np.ones(len(good), dtype=bool)
+    for cleared in ~(1 << np.arange(ell)):
+        closed &= is_good[a & cleared, b] & is_good[a, b & cleared]
+    unclosed = np.flatnonzero(~closed)
     if unclosed.size:
         raise InvariantError(
             f"good monomial {tuple(good[unclosed[0]].tolist())} has a 2-shadow outside the good set"
@@ -351,29 +348,33 @@ def redundancy_exponent(d: int) -> float:
     return 0.5 + math.log2(2.0 - 2.0 ** (-d)) / (2.0 * d)
 
 
-def export_matrix(path, matrix: np.ndarray, q: int) -> None:
-    """Plain-text matrix: header '# q=<q> rows=<r> cols=<c>', then one row per
-    line, entries as lowercase hex integers separated by spaces."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise UsageError("matrix must be two-dimensional")
-    if matrix.size and (matrix.min() < 0 or matrix.max() >= q):
-        raise UsageError(f"matrix entries must lie in [0, {q})")
-    _write_matrix(path, [matrix], matrix.shape, q, np.asarray)
+def export_matrix(path, chunks: Iterable[np.ndarray], shape: tuple[int, int], q: int) -> None:
+    """Plain-text matrix of `shape`, its rows, each with entries in [0, q), in
+    `chunks`: header '# q=<q> rows=<r> cols=<c>', then one row per line,
+    entries as lowercase hex integers separated by spaces."""
+    _write_matrix(path, chunks, shape, q, np.asarray)
 
 
 def export_packed(path, chunks: Iterable[np.ndarray], shape: tuple[int, int], q: int) -> None:
-    """The 0/1 matrix of `shape` whose packed rows (see linalg) come in
-    `chunks`, written as export_matrix writes it, without unpacking more
-    than a few rows at a time."""
+    """The 0/1 matrix of `shape`, its packed rows (see linalg) in `chunks`, written
+    as export_matrix writes it, unpacking no more than a few rows at a time."""
     _write_matrix(path, chunks, shape, q, lambda rows: unpack_rows(rows, shape[1]))
+
+
+def _export_bytes(shape: tuple[int, int], q: int, top: int) -> int:
+    """The most bytes export_matrix writes for a matrix of `shape` with
+    entries at most `top`: the header, then for each entry as many hex
+    digits as top has and a space or newline. Exact for a 0/1 matrix."""
+    rows, cols = shape
+    return len(f"# q={q} rows={rows} cols={cols}\n") + rows * cols * (len(format(top, "x")) + 1)
 
 
 def _write_matrix(path, blocks, shape: tuple[int, int], q: int, convert) -> None:
     """export_matrix's text of the row blocks, streamed to the file a few
-    rows at a time: convert(rows) gives their entries. A whole-matrix
-    .tolist() would hold 8 bytes of list slot per entry while the text is
-    built (118 MB at q = 64), and the whole text as much again."""
+    rows at a time: convert(rows) gives their entries, which must be ncols
+    a row and lie in [0, q). A whole-matrix .tolist() would hold 8 bytes of
+    list slot per entry while the text is built (118 MB at q = 64), and the
+    whole text as much again."""
     nrows, ncols = shape
     hexes = [format(v, "x") for v in range(q)]
     step = max(1, BATCH_BYTES // (8 * max(1, ncols)))
@@ -384,7 +385,10 @@ def _write_matrix(path, blocks, shape: tuple[int, int], q: int, convert) -> None
         yield f"# q={q} rows={nrows} cols={ncols}\n"
         for block in blocks:
             for start in range(0, len(block), step):
-                rows = convert(block[start : start + step]).tolist()
+                rows = convert(block[start : start + step])
+                if rows.ndim != 2 or rows.shape[1] != ncols or rows.min() < 0 or rows.max() >= q:
+                    raise UsageError(f"matrix rows must hold {ncols} entries in [0, {q})")
+                rows = rows.tolist()
                 written += len(rows)
                 yield "".join(" ".join(map(hexes.__getitem__, row)) + "\n" for row in rows)
         if written != nrows:

@@ -14,11 +14,11 @@ class ResourceGuardError(RuntimeError):
 
 
 class OracleBudgetError(ResourceGuardError):
-    """Exhaustive wedge oracle would exceed the evaluation budget; sample instead."""
+    """The exhaustive oracle would exceed its budget; raise it or pass fewer monomials."""
 
 
 class MemoryGuardError(ResourceGuardError):
-    """Full matrix materialization would exceed the memory guard; use dimension-only mode."""
+    """A build, kernel rows, the repair check or a CLI export would exceed the memory guard."""
 
 
 class InvariantError(AssertionError):

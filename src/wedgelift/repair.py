@@ -25,6 +25,7 @@ whole half-rows (_transform).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class RepairPlan:
         if not 0 <= p < self.code.length:
             raise UsageError(f"coordinate {p} outside [0, {self.code.length})")
         return np.sort(self.seeds[j] ^ p)
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """_seed_labels(self), made once per plan, at its first use."""
+        return _seed_labels(self)
 
 
 def build_repair_plan(code: WedgeLiftedCode) -> RepairPlan:
@@ -108,7 +114,7 @@ def _transform(a: np.ndarray) -> np.ndarray:
 def _seed_labels(plan: RepairPlan) -> np.ndarray:
     """labels[u*q + v] = the coset j holding lambda_u / lambda_v when u and v
     are nonzero, else -1, as (n,) int16; lambda_u is the field element with
-    parity(u & x) = tr(lambda_u * x) for every x in F_q.
+    parity(u & x) = tr(lambda_u * x) for every x in F_q. Read-only.
 
     This labels seed j's transform in closed form. With the index bits
     split as row-major (x, y) and (u, v), the transform of seed j at (u, v)
@@ -134,6 +140,7 @@ def _seed_labels(plan: RepairPlan) -> np.ndarray:
     residue = spec.log[lam[1:]].astype(np.intp) % t
     labels = np.full((q, q), -1, dtype=np.int16)
     labels[1:, 1:] = coset_of[(residue[:, None] - residue) % t]
+    labels.setflags(write=False)
     return labels.reshape(-1)
 
 
@@ -175,10 +182,10 @@ def _verify_bytes(plan: RepairPlan, binary: bool) -> int:
     return t * n * (symbol + 1) + 2 * n + 8 * n * (rows + chunk * (3 + 2 * rows))
 
 
-def _group_sums(plan: RepairPlan, labels: np.ndarray, codeword: np.ndarray) -> np.ndarray:
+def _group_sums(plan: RepairPlan, codeword: np.ndarray) -> np.ndarray:
     """sums[j, p] = XOR of codeword over group j of coordinate p, for every
-    j and p, as a (t, n) array of the codeword's dtype; labels is
-    _seed_labels(plan).
+    j and p, as a (t, n) array of the codeword's dtype. The seed labels
+    are the plan's, made once per plan (RepairPlan._labels).
 
     Bit b of sums[j] is the parity of the integer convolution of bit plane
     b of the codeword with seed j's indicator. Its transform is the product
@@ -205,7 +212,7 @@ def _group_sums(plan: RepairPlan, labels: np.ndarray, codeword: np.ndarray) -> n
     sums = np.empty((plan.t, n), dtype=codeword.dtype)
     for start in range(0, plan.t, step):
         stop = min(start + step, plan.t)
-        product = _seed_spectra_chunk(plan, labels, start, stop)[:, None, :] * packed
+        product = _seed_spectra_chunk(plan, plan._labels, start, stop)[:, None, :] * packed
         _transform(product.reshape(-1, n))
         # Bit k + (b % per_word)*w of word b // per_word moves to bit b,
         # through two preallocated words: fresh temporaries cost more here
@@ -259,7 +266,6 @@ def _verify(plan: RepairPlan, trials: int, rng_seed: int, binary: bool, fault: b
     k = len(code.good_monomials)
     axes = _axes_codeword(q)
     rng = np.random.default_rng(rng_seed)
-    labels = _seed_labels(plan)
     failures: list[dict] = []
     checks = 0
     for _ in range(trials):
@@ -268,19 +274,14 @@ def _verify(plan: RepairPlan, trials: int, rng_seed: int, binary: bool, fault: b
         c = encode(code, symbols[:k]) ^ int(symbols[k]) * axes
         if binary:
             c = code.field.trace_table()[c]
-        sums = _group_sums(plan, labels, c)
+        sums = _group_sums(plan, c)
         if fault:
             sums[0, 0] ^= c[plan.seeds[0, 0]] ^ c[0]
         checks += sums.size
-        for j, p in zip(*np.nonzero(sums != c)):
-            failures.append(
-                {
-                    "coordinate": int(p),
-                    "group": int(j),
-                    "expected": int(c[p]),
-                    "got": int(sums[j, p]),
-                }
-            )
+        failures += [
+            {"coordinate": int(p), "group": int(j), "expected": int(c[p]), "got": int(sums[j, p])}
+            for j, p in zip(*np.nonzero(sums != c))
+        ]
     return {
         "code": "binary" if binary else "F_q",
         "q": q,

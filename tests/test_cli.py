@@ -299,11 +299,13 @@ def test_build_reruns_byte_identical(capsys, tmp_path) -> None:
 
 
 def test_build_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
-    """`build --binary` holds one whole matrix, the uint16 generator matrix
-    (207 * 256 * 2 bytes at q16h5); the parity and binary generator files are
-    written from packed rows a chunk at a time. It exits 0 with the guard at
-    exactly that charge and 3, having written nothing, one byte below it."""
-    estimate = 207 * 256 * 2
+    """`build --binary` writes every file a chunk of rows at a time and
+    charges the bytes they take before anything is printed or written:
+    at q16h5 the three headers and two bytes an entry, 207, 48 and 208 rows
+    of 256 entries, 237 130 bytes (more than the full build's 22 016). It
+    exits 0 with the guard at exactly that charge and 3, having printed and
+    written nothing, one byte below it."""
+    estimate = 237130
     argv = ["build", "--ell", "4", "--subgroup-order", "5", "--binary"]
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
     status, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "at"))
@@ -312,23 +314,64 @@ def test_build_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
     assert digests == BUILD_Q16_H5_SHA256
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
     status, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "below"))
-    assert status == 3 and out == ""
-    assert "resource guard:" in err and "--dimension-only" in err
+    assert (status, out) == (3, "")
+    assert err == (
+        f"resource guard: export for q=16, t=3 needs ~{estimate} bytes "
+        f"(guard {estimate - 1}); rerun with --dimension-only\n"
+    )
     assert not (tmp_path / "below").exists()
+
+
+@pytest.mark.parametrize("ell,h", [(4, 5), (5, 31)], ids=["q16h5", "q32h31"])
+def test_build_export_charge_against_file_sizes(ell, h, capsys, tmp_path) -> None:
+    """The export charge is each file's size for the 0/1 parity and binary
+    generator files, and at least it for the F_q generator file: exactly
+    at q = 16, whose entries all take one hex digit, and above it at
+    q = 32, where the entries below 16 take one digit of the charged two."""
+    q = 1 << ell
+    status, out, _ = run(capsys, "build", "--ell", str(ell), "--subgroup-order", str(h),
+                         "--binary", "--out-dir", str(tmp_path))
+    assert status == 0
+    fields = dict(tok.split("=") for tok in out.split())
+    n, good, redundancy = int(fields["N"]), int(fields["good"]), int(fields["redundancy"])
+
+    sizes = {p.name.split("_q")[0]: p.stat().st_size for p in tmp_path.glob("*.txt")}
+    assert sizes["parity"] == code_module._export_bytes((redundancy, n), q, 1)
+    assert sizes["binary_generator"] == code_module._export_bytes((n - redundancy, n), q, 1)
+    charge = code_module._export_bytes((good, n), q, q - 1)
+    assert sizes["generator"] == charge if q == 16 else sizes["generator"] < charge
+
+
+def test_build_binary_q64_peak(capsys, tmp_path) -> None:
+    """In-process `build --binary` at q64h9 writes 75 MB of text but holds
+    no whole matrix: its tracemalloc peak stays under 8 MiB (a whole uint16
+    generator matrix alone is 29 MiB)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        status, out, _ = run(capsys, "build", "--ell", "6", "--subgroup-order", "9", "--binary",
+                             "--out-dir", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and "binary_dimension=3754" in out
+    assert peak <= 8 << 20
 
 
 def test_build_memory_guard_hint_names_cli_flag(capsys, tmp_path) -> None:
     """At q256h255 the full build and the trace code fit the default guard,
-    but the generator matrix (65 025 * 65 536 * 2 bytes) does not; the CLI's
-    guard message names that matrix and advises the --dimension-only flag,
-    and nothing is printed or written."""
+    but the files do not: the F_q generator text alone takes 65 025 rows of
+    65 536 entries of three bytes, about 12.8 GB. The CLI's guard message
+    names the export and advises the --dimension-only flag, and nothing is
+    printed or written."""
     status, out, err = run(
         capsys, "build", "--ell", "8", "--subgroup-order", "255", "--binary",
         "--out-dir", str(tmp_path),
     )
     assert status == 3 and out == ""
     assert err == (
-        "resource guard: generator matrix for q=256, t=1 needs ~8522956800 bytes "
+        "resource guard: export for q=256, t=1 needs ~21374369880 bytes "
         "(guard 2147483648); rerun with --dimension-only\n"
     )
     assert list(tmp_path.iterdir()) == []
@@ -389,7 +432,7 @@ def test_verify_binary_q256_runs(capsys, tmp_path) -> None:
 def test_verify_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
     """`verify --binary` at q16h5 charges its F_q pass's arrays, 35 584
     bytes, before the first trial (the binary pass charges less, and the
-    dimension-only build 15 872). It exits 0 with the guard at exactly that
+    dimension-only build 19 968). It exits 0 with the guard at exactly that
     charge and 3, having printed and written nothing, one byte below it."""
     estimate = 35584
     argv = ["verify", "--ell", "4", "--subgroup-order", "5", "--binary", "--trials", "2"]

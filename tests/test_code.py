@@ -72,6 +72,12 @@ def all_generators(binary) -> np.ndarray:
     return binary.kernel_rows(0, binary.binary_dimension)
 
 
+def all_evaluations(code) -> np.ndarray:
+    """Every good-monomial evaluation row of an F_q code, its
+    generator_chunks concatenated."""
+    return np.concatenate(list(code.generator_chunks()))
+
+
 # (q, h) -> (good monomials, exact dimension). The dimension exceeds the
 # good-monomial count by exactly 1 at every desk-scale instantiation.
 FROZEN_DIMS = {
@@ -403,7 +409,7 @@ def test_generator_rows_lie_in_kernel(code16_5) -> None:
     # Every good-monomial evaluation vector satisfies every wedge parity
     # check over the field (sum of values over the wedge support is 0).
     code = code16_5
-    gen = code.generator_matrix()
+    gen = all_evaluations(code)
     n = code.length
     supports = [np.nonzero(bitset_to_array(r, n))[0] for r in wedge_rows(code.family)]
     for row in gen[:: 13]:
@@ -599,8 +605,8 @@ def test_trace_code_at_q256_under_the_default_guard() -> None:
     """q256h255 under the 2 GiB default guard: build_code + trace_code give
     binary_dimension 65 026 in well under 2 s at a tracemalloc peak under
     64 MB; a chunk of generators is orthogonal over GF(2) to every parity
-    row, each with its free column as lowest set bit; and the F_q generator
-    matrix is refused with its byte count."""
+    row, each with its free column as lowest set bit; and the F_q generators
+    come four rows (512 KiB of uint16) at a time, the constant first."""
     import time
     import tracemalloc
 
@@ -624,8 +630,8 @@ def test_trace_code_at_q256_under_the_default_guard() -> None:
     free = binary._kernel.free_columns(lo, lo + 64)
     assert np.array_equal(linalg_module.lowest_set_columns(chunk), free)
     assert (np.bitwise_count(chunk).sum(axis=1) > 1).any()
-    with pytest.raises(MemoryGuardError, match=r"generator matrix for q=256, t=1 needs ~8522956800 bytes"):
-        code.generator_matrix()
+    first = next(code.generator_chunks())
+    assert first.shape == (4, 65536) and (first[0] == 1).all()
 
 
 def test_dimension_only_build(fam16_5, code16_5) -> None:
@@ -648,7 +654,8 @@ def test_memory_guard() -> None:
     """Under the default 2 GiB guard a full build is refused, before any
     work, where the closure and the reduced copy of its basis do not fit:
     at q1024h93 (t = 11) the closure is charged 1.71 GiB for a basis of at
-    most 12 * 1024 rows of 128 KiB, which fits, and the copy 1.5 GiB more."""
+    most 12 * 1024 rows of 128 KiB and the good monomials 16 MiB, which
+    fits; the copy takes 1.5 GiB more."""
     family = make_coset_family(make_field(10), 93)
     bound = 12 * 1024
     closure = closure_bytes(1024**2, bound)
@@ -656,21 +663,22 @@ def test_memory_guard() -> None:
     code_module._guard_build(family, dimension_only=True)
     with pytest.raises(
         MemoryGuardError,
-        match=rf"full build for q=1024, t=11 needs ~{closure + bound * 2**17} bytes "
+        match=rf"full build for q=1024, t=11 needs ~{closure + 16 * 2**20 + bound * 2**17} bytes "
         rf"\(guard 2147483648\); build with dimension_only=True",
     ):
         build_code(family)
 
 
 def test_memory_guard_boundary(f16, monkeypatch) -> None:
-    """A full build's estimate is the closure's plus the reduced() copy of
-    the basis, at most (t + 1) * q rows of q^2/8 bytes: 17 920 bytes at
-    q16h5 (t = 3) and 47 104 at q16h1 (t = 15). The build passes at exactly
-    the estimate and raises one byte below it."""
-    for h, redundancy, estimate in [(5, 48, 17920), (1, 80, 47104)]:
+    """A full build's estimate is the closure's, the good monomials' 16
+    bytes for each of at most q^2, and the reduced() copy of the basis, at
+    most (t + 1) * q rows of q^2/8 bytes: 22 016 bytes at q16h5 (t = 3)
+    and 51 200 at q16h1 (t = 15). The build passes at exactly the estimate
+    and raises one byte below it."""
+    for h, redundancy, estimate in [(5, 48, 22016), (1, 80, 51200)]:
         family = make_coset_family(f16, h)
         bound = (family.t + 1) * 16
-        assert estimate == closure_bytes(16**2, bound) + bound * 32
+        assert estimate == closure_bytes(16**2, bound) + 16 * 256 + bound * 32
         monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
         assert build_code(family).redundancy == redundancy
         monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
@@ -678,38 +686,65 @@ def test_memory_guard_boundary(f16, monkeypatch) -> None:
             build_code(family)
 
 
-@pytest.mark.parametrize(
-    "view,estimate",
-    [
-        ("generator matrix", 207 * 256 * 2),
-        ("binary generators", 208 * 256 // 8),
-    ],
-)
-def test_dense_views_guard_boundary(view, estimate, code16_5, trace16_5, monkeypatch) -> None:
-    """Each matrix is charged where it is made, for the bytes it holds: at
-    q16h5 the uint16 generator matrix 207 * 256 * 2 and the packed binary
-    generators kernel_rows(0, 208) 208 * 256/8. Each is made at exactly its
-    charge and refused one byte below it."""
-    make = {
-        "generator matrix": code16_5.generator_matrix,
-        "binary generators": lambda: trace16_5.kernel_rows(0, 208),
-    }[view]
+@pytest.mark.parametrize("view,estimate", [("binary generators", 208 * 256 // 8)])
+def test_dense_views_guard_boundary(view, estimate, trace16_5, monkeypatch) -> None:
+    """A matrix read from a code is charged where it is made, for the bytes
+    it holds: at q16h5 the packed binary generators kernel_rows(0, 208)
+    208 * 256/8. It is made at exactly its charge and refused one byte
+    below it. (The F_q generators come a chunk at a time and are never
+    held whole.)"""
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
-    assert make().nbytes == estimate
+    assert trace16_5.kernel_rows(0, 208).nbytes == estimate
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate - 1)
     with pytest.raises(MemoryGuardError, match=rf"^{view} for q=16, t=3 needs ~{estimate} bytes \(guard {estimate - 1}\)$"):
-        make()
+        trace16_5.kernel_rows(0, 208)
+
+
+BUILD_PEAK_FAMILIES = [(6, 9), (6, 63), (7, 127), (8, 255)]
+
+
+@pytest.mark.parametrize("dimension_only", [True, False], ids=["dimension-only", "full"])
+@pytest.mark.parametrize("ell,h", BUILD_PEAK_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in BUILD_PEAK_FAMILIES])
+def test_build_peak_within_guard_charge(ell, h, dimension_only, monkeypatch) -> None:
+    """The whole of build_code, bad_mask, the good monomials, the closure,
+    the reduced copy and the annihilation check, holds no more at its
+    tracemalloc peak than the guard charges it."""
+    import tracemalloc
+
+    family = make_coset_family(make_field(ell), h)
+    # The field's tables are made once per field and kept by it, not the build.
+    for table in (family.field.mul_table, family.field.power_table, family.field.trace_table):
+        table()
+    charges = []
+    guard = code_module._guard_bytes
+
+    def recording(what, fam, estimated, hint=""):
+        charges.append(estimated)
+        guard(what, fam, estimated, hint)
+
+    monkeypatch.setattr(code_module, "_guard_bytes", recording)
+    tracemalloc.start()
+    try:
+        code = build_code(family, dimension_only=dimension_only)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.redundancy == count_bad(family) - 1
+    assert len(charges) == 1 and peak <= charges[0]
 
 
 def test_dimension_only_memory_guard_boundary(fam16_5, monkeypatch) -> None:
-    """A dimension-only build holds what the translation closure holds, in
-    rows of q^2 / 8 = 32 bytes at q16h5 (t = 3): the parity basis, at most
-    (t + 1) * q = 64 rows, and 24 bytes of pivot data per row; one batch of
-    translates and one temporary, each at most the 64-row rank bound; and
-    the 2^TABLE_BITS = 256-row table. It builds at exactly that estimate and
-    raises one byte below it."""
-    estimate = (64 + 2 * 64 + 256) * 32 + 64 * 24
-    assert closure_bytes(16**2, 64) == estimate
+    """A dimension-only build holds the good monomials, charged 16 bytes
+    for each of the q^2 = 256 monomials, and what the translation closure
+    holds, in rows of q^2 / 8 = 32 bytes at q16h5 (t = 3): the parity
+    basis, at most (t + 1) * q = 64 rows, and 24 bytes of pivot data per
+    row; one batch of translates and one temporary, each at most the
+    64-row rank bound; and the 2^TABLE_BITS = 256-row table. It builds at
+    exactly that estimate (19 968 bytes) and raises one byte below it."""
+    closure = (64 + 2 * 64 + 256) * 32 + 64 * 24
+    assert closure_bytes(16**2, 64) == closure
+    estimate = closure + 16 * 256
+    assert estimate == 19968
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
     code = build_code(fam16_5, dimension_only=True)
     assert code.redundancy == 48
@@ -729,7 +764,7 @@ def test_encode_zero_and_units(code4_3, code16_5) -> None:
         k = len(code.good_monomials)
         zero = encode(code, [0] * k)
         assert (zero == 0).all()
-        gen = code.generator_matrix()
+        gen = all_evaluations(code)
         for i in range(k):
             msg = [0] * k
             msg[i] = 1
@@ -742,7 +777,7 @@ def test_encode_matches_generator_matrix_reference(name, request, rng) -> None:
     the generator rows, value for value and dtype for dtype."""
     code = request.getfixturevalue(name)
     q, k = code.field.q, len(code.good_monomials)
-    gen = code.generator_matrix()
+    gen = all_evaluations(code)
     mul = code.field.mul_table()
     messages = [rng.integers(0, q, size=k) for _ in range(3)]
     messages.append(np.full(k, q - 1))
@@ -798,12 +833,19 @@ def test_encode_q1024_matches_direct_evaluation() -> None:
         assert int(word[x * q + y]) == int(expected), (x, y)
 
 
-def test_generator_matrix_rows_are_monomial_evaluations(code4_3, code16_5) -> None:
+def test_generator_matrix_rows_are_monomial_evaluations(code4_3, code16_5, monkeypatch) -> None:
+    """The chunks hold the good-monomial evaluations in message order, in
+    chunks of BATCH_BYTES // (2 * q^2) rows, the last one shorter; the rows
+    are the same at any chunk size."""
     for code in (code4_3, code16_5):
         reference = np.stack([eval_monomial(code.field, m) for m in code.good_monomials])
-        gen = code.generator_matrix()
+        gen = all_evaluations(code)
         assert gen.dtype == reference.dtype
         assert np.array_equal(gen, reference)
+    monkeypatch.setattr(code_module, "BATCH_BYTES", 2 * 256 * 50)
+    chunks = list(code16_5.generator_chunks())
+    assert [len(c) for c in chunks] == [50, 50, 50, 50, 7]
+    assert np.array_equal(np.concatenate(chunks), gen)
 
 
 def test_encode_random_messages_satisfy_checks(code16_5, rng) -> None:
@@ -937,15 +979,21 @@ def test_redundancy_exponent_reference_values() -> None:
 
 def test_export_matrix_golden(tmp_path) -> None:
     path = tmp_path / "m.txt"
-    export_matrix(path, np.array([[0, 1, 15], [10, 11, 2]]), q=16)
+    export_matrix(path, [np.array([[0, 1, 15]]), np.array([[10, 11, 2]])], (2, 3), q=16)
     assert path.read_text() == "# q=16 rows=2 cols=3\n0 1 f\na b 2\n"
 
 
 def test_export_matrix_rejects_entries_outside_the_field(tmp_path) -> None:
+    """Entries outside [0, q) and rows of the wrong width are refused in
+    any chunk, also after earlier chunks were fine, and leave no file."""
+    good = np.array([[0, 1]])
     for bad in ([[0, 16]], [[-1, 0]]):
         with pytest.raises(UsageError, match=r"\[0, 16\)"):
-            export_matrix(tmp_path / "m.txt", np.array(bad), q=16)
-    assert not (tmp_path / "m.txt").exists()
+            export_matrix(tmp_path / "m.txt", [good, np.array(bad)], (2, 2), q=16)
+    for bad in ([[0, 1, 2]], [0, 1]):
+        with pytest.raises(UsageError, match="matrix rows must hold 2 entries"):
+            export_matrix(tmp_path / "m.txt", [good, np.array(bad)], (2, 2), q=16)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_export_packed_matches_export_matrix(tmp_path, code16_5, trace16_5) -> None:
@@ -955,7 +1003,7 @@ def test_export_packed_matches_export_matrix(tmp_path, code16_5, trace16_5) -> N
     is left behind."""
     n = code16_5.length
     for rows in (code16_5.parity_rows, all_generators(trace16_5)):
-        export_matrix(tmp_path / "dense.txt", unpack_rows(rows, n), q=16)
+        export_matrix(tmp_path / "dense.txt", [unpack_rows(rows, n)], (len(rows), n), q=16)
         chunks = [rows[:7], rows[7:8], rows[8:]]
         export_packed(tmp_path / "packed.txt", chunks, (len(rows), n), q=16)
         assert (tmp_path / "packed.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
@@ -978,8 +1026,9 @@ def test_descriptor_golden(tmp_path, code4_3) -> None:
 
 def test_exports_are_deterministic(tmp_path, code4_3) -> None:
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    export_matrix(p1, code4_3.generator_matrix(), q=4)
-    export_matrix(p2, code4_3.generator_matrix(), q=4)
+    shape = (len(code4_3.good_monomials), code4_3.length)
+    export_matrix(p1, code4_3.generator_chunks(), shape, q=4)
+    export_matrix(p2, code4_3.generator_chunks(), shape, q=4)
     assert p1.read_bytes() == p2.read_bytes()
 
 

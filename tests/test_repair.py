@@ -49,7 +49,7 @@ from test_code import CLOSURE_FAMILIES
 
 def sums_of(plan, word):
     """Every group sum of every coordinate, (t, n), by the library's transform."""
-    return _group_sums(plan, _seed_labels(plan), word)
+    return _group_sums(plan, word)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,6 @@ def test_transform_sums_equal_gathered_sums(name, request) -> None:
     else:
         code = request.getfixturevalue(name)
     plan = build_repair_plan(code)
-    labels = _seed_labels(plan)
     groups = repair_groups_reference(code)
     q, n = code.field.q, code.length
     rng = np.random.default_rng(31)
@@ -137,13 +136,13 @@ def test_transform_sums_equal_gathered_sums(name, request) -> None:
         np.full(n, q - 1, dtype=np.uint8),
     ]
     for word in words:
-        sums = _group_sums(plan, labels, word)
+        sums = _group_sums(plan, word)
         assert sums.dtype == word.dtype
         for j in range(plan.t):
             assert np.array_equal(sums[j], group_sums_reference(groups, word, j))
-    codeword_sums = _group_sums(plan, labels, words[0])
+    codeword_sums = _group_sums(plan, words[0])
     assert (codeword_sums == words[0]).all()
-    assert (_group_sums(plan, labels, words[2]) != words[2]).any()
+    assert (_group_sums(plan, words[2]) != words[2]).any()
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -202,6 +201,26 @@ def test_closed_form_spectra_equal_transformed_seeds(ell, h) -> None:
         assert np.array_equal(chunk, expected[start : start + 2])
 
 
+def test_seed_labels_are_made_once_per_plan(fam16_5, monkeypatch) -> None:
+    """verify_drgp reads the plan's labels, made at the first call and
+    kept read-only on the plan; later calls make none, and the sums are
+    those of freshly made labels."""
+    made = []
+
+    def counting_labels(plan):
+        made.append(plan)
+        return _seed_labels(plan)
+
+    monkeypatch.setattr(repair_module, "_seed_labels", counting_labels)
+    plan = build_repair_plan(build_code(fam16_5, dimension_only=True))
+    for seed in range(3):
+        assert verify_drgp(plan, 2, seed)["failures"] == []
+        assert verify_drgp(plan, 1, seed, binary=True)["failures"] == []
+    assert made == [plan]
+    assert not plan._labels.flags.writeable
+    assert np.array_equal(plan._labels, _seed_labels(plan))
+
+
 @pytest.mark.parametrize("binary,estimate", [(False, 35584), (True, 34816)], ids=["F_q", "binary"])
 def test_verify_memory_guard_boundary(plan16_5, monkeypatch, binary, estimate) -> None:
     """Before its first trial verify charges its own arrays against the
@@ -231,11 +250,11 @@ def test_verify_charge_bounds_the_sums_peak(name, binary, request) -> None:
     word with every bit plane set."""
     plan = request.getfixturevalue(name)
     q, n = plan.code.field.q, plan.code.length
-    labels = _seed_labels(plan)
+    labels = plan._labels
     word = np.ones(n, dtype=np.uint8) if binary else np.full(n, q - 1, dtype=np.uint16)
     tracemalloc.start()
     try:
-        _group_sums(plan, labels, word)
+        _group_sums(plan, word)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,9 +326,9 @@ def test_traced_words_span_the_kernel(ell, h, monkeypatch) -> None:
     plan = build_repair_plan(code)
     seen = []
 
-    def recording_sums(plan, labels, codeword):
+    def recording_sums(plan, codeword):
         seen.append(codeword.copy())
-        return _group_sums(plan, labels, codeword)
+        return _group_sums(plan, codeword)
 
     monkeypatch.setattr(repair_module, "_group_sums", recording_sums)
     trials = code.exact_dimension + 16
