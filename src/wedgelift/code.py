@@ -26,7 +26,7 @@ import numpy as np
 from ._io import atomic_write_chunks, atomic_write_text
 from .classify import bad_bound, bad_mask
 from .errors import InvariantError, MemoryGuardError, UsageError
-from .field import CosetFamily, FieldSpec, additive_fft
+from .field import CosetFamily, FieldSpec, _afft
 from .linalg import (
     BATCH_BYTES,
     RrefKernel,
@@ -249,12 +249,14 @@ def encode(code: WedgeLiftedCode, message) -> np.ndarray:
     This is the evaluation of f = sum_i message[i] * X^a_i Y^b_i, computed
     from the q x q coefficient grid M (zero at bad monomials) as
     f(x, y) = sum_a x^a * (sum_b M[a, b] * y^b) by two batched additive FFTs
-    (field.additive_fft): the grid's rows in y, then the result's columns in
-    x. Each costs O(q^2 log^2 q) table lookups and XORs, against the q^3 of
-    gathering from a power table, and no generator matrix is built. The
-    transform evaluates at the span of the polynomial basis with index bit j
-    selecting alpha^j, so value index t is the element t and the word needs no
-    permutation.
+    (field.additive_fft), each over the columns of a (q, q) array: the grid
+    is laid out as M[b, a], so the first gives inner[y, a] and the second,
+    over the columns of inner.T, gives the word as word[x, y], row-major,
+    with no transposed copy made. Each costs O(q^2 log^2 q) table lookups
+    and XORs, against the q^3 of gathering from a power table, and no
+    generator matrix is built. The transform evaluates at the span of the
+    polynomial basis with index bit j selecting alpha^j, so value index t is
+    the element t and the word needs no permutation.
     """
     msg = np.asarray(message)
     k = len(code.good_monomials)
@@ -267,10 +269,11 @@ def encode(code: WedgeLiftedCode, message) -> np.ndarray:
     if msg.size and (msg.min() < 0 or msg.max() >= q):
         raise UsageError(f"message symbols must lie in [0, {q})")
     grid = np.zeros((q, q), dtype=np.uint16)
-    grid[tuple(code.good_monomials.T)] = msg
-    # inner[a, y] = sum_b M[a, b] * y^b, then word[x, y] = sum_a x^a * inner[a, y].
-    inner = additive_fft(spec, grid)
-    return additive_fft(spec, inner.T).T.reshape(-1)
+    a, b = code.good_monomials.T
+    grid[b, a] = msg
+    # inner[y, a] = sum_b M[a, b] * y^b, then word[x, y] = sum_a x^a * inner[y, a].
+    inner = _afft(spec, grid)
+    return _afft(spec, inner.T).reshape(-1)
 
 
 def _axes_codeword(q: int) -> np.ndarray:
@@ -372,11 +375,12 @@ def _export_bytes(shape: tuple[int, int], q: int, top: int) -> int:
 def _write_matrix(path, blocks, shape: tuple[int, int], q: int, convert) -> None:
     """export_matrix's text of the row blocks, streamed to the file a few
     rows at a time: convert(rows) gives their entries, which must be ncols
-    a row and lie in [0, q). A whole-matrix .tolist() would hold 8 bytes of
-    list slot per entry while the text is built (118 MB at q = 64), and the
-    whole text as much again."""
+    a row and lie in [0, q). A few rows' text is gathered at once from a
+    table of every entry's bytes (_entry_text), as wide as the block's
+    largest entry needs; the zero bytes that pad shorter entries are then
+    dropped. A 0/1 block has none."""
     nrows, ncols = shape
-    hexes = [format(v, "x") for v in range(q)]
+    tables = [_entry_text(q, digits) for digits in range(1, len(format(q - 1, "x")) + 1)]
     step = max(1, BATCH_BYTES // (8 * max(1, ncols)))
     written = 0
 
@@ -388,13 +392,37 @@ def _write_matrix(path, blocks, shape: tuple[int, int], q: int, convert) -> None
                 rows = convert(block[start : start + step])
                 if rows.ndim != 2 or rows.shape[1] != ncols or rows.min() < 0 or rows.max() >= q:
                     raise UsageError(f"matrix rows must hold {ncols} entries in [0, {q})")
-                rows = rows.tolist()
                 written += len(rows)
-                yield "".join(" ".join(map(hexes.__getitem__, row)) + "\n" for row in rows)
+                digits = len(format(int(rows.max()), "x"))
+                spaced, ending = tables[digits - 1]
+                codes = np.take(spaced, rows)
+                codes[:, -1] = np.take(ending, rows[:, -1])
+                chunk = codes.tobytes()
+                if digits > 1:
+                    chunk = chunk.replace(b"\0", b"")
+                yield chunk.decode("ascii")
         if written != nrows:
             raise UsageError(f"matrix has {written} rows, expected {nrows}")
 
     atomic_write_chunks(path, text())
+
+
+def _entry_text(q: int, digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (q,) arrays of (digits + 1)-byte items: for each v < 16^digits
+    (or q), its lowercase hex digits followed by a space in the first and by
+    a newline in the second, then zero bytes up to the item's width."""
+    values = np.arange(min(q, 16**digits))
+    count = np.ones_like(values)
+    for k in range(1, digits):
+        count += values >= 16**k
+    table = np.zeros((2, q, digits + 1), dtype=np.uint8)
+    hexes = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    for i in range(digits):
+        has = count > i
+        table[:, values[has], i] = hexes[(values[has] >> (4 * (count[has] - 1 - i))) & 15]
+    table[0, values, count] = ord(" ")
+    table[1, values, count] = ord("\n")
+    return tuple(table.view(np.dtype((np.void, digits + 1)))[..., 0])
 
 
 def write_descriptor(path, code: WedgeLiftedCode) -> None:

@@ -175,41 +175,69 @@ def additive_fft(spec: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
     all rows at once, O(R q log^2 q) instead of the O(R q^2) of a power
     table. It evaluates on the span of the basis 1, alpha, ..., alpha^(ell-1)
     with bit j of the index selecting alpha^j, so index t is the element t.
+    The rows are transformed as the columns of coeffs.T (_afft).
     """
     q = spec.q
     if coeffs.ndim != 2 or coeffs.shape[1] != q:
         raise UsageError(f"coefficient rows must have q = {q} entries")
-    twiddles = spec._cached("afft", _build_afft_twiddles)
-    return _afft(coeffs, spec.mul_table().reshape(-1), twiddles, q)
+    return np.ascontiguousarray(_afft(spec, coeffs.T).T)
 
 
-def _afft(rows: np.ndarray, mul: np.ndarray, twiddles: np.ndarray, q: int) -> np.ndarray:
-    """One level of additive_fft on (R, n) rows with basis beta_1..beta_m,
-    n = 2^m. g(x) = f(beta_m x) is Taylor-expanded at x^2 + x as
-    g0(x^2 + x) + x g1(x^2 + x); x and x + 1 share x^2 + x, so with
-    E0, E1 the values of g0, g1 on the span of the delta_i = gamma_i^2 + gamma_i
+def _afft(spec: FieldSpec, columns: np.ndarray) -> np.ndarray:
+    """additive_fft of every column of a (q, R) coefficient array:
+    out[t, r] = sum_i columns[i, r] * t^i, as a new C-contiguous (q, R)
+    uint16 array. columns may be any view; it is read once and not written.
+
+    A level on n coefficients with basis beta_1..beta_m, n = 2^m, sets
+    g(x) = f(beta_m x) and Taylor-expands it at x^2 + x as
+    g0(x^2 + x) + x g1(x^2 + x); x and x + 1 share x^2 + x, so with E0, E1
+    the values of g0, g1 on the span of the delta_i = gamma_i^2 + gamma_i
     (gamma_i = beta_i / beta_m, i < m), g(x) = E0 + x E1 and g(x + 1) =
-    g(x) + E1. mul is the flat multiplication table; the twiddles of this
-    level are offsets into it (see _build_afft_twiddles)."""
-    count, n = rows.shape
-    if n == 1:
-        return rows
-    start = 3 * (q - n)
-    out = np.take(mul, rows + twiddles[start : start + n])
-    # Taylor expansion in place, largest blocks first: with k = size / 4, a
-    # block q0 + x^k q1 + x^2k q2 + x^3k q3 (deg qi < k) equals
-    # (q0 + x^k (q1 + q2 + q3)) + (x^2 + x)^k (q2 + q3 + x^k q3). Afterwards
-    # index 2i + e holds the coefficient of x^e (x^2 + x)^i.
-    size = n
-    while size >= 4:
-        blocks = out.reshape(count, n // size, 4, size // 4)
-        blocks[:, :, 2] ^= blocks[:, :, 3]
-        blocks[:, :, 1] ^= blocks[:, :, 2]
-        size //= 2
-    halves = _afft(np.concatenate((out[:, 0::2], out[:, 1::2])), mul, twiddles, q)
-    e0, e1 = halves[:count], halves[count:]
-    u = e0 ^ np.take(mul, e1 + twiddles[start + n : start + n + n // 2])
-    return np.concatenate((u, u ^ e1), axis=1)
+    g(x) + E1. The batch is the inner axis, so level n holds an (n, W)
+    array, W = q R / n, and index 2i + e of the expansion holds the
+    coefficient of x^e (x^2 + x)^i: its (n/2, 2W) reshape stacks g0 and g1
+    of every column side by side along the batch, which is the next level's
+    input in place. The way down runs in one buffer; the way back up writes
+    each level's (n, W) values from the (n/2, 2W) ones below into the other
+    buffer. Every call streams whole rows of at least R entries. The
+    twiddles of level n are offsets into the flat multiplication table
+    (see _build_afft_twiddles)."""
+    q, count = spec.q, columns.shape[1]
+    mul = spec.mul_table().reshape(-1)
+    twiddles = spec._cached("afft", _build_afft_twiddles)
+    src, dst = np.empty((2, q * count), dtype=np.uint16)
+    index = np.empty(q * count, dtype=np.intp)
+    level, n = columns, q
+    while n > 1:
+        start, shape = 3 * (q - n), (n, q * count // n)
+        np.add(level.reshape(shape), twiddles[start : start + n, None], out=index.reshape(shape))
+        level = src.reshape(shape)
+        # The indices are in range by construction; "clip" keeps np.take
+        # from buffering its output.
+        np.take(mul, index.reshape(shape), out=level, mode="clip")
+        # Taylor expansion in place, largest blocks first: with k = size / 4,
+        # a block q0 + x^k q1 + x^2k q2 + x^3k q3 (deg qi < k) equals
+        # (q0 + x^k (q1 + q2 + q3)) + (x^2 + x)^k (q2 + q3 + x^k q3).
+        size = n
+        while size >= 4:
+            blocks = level.reshape(n // size, 4, size // 4 * shape[1])
+            blocks[:, 2] ^= blocks[:, 3]
+            blocks[:, 1] ^= blocks[:, 2]
+            size //= 2
+        n //= 2
+    while n < q:
+        n *= 2
+        start, shape = 3 * (q - n), (n // 2, q * count // n)
+        halves = src.reshape(n // 2, 2, shape[1])
+        e0, e1 = halves[:, 0], halves[:, 1]
+        u, v = dst.reshape(2, *shape)
+        products = index[: e1.size].reshape(shape)
+        np.add(e1, twiddles[start + n : start + n + n // 2, None], out=products)
+        np.take(mul, products, out=u, mode="clip")
+        u ^= e0
+        np.bitwise_xor(u, e1, out=v)
+        src, dst = dst, src
+    return src.reshape(q, count)
 
 
 def _build_afft_twiddles(spec: FieldSpec) -> np.ndarray:

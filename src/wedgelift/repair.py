@@ -169,17 +169,23 @@ def _layout(plan: RepairPlan, planes: int) -> tuple[int, int, int, int]:
 
 def _verify_bytes(plan: RepairPlan, binary: bool) -> int:
     """The bytes verify's own arrays take at most while a trial's sums are
-    formed: the (t, n) sums (uint16 F_q symbols, or uint8 traces) and the
-    (t, n) booleans they are compared by, the (n,) int16 labels, the packed
-    planes (ell of them, or 1 binary plane), and one chunk of seeds: its
-    uint64 spectra, its products, the transform's buffer of the same size
-    and the two uint64 words per seed and coordinate its bits are read out
-    through."""
+    formed: the (t, n) sums (uint16 F_q symbols, or uint8 traces), which
+    are compared with the word in place, the word, the (n,) int16 labels,
+    the packed planes (ell of them, or 1 binary plane), and one chunk of
+    seeds: its products, the transform's buffer of the same size, and the
+    uint64 spectra and the booleans they are formed from. The products are
+    read out in place. NumPy may give the product's two broadcast operands
+    a buffer of getbufsize() uint64 entries each. Packing holds an intp
+    index and two (n,) symbol arrays before the sums and the chunk are
+    made, less than a chunk's products and buffer."""
     n, t = plan.code.length, plan.t
     planes, symbol = (1, 1) if binary else (plan.code.field.ell, 2)
     _, _, rows, step = _layout(plan, planes)
     chunk = min(step, t)
-    return t * n * (symbol + 1) + 2 * n + 8 * n * (rows + chunk * (3 + 2 * rows))
+    return (
+        (t + 1) * n * symbol + 2 * n + 8 * n * rows + chunk * n * (16 * rows + 9)
+        + 16 * np.getbufsize()
+    )
 
 
 def _group_sums(plan: RepairPlan, codeword: np.ndarray) -> np.ndarray:
@@ -199,33 +205,74 @@ def _group_sums(plan: RepairPlan, codeword: np.ndarray) -> np.ndarray:
     k + i*w < 64. The packed planes are transformed once; the seeds' spectra
     are formed from their closed form a chunk of seeds at a time, so only
     one chunk's spectra and products is held beside the sums.
+
+    A word of s planes is packed by one gather from the 2^s slot patterns
+    (_slot_patterns) and read back by one multiply (_read_out).
     """
     n = codeword.size
     k = n.bit_length() - 1
     planes = int(codeword.max(initial=0)).bit_length()
+    if not planes:
+        return np.zeros((plan.t, n), dtype=codeword.dtype)
     w, per_word, rows, step = _layout(plan, planes)
-    packed = np.zeros((rows, n), dtype=np.uint64)
-    for b in range(planes):
-        plane = (codeword >> b) & 1
-        packed[b // per_word] |= plane.astype(np.uint64) << np.uint64(b % per_word * w)
+    widths = [min(per_word, planes - r * per_word) for r in range(rows)]
+    packed = np.empty((rows, n), dtype=np.uint64)
+    patterns = _slot_patterns(min(per_word, planes), w)
+    for r, s in enumerate(widths):
+        # The planes are in range by construction; "clip" keeps np.take
+        # from buffering its output.
+        slots = (codeword >> r * per_word) & ((1 << s) - 1)
+        np.take(patterns, slots, out=packed[r], mode="clip")
     _transform(packed)
     sums = np.empty((plan.t, n), dtype=codeword.dtype)
+    product = np.empty((min(step, plan.t), rows, n), dtype=np.uint64)
     for start in range(0, plan.t, step):
         stop = min(start + step, plan.t)
-        product = _seed_spectra_chunk(plan, plan._labels, start, stop)[:, None, :] * packed
-        _transform(product.reshape(-1, n))
-        # Bit k + (b % per_word)*w of word b // per_word moves to bit b,
-        # through two preallocated words: fresh temporaries cost more here
-        # than the shifts.
-        chunk = np.zeros((stop - start, n), dtype=np.uint64)
-        bit = np.empty_like(chunk)
-        for b in range(planes):
-            np.right_shift(product[:, b // per_word], np.uint64(k + b % per_word * w), out=bit)
-            bit &= np.uint64(1)
-            bit <<= np.uint64(b)
-            chunk |= bit
-        sums[start:stop] = chunk
+        chunk = product[: stop - start]
+        np.multiply(_seed_spectra_chunk(plan, plan._labels, start, stop)[:, None, :], packed, out=chunk)
+        _transform(chunk.reshape(-1, n))
+        # Planes 0..s-1 are read out in word 0's place, and the others ORed
+        # into it at their own bits.
+        first = _read_out(chunk[:, 0], k, w, widths[0])
+        for r, s in enumerate(widths[1:], 1):
+            bits = _read_out(chunk[:, r], k, w, s)
+            bits <<= np.uint64(r * per_word)
+            first |= bits
+        sums[start:stop] = first
     return sums
+
+
+def _slot_patterns(s: int, w: int) -> np.ndarray:
+    """patterns[v] = the uint64 word with bit i of v at bit i*w, for every
+    v < 2^s: the packed slots of s planes whose bits at one coordinate are v."""
+    values = np.arange(1 << s, dtype=np.uint64)
+    patterns = np.zeros(1 << s, dtype=np.uint64)
+    for i in range(s):
+        patterns |= ((values >> np.uint64(i)) & np.uint64(1)) << np.uint64(i * w)
+    return patterns
+
+
+def _read_out(words: np.ndarray, k: int, w: int, s: int) -> np.ndarray:
+    """The s parity bits at k + b*w (b < s) of each uint64 word moved to
+    bits 0..s-1, in place, by one multiply; returns words.
+
+    With only those bits kept, the factor sum over b' < s of
+    2^(64 - s - k + b' - b'w) sends bit b to 64 - s + b' + (b - b')w for
+    each b'. For b' = b that is 64 - s + b, the top s bits. For b > b' it
+    is 64 or more, dropped modulo 2^64, because s <= w. For b < b' it is
+    below 64 - s, and these terms sum to less than 2^(64 - s), so nothing
+    carries into the top s bits: the terms with b' - b = d are distinct
+    powers of two below 2^(64 - dw), at most 2^(64 - w) - 2^(65 - s - w)
+    for d = 1 and less than 2^(65 - 2w) over every d > 1. The shift then
+    brings the top s bits down. s <= w because a word has at most ell
+    planes and w is the bit length of h(q - 1) >= q - 1; every exponent is
+    nonnegative because k + (s - 1)w < 64 (_layout)."""
+    mask = sum(1 << (k + b * w) for b in range(s))
+    factor = sum(1 << (64 - s - k + b - b * w) for b in range(s))
+    words &= np.uint64(mask)
+    words *= np.uint64(factor)
+    words >>= np.uint64(64 - s)
+    return words
 
 
 def verify_drgp(plan: RepairPlan, trials: int, rng_seed: int, binary: bool = False) -> dict:
@@ -278,10 +325,13 @@ def _verify(plan: RepairPlan, trials: int, rng_seed: int, binary: bool, fault: b
         if fault:
             sums[0, 0] ^= c[plan.seeds[0, 0]] ^ c[0]
         checks += sums.size
-        failures += [
-            {"coordinate": int(p), "group": int(j), "expected": int(c[p]), "got": int(sums[j, p])}
-            for j, p in zip(*np.nonzero(sums != c))
-        ]
+        # In place, sums ^ c is nonzero exactly at the missed repairs.
+        sums ^= c
+        if sums.any():
+            failures += [
+                {"coordinate": int(p), "group": int(j), "expected": int(c[p]), "got": int(sums[j, p] ^ c[p])}
+                for j, p in zip(*np.nonzero(sums))
+            ]
     return {
         "code": "binary" if binary else "F_q",
         "q": q,

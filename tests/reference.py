@@ -17,7 +17,10 @@ computes because tr(C) is the binary kernel itself;
 `kernel_codewords_reference` draws binary codewords from the kernel basis,
 where the library's verify traces F_q codewords; `encode_reference`
 evaluates the coefficient grid by power-table gathers, where the library
-runs two additive FFTs; `restriction_grid_reference`
+runs two additive FFTs, and `additive_fft_reference` is that transform as a
+recursion with the batch on the outer axis, where the library's holds the
+batch on the inner axis and runs its levels in two buffers;
+`restriction_grid_reference`
 is one coset's grid of all q^2 restrictions of one monomial, with one
 line-sum vector G_alpha gathered per slope, and `restriction_grids_reference`
 is that grid for a chunk of monomials at once, regrouped into one line-sum
@@ -57,6 +60,7 @@ import numpy as np
 from wedgelift.classify import Monomial, Wedge, _check_monomial
 from wedgelift.code import _eval_monomials, _origin_wedges
 from wedgelift.errors import InvariantError
+from wedgelift.field import _build_afft_twiddles
 from wedgelift.linalg import (
     BATCH_BYTES, WORD, RrefKernel, _words, gf2_echelon, pack_rows, unpack_rows
 )
@@ -349,6 +353,35 @@ def encode_reference(code, message) -> np.ndarray:
         inner = np.bitwise_xor.reduce(mul[grid[rows, :, None], powers[None]], axis=1)
         word ^= np.bitwise_xor.reduce(mul[powers[rows, :, None], inner[:, None, :]], axis=0)
     return word.reshape(-1)
+
+
+def additive_fft_reference(spec, coeffs: np.ndarray) -> np.ndarray:
+    """field.additive_fft of an (R, q) coefficient array as a recursion on
+    (R, n) rows, the batch on the outer axis: each level scales coefficient
+    i by beta_m^i, Taylor-expands in place, stacks the even and odd
+    coefficients of every row as 2R rows of n/2 and recurses on them, then
+    joins the halves as u = E0 + G E1 and u + E1. The per-level constants
+    are the library's (_build_afft_twiddles)."""
+    q = spec.q
+    return _afft_rows(coeffs, spec.mul_table().reshape(-1), _build_afft_twiddles(spec), q)
+
+
+def _afft_rows(rows: np.ndarray, mul: np.ndarray, twiddles: np.ndarray, q: int) -> np.ndarray:
+    count, n = rows.shape
+    if n == 1:
+        return rows
+    start = 3 * (q - n)
+    out = np.take(mul, rows + twiddles[start : start + n])
+    size = n
+    while size >= 4:
+        blocks = out.reshape(count, n // size, 4, size // 4)
+        blocks[:, :, 2] ^= blocks[:, :, 3]
+        blocks[:, :, 1] ^= blocks[:, :, 2]
+        size //= 2
+    halves = _afft_rows(np.concatenate((out[:, 0::2], out[:, 1::2])), mul, twiddles, q)
+    e0, e1 = halves[:count], halves[count:]
+    u = e0 ^ np.take(mul, e1 + twiddles[start + n : start + n + n // 2])
+    return np.concatenate((u, u ^ e1), axis=1)
 
 
 # ---------------------------------------------------------------------------

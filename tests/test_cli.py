@@ -430,11 +430,11 @@ def test_verify_binary_q256_runs(capsys, tmp_path) -> None:
 
 
 def test_verify_memory_guard_exit_code(capsys, tmp_path, monkeypatch) -> None:
-    """`verify --binary` at q16h5 charges its F_q pass's arrays, 35 584
+    """`verify --binary` at q16h5 charges its F_q pass's arrays, 154 880
     bytes, before the first trial (the binary pass charges less, and the
     dimension-only build 19 968). It exits 0 with the guard at exactly that
     charge and 3, having printed and written nothing, one byte below it."""
-    estimate = 35584
+    estimate = 154880
     argv = ["verify", "--ell", "4", "--subgroup-order", "5", "--binary", "--trials", "2"]
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
     status, out, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "at"))

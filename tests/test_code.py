@@ -983,6 +983,24 @@ def test_export_matrix_golden(tmp_path) -> None:
     assert path.read_text() == "# q=16 rows=2 cols=3\n0 1 f\na b 2\n"
 
 
+def test_export_matrix_mixes_entry_widths(tmp_path) -> None:
+    """Entries of 1 to 4 hex digits side by side, in blocks whose largest
+    entry has fewer digits than q - 1, are written as formatting each one
+    gives them; a 1 in the last column of a 0/1 block ends its row."""
+    path = tmp_path / "m.txt"
+    q = 1 << 16
+    rng = np.random.default_rng(16)
+    blocks = [
+        rng.integers(0, q, size=(3, 5)) >> rng.integers(0, 16, size=(3, 5)),
+        np.array([[0, 15, 9, 1, 3]]),
+        np.array([[0, 1, 0, 0, 1], [1, 0, 0, 1, 0]], dtype=np.uint8),
+        np.array([[255, 16, 0, 4095, 4096]]),
+    ]
+    export_matrix(path, blocks, (7, 5), q=q)
+    lines = [" ".join(format(v, "x") for v in row) for block in blocks for row in block.tolist()]
+    assert path.read_text() == f"# q={q} rows=7 cols=5\n" + "".join(line + "\n" for line in lines)
+
+
 def test_export_matrix_rejects_entries_outside_the_field(tmp_path) -> None:
     """Entries outside [0, q) and rows of the wrong width are refused in
     any chunk, also after earlier chunks were fine, and leave no file."""

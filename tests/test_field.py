@@ -28,7 +28,7 @@ from wedgelift import (
 )
 from wedgelift.field import additive_fft
 
-from reference import field_pow, pow_vector, subgroup_power_sum, trace2
+from reference import additive_fft_reference, field_pow, pow_vector, subgroup_power_sum, trace2
 
 AXIOM_ELLS = (2, 3, 4, 6, 8)
 
@@ -281,6 +281,29 @@ def test_additive_fft_matches_power_table_sums(f64: FieldSpec) -> None:
     expected = np.bitwise_xor.reduce(f64.mul_table()[coeffs[:, :, None], f64.power_table()], axis=1)
     assert np.array_equal(additive_fft(f64, coeffs), expected)
     assert np.array_equal(coeffs, before)  # the input is not written
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_additive_fft_equals_the_outer_batch_recursion(ell: int) -> None:
+    """The batch-innermost transform equals the recursion with the batch on
+    the outer axis, for 1, q and 3q random rows, as a C-contiguous uint16
+    array; a transposed view reads as its copy does."""
+    spec = make_field(ell)
+    q = spec.q
+    rng = np.random.default_rng(ell)
+    for count in (1, q, 3 * q):
+        coeffs = rng.integers(0, q, size=(count, q), dtype=np.uint16)
+        values = additive_fft(spec, coeffs)
+        assert values.dtype == np.uint16 and values.flags.c_contiguous
+        assert np.array_equal(values, additive_fft_reference(spec, coeffs))
+    view = rng.integers(0, q, size=(q, 3), dtype=np.uint16).T
+    assert np.array_equal(additive_fft(spec, view), additive_fft_reference(spec, view.copy()))
+
+
+def test_additive_fft_equals_the_outer_batch_recursion_at_q1024() -> None:
+    spec = make_field(10)
+    coeffs = np.random.default_rng(1024).integers(0, spec.q, size=(5, spec.q), dtype=np.uint16)
+    assert np.array_equal(additive_fft(spec, coeffs), additive_fft_reference(spec, coeffs))
 
 
 def test_additive_fft_twiddles_are_cached_per_field(f16: FieldSpec) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from wedgelift.code import WedgeLiftedCode, _origin_wedges
 from wedgelift.linalg import gf2_echelon, pack_rows, unpack_rows
 from wedgelift.repair import (
     _group_sums,
+    _layout,
     _seed_labels,
     _seed_spectra_chunk,
     _transform,
@@ -180,6 +182,56 @@ def _plan_of_family(ell, h):
 SPECTRA_FAMILIES = CLOSURE_FAMILIES + [(8, 17), (8, 255)]
 
 
+@pytest.mark.parametrize("ell,h", [(4, 1), (6, 1), (4, 5)], ids=["q16h1", "q64h1", "q16h5"])
+def test_group_sums_equal_gathered_sums_for_every_plane_count(ell, h) -> None:
+    """The packed planes read back by one multiply equal the sums gathered
+    over every group, in values and dtype: for random words over F_q, the
+    all-(q-1) word, a word on the top plane alone, a one-plane word and the
+    all-zero word. At h = 1 the slot width w is ell, so one word holds all
+    ell planes and s = w, the edge where a multiply-based spread carries."""
+    plan = _plan_of_family(ell, h)
+    q, n = 1 << ell, plan.code.length
+    w, per_word, rows, _ = _layout(plan, ell)
+    assert rows == 1 and per_word >= ell and (w == ell) == (h == 1)
+    rng = np.random.default_rng(ell * h)
+    words = [
+        rng.integers(0, q, size=n).astype(np.uint16),
+        rng.integers(0, q, size=n).astype(np.uint8),
+        np.full(n, q - 1, dtype=np.uint16),
+        (rng.integers(0, 2, size=n) << (ell - 1)).astype(np.uint16),
+        rng.integers(0, 2, size=n).astype(np.uint8),
+        np.zeros(n, dtype=np.uint16),
+    ]
+    sums = [_group_sums(plan, word) for word in words]
+    for word, got in zip(words, sums):
+        assert got.dtype == word.dtype and got.shape == (plan.t, n)
+    for j in range(plan.t):
+        group = plan.seeds[j : j + 1, None, :] ^ np.arange(n, dtype=np.int32)[None, :, None]
+        for word, got in zip(words, sums):
+            assert np.array_equal(got[j], group_sums_reference(group, word, 0))
+    assert not sums[-1].any()
+
+
+@pytest.mark.parametrize(
+    "h,rows,digest",
+    [
+        (17, 2, "271d84a06a6f5fcdd1d8b392ef56cf8a07d4b3e190e907c175a7e372ef180356"),
+        (255, 3, "7ae71c6c9af03d8e208fda6c81e09f8cf076dd4c05a1ba875311236ba937e083"),
+    ],
+    ids=["q256h17", "q256h255"],
+)
+def test_group_sums_pinned_at_q256(h, rows, digest) -> None:
+    """The sums of one seeded random word over F_256, whose 8 planes take
+    two packed words a coordinate at h = 17 and three at h = 255, hash to
+    what packing and reading out one plane at a time gave."""
+    plan = _plan_of_family(8, h)
+    assert _layout(plan, 8)[2] == rows
+    word = np.random.default_rng(256).integers(0, 256, size=plan.code.length).astype(np.uint16)
+    sums = _group_sums(plan, word)
+    assert sums.dtype == np.uint16
+    assert hashlib.sha256(sums.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("ell,h", SPECTRA_FAMILIES, ids=[f"q{1 << e}h{h}" for e, h in SPECTRA_FAMILIES])
 def test_closed_form_spectra_equal_transformed_seeds(ell, h) -> None:
     """The closed-form seed spectra, -h + q * [labels = j] and h(q-1) at
@@ -221,15 +273,17 @@ def test_seed_labels_are_made_once_per_plan(fam16_5, monkeypatch) -> None:
     assert np.array_equal(plan._labels, _seed_labels(plan))
 
 
-@pytest.mark.parametrize("binary,estimate", [(False, 35584), (True, 34816)], ids=["F_q", "binary"])
+@pytest.mark.parametrize("binary,estimate", [(False, 154880), (True, 153856)], ids=["F_q", "binary"])
 def test_verify_memory_guard_boundary(plan16_5, monkeypatch, binary, estimate) -> None:
     """Before its first trial verify charges its own arrays against the
     guard. At q16h5 (t = 3, n = 256): the sums, 3 * 256 uint16 symbols (or
-    uint8 traces), and as many booleans; the int16 labels, 512 bytes; one
-    packed word of the 4 planes (or of the 1 binary plane), 2048 bytes; and
-    one chunk of all 3 seeds, whose spectra, products, transform buffer and
-    two read-out words take 5 * 3 * 2048 bytes. It runs at exactly that
-    charge and is refused one byte below it."""
+    uint8 traces), and the word; the int16 labels, 512 bytes; one
+    packed word of the 4 planes (or of the 1 binary plane), 2048 bytes; one
+    chunk of all 3 seeds, whose products and transform buffer take
+    2 * 3 * 2048 bytes and whose spectra and the booleans they are formed
+    from 3 * 256 * 9; and NumPy's buffers for the product's two broadcast
+    operands, 2 * 8192 uint64 entries. It runs at exactly that charge and
+    is refused one byte below it."""
     assert _verify_bytes(plan16_5, binary) == estimate
     monkeypatch.setattr(code_module, "DEFAULT_MEMORY_GUARD_BYTES", estimate)
     assert verify_drgp(plan16_5, 2, 0, binary=binary)["failures"] == []
@@ -242,13 +296,14 @@ def test_verify_memory_guard_boundary(plan16_5, monkeypatch, binary, estimate) -
 
 
 @pytest.mark.parametrize("binary", [False, True], ids=["F_q", "binary"])
-@pytest.mark.parametrize("name", ["plan16_5", "plan64_9"])
+@pytest.mark.parametrize("name", ["plan16_5", "plan64_9", "q256h17", "q256h255"])
 def test_verify_charge_bounds_the_sums_peak(name, binary, request) -> None:
     """The charge is at least what verify holds while it forms one word's
-    sums: the labels, the (t, n) booleans it compares the sums by, and the
-    peak that tracemalloc sees numpy allocate inside _group_sums, for a
-    word with every bit plane set."""
-    plan = request.getfixturevalue(name)
+    sums: the labels, the word, and the peak that tracemalloc sees numpy
+    allocate inside _group_sums, for a word with every bit plane set. At
+    q = 256 the products take two packed words a coordinate (h = 17) and
+    three (h = 255)."""
+    plan = _plan_of_family(8, int(name[5:])) if name.startswith("q") else request.getfixturevalue(name)
     q, n = plan.code.field.q, plan.code.length
     labels = plan._labels
     word = np.ones(n, dtype=np.uint8) if binary else np.full(n, q - 1, dtype=np.uint16)
@@ -258,7 +313,7 @@ def test_verify_charge_bounds_the_sums_peak(name, binary, request) -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = peak + labels.nbytes + plan.t * n
+    held = peak + labels.nbytes + word.nbytes
     assert held <= _verify_bytes(plan, binary)
 
 
