@@ -166,8 +166,10 @@ def build_code(family: CosetFamily, *, dimension_only: bool = False) -> WedgeLif
     The wedge checks are the translates of one seed per coset, so their row
     space is the translation closure of the seeds: the elimination takes the
     t seeds and, for each of the 2*ell index bits in turn, the translates of
-    the basis as it stood when that bit's step began (1 803 rows at q64h9),
-    never the t*q^2 wedge rows (28 672).
+    the basis as it stood when that bit's step began, or those of the seeds
+    and of the rows the step finds when they are fewer (1 273 rows at
+    q64h9), never the t*q^2 wedge rows (28 672). The basis is allocated at
+    the bad count, which is also the bound that chooses each step's form.
 
     The parity rows are 0/1, so elimination over F_q never leaves {0, 1} and
     the F_q rank equals the GF(2) rank.

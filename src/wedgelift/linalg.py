@@ -4,9 +4,11 @@ The library eliminates over GF(2) with `GF2Echelon`: rows packed into uint64
 words (column j at bit j % 64 of word j // 64), reduced block by block against
 a basis kept in fully reduced row-echelon form.
 `translation_closure` grows such a basis from a few seed rows to the smallest
-row space that also holds every translate j -> j ^ c of its rows. Such a space
-is invariant under the column reversal (the translate by ncols - 1), so
-`RrefKernel` reads the kernel's unique reduced row-echelon basis from the
+row space that also holds every translate j -> j ^ c of its rows, one index
+bit at a time: a step adds the translates of the whole basis, or, when fewer
+rows can do, those of the seeds and then of only the rows the step finds.
+Such a space is invariant under the column reversal (the translate by
+ncols - 1), so `RrefKernel` reads the kernel's unique reduced row-echelon basis from the
 reduced basis itself, with its columns reversed, a range of rows at a time,
 and eliminates nothing.
 
@@ -17,7 +19,7 @@ serves both codes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,14 +83,19 @@ class GF2Echelon:
     reduced against them, the same way as a batch. RrefKernel reads the
     kernel from the reduced rows.
 
-    translation_closure adds the translates of the basis one index bit at a
-    time (_close_bit). During such a step the last reduction skips the basis
-    rows being translated (the first `frozen` rows), so that they stay as
-    they were while their translates are added; they are reduced at the
-    step's end. Until then those rows may have bits at the later pivots, so
-    a batch is reduced against them in a reduction of its own, before the
-    later rows: within each reduction the basis rows are zero at each
-    other's pivots, which is what lets one gather read all its bits.
+    translation_closure closes the space one index bit at a time, adding
+    the translates of the basis (_close_bit), or breadth-first those of the
+    seeds and then of the rows the step finds (_close_bit_from). During a
+    step the last reduction skips the basis rows the step began with (the
+    first `frozen` rows), so that they stay as they were while translates
+    are added; they are reduced at the step's end. Until then those rows may
+    have bits at the later pivots, so a batch is reduced against them in a
+    reduction of its own, before the later rows: within each reduction the
+    basis rows are zero at each other's pivots, which is what lets one
+    gather read all its bits. The rows found during the step are not
+    frozen, so a breadth-first round translates them as they stand, each
+    plus some rows found after it; their translates are added in a later
+    round, so the step's span is the same.
 
     The basis array starts with `capacity` rows and doubles (or grows to fit
     a batch's new rows), by copying, each time it is full; a caller that
@@ -136,9 +143,10 @@ class GF2Echelon:
         row from a table of the chunk's row sums (_add_table), or its
         (row, pivot) pairs, XORed in together with the other such chunks'
         pairs, as many chunks at a time as keep their bits and indices about
-        the size of the block (_add_pairs). Every form adds the same rows,
-        so the basis the closure leaves is the unique RREF whichever forms
-        are taken."""
+        the size of a batch, as closure_bytes charges one (_add_pairs), so
+        that a block of a few rows does not take its pairs a chunk at a
+        time. Every form adds the same rows, so the basis the closure leaves
+        is the unique RREF whichever forms are taken."""
         if hi <= lo or not len(block):
             return
         coefficients = self._coefficients(block, lo, hi)
@@ -156,6 +164,9 @@ class GF2Echelon:
         sums = None
         paired: list[int] = []
         held = 0
+        # A batch's bytes, as closure_bytes charges one.
+        batch = min(_batch_rows(self.words), len(self._rows))
+        flush = max(block.nbytes, packed_bytes(batch, self.ncols))
         for c, (n, table) in enumerate(zip(hits.tolist(), tables.tolist())):
             if table:
                 if sums is None:
@@ -168,7 +179,7 @@ class GF2Echelon:
                 # and about 64 bytes of indices a pair.
                 paired.append(c)
                 held += TABLE_BITS * len(block) + 64 * n
-                if held >= block.nbytes:
+                if held >= flush:
                     self._add_pairs(block, coefficients, paired, lo)
                     paired, held = [], 0
         if paired:
@@ -277,11 +288,47 @@ class GF2Echelon:
         their translates are added, and then reduced against the rows found
         after them, which leaves the basis fully reduced again."""
         frozen = self.rank
-        step = _batch_rows(self.words)
-        for start in range(0, frozen, step):
-            block = translate_rows(self._rows[start : min(start + step, frozen)], bit)
-            self._add_batch(block, frozen)
+        self._add_translates(0, frozen, [bit], frozen)
         self._reduce_basis(0, frozen, frozen, self.rank)
+
+    def _close_bit_from(self, seeds: np.ndarray, bit: int) -> None:
+        """The breadth-first form of _close_bit, for a basis whose space is
+        the closure of the rows `seeds` under the bits below `bit`: add the
+        translates by `bit` of the seeds, then, round by round, the
+        translates by every bit below `bit` of the rows the round before
+        found, until a round finds none (see translation_closure). Once a
+        round would take as many rows as the basis had when the step began
+        (_seeds_pay), the step adds the translates of those rows instead,
+        as _close_bit does. Those rows are frozen throughout, and reduced
+        against the rows found after them at the end."""
+        frozen = found = self.rank
+        self._add_translates(0, len(seeds), [bit], frozen, seeds)
+        while self.rank > found:
+            start, found = found, self.rank
+            if not _seeds_pay(bit * (found - start), frozen):
+                self._add_translates(0, frozen, [bit], frozen)
+                break
+            self._add_translates(start, found, range(bit), frozen)
+        self._reduce_basis(0, frozen, frozen, self.rank)
+
+    def _add_translates(
+        self, lo: int, hi: int, bits: Sequence[int], frozen: int, rows: np.ndarray | None = None
+    ) -> None:
+        """Add the translates by each of `bits` of rows lo..hi-1 of `rows`
+        (the basis, if None), with the first `frozen` basis rows frozen
+        (_add_batch), formed a batch of _batch_rows at a time. A basis row
+        is translated as it stands when its batch is formed."""
+        source = self._rows if rows is None else rows
+        n = hi - lo
+        step = _batch_rows(self.words)
+        # Translate k of the round is row lo + k % n moved by bits[k // n].
+        for first in range(0, len(bits) * n, step):
+            last = min(first + step, len(bits) * n)
+            pieces = [
+                translate_rows(source[lo + max(first - k * n, 0) : lo + min(last - k * n, n)], bits[k])
+                for k in range(first // n, -(-last // n))
+            ]
+            self._add_batch(pieces[0] if len(pieces) == 1 else np.concatenate(pieces), frozen)
 
     def _append(self, block: np.ndarray, index: np.ndarray, cols: np.ndarray) -> None:
         """Append the reduced rows block[index], whose pivots are cols."""
@@ -422,6 +469,13 @@ def _table_pays(hits: np.ndarray, nrows: int, words: int) -> np.ndarray:
     return hits * pair > table
 
 
+def _seeds_pay(rows: int, frozen: int) -> bool:
+    """Whether a closure step, or the rest of one, that feeds at most `rows`
+    translates breadth-first (GF2Echelon._close_bit_from) feeds fewer than
+    translating the `frozen` basis rows the step began with does."""
+    return rows < frozen
+
+
 def _batch_rows(words: int) -> int:
     """Rows of `words` uint64 words that make one elimination batch."""
     return max(MIN_BATCH_ROWS, BATCH_BYTES // (8 * max(words, 1)))
@@ -432,14 +486,17 @@ def closure_bytes(ncols: int, rank_bound: int) -> int:
     of at most rank_bound: the basis array (rank_bound packed rows, when
     allocated once) with the pivot column, byte and bit mask of each row
     (charged as three 8-byte integers; they take 17 bytes); one batch of
-    translates (at most a batch, and at most the rank, since a step
-    translates the basis); one temporary of at most as many rows (the rows
-    that one pivot or one round of pairs hits, the sums that one table adds,
-    or the rows that take the sum of all); and the table of 2^TABLE_BITS row
-    sums. Not counted: a reduction's coefficient bits, one bit per batch
-    row and basis pivot (fewer bytes than the batch, since the rank is at
-    most ncols), and the gathers and pair indices that read them, each kept
-    to about the batch's bytes (_reduce)."""
+    translates (at most a batch, and at most the rank: a step translates
+    the basis, or breadth-first the seeds and then rounds that feed fewer
+    rows than the basis had, formed a batch at a time); one temporary of at
+    most as many rows (the rows that one pivot or one round of pairs hits,
+    the sums that one table adds, or the rows that take the sum of all);
+    and the table of 2^TABLE_BITS row sums. Not counted: the copy of the
+    seeds' basis rows that a breadth-first step translates, at most one
+    row per seed; a reduction's coefficient bits, one bit per batch row and
+    basis pivot (fewer bytes than the batch, since the rank is at most
+    ncols); and the gathers and pair indices that read them, each kept to
+    about the batch's bytes (_reduce)."""
     words = _words(ncols)
     batch = min(_batch_rows(words), rank_bound)
     return packed_bytes(rank_bound + 2 * batch + (1 << TABLE_BITS), ncols) + 24 * rank_bound
@@ -502,21 +559,43 @@ def translation_closure(
 
     The seeds are eliminated as by gf2_echelon, giving a space S. Then, one
     index bit i at a time, S becomes S + T_i S, T_i the translation
-    j -> j ^ 2^i: the basis rows as they stood when step i began are
-    translated, a batch at a time, and eliminated. Those rows stay unchanged
-    during the step because the back-substitution of the pivots the step
-    finds is deferred to its end (GF2Echelon._close_bit). The translations
-    commute, so T_j(S + T_i S) = T_j S + T_i T_j S lies in S + T_i S once S
-    is invariant under T_j: after step i the space is invariant under
-    T_0 .. T_i, and after the last step under every translation. Each step
-    adds only translates of the space, so no invariant space holding the
-    seeds is smaller. The elimination takes the seeds plus, at each step, as
-    many rows as the rank when it began. `capacity` is the basis's initial
-    row count (see GF2Echelon).
+    j -> j ^ 2^i. The translations commute, so T_j(S + T_i S) = T_j S +
+    T_i T_j S lies in S + T_i S once S is invariant under T_j: after step i
+    the space is invariant under T_0 .. T_i, and after the last step under
+    every translation. Each step adds only translates of the space, so no
+    invariant space holding the seeds is smaller.
+
+    A step takes one of two forms. The full form (GF2Echelon._close_bit)
+    translates the basis rows as they stood when the step began, a batch at
+    a time, and eliminates them: as many rows as the rank. Those rows stay
+    unchanged during the step because the back-substitution of the pivots
+    the step finds is deferred to its end. The breadth-first form
+    (GF2Echelon._close_bit_from) uses that S is the ideal the seeds generate
+    in the group algebra F_2[Z_2^k], ncols = 2^k, restricted to the closed
+    bits 0 .. i-1: every row of S is a sum of translates of the seeds by
+    those bits. So T_i S is the closure of T_i(seeds) under the closed bits,
+    and the step adds the translates by i of a copy of the seeds' basis
+    rows, then in rounds the translates by every closed bit of the rows the
+    round before found, until a round finds none. The space the step leaves holds S and
+    T_i(seeds), and is invariant under the closed bits, since every row
+    found is translated by each of them; every row fed lies in S + T_i S.
+    So it is S + T_i S. That form feeds the seeds and i rows per row found.
+    The step can find at most the basis array's free rows, all that remain
+    when `capacity`, the basis's initial row count (see GF2Echelon), is the
+    caller's bound on the rank. A step takes the breadth-first form when
+    even that many would make it feed fewer rows than the rank when the
+    step began (_seeds_pay), and turns to translating the basis rows it
+    began with once a round would feed as many as they are.
     """
     if ncols < 1 or ncols & (ncols - 1):
         raise ValueError(f"ncols must be a power of two, got {ncols}")
     echelon = gf2_echelon(blocks, ncols, capacity)
+    seeds = echelon._rows[: echelon.rank].copy()
     for bit in range(ncols.bit_length() - 1):
-        echelon._close_bit(bit)
+        # Breadth-first feeds the seeds and `bit` translates of each row
+        # found, at most one per free row of the basis array.
+        if _seeds_pay(len(seeds) + bit * (len(echelon._rows) - echelon.rank), echelon.rank):
+            echelon._close_bit_from(seeds, bit)
+        else:
+            echelon._close_bit(bit)
     return echelon

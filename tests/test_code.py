@@ -700,7 +700,7 @@ def test_dense_views_guard_boundary(view, estimate, trace16_5, monkeypatch) -> N
         trace16_5.kernel_rows(0, 208)
 
 
-BUILD_PEAK_FAMILIES = [(6, 9), (6, 63), (7, 127), (8, 255)]
+BUILD_PEAK_FAMILIES = [(6, 9), (6, 3), (6, 63), (7, 127), (8, 255)]
 
 
 @pytest.mark.parametrize("dimension_only", [True, False], ids=["dimension-only", "full"])

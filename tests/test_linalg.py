@@ -458,25 +458,102 @@ def test_table_reduction_equals_pivot_reduction(ncols, rank, monkeypatch) -> Non
                 assert np.array_equal(reduced, expected)
 
 
-def test_closure_feeds_each_step_the_rank_it_began_with(monkeypatch) -> None:
-    """At q64h9 the elimination takes the 7 seeds and, for each of the 12
-    index bits, the translates of the basis as it stood when that step began:
-    1 803 rows, where translating every basis row by every bit took 4 111.
-    The ranks at the start of the steps, and the 342 at the end, are pinned."""
+def test_closure_step_forms_and_rows_fed_at_q64h9(monkeypatch) -> None:
+    """At q64h9, with the basis allocated at the bad count as build_code
+    allocates it, the elimination takes the 7 seeds and, for each of the 12
+    index bits, either the translates of the basis as it stood when that
+    step began or, in the last two steps, breadth-first rounds: the 7
+    seeds' translates, then the translates by every closed bit of the rows
+    the round before found (4 + 10 * 8 + 3 rows where the basis had 330,
+    and 4 + 11 * 4 + 0 rows where it had 338). That is 1 273 rows, where
+    translating the whole basis at every step took 1 803, and translating
+    every basis row by every bit 4 111. The ranks at the start of the steps,
+    the form and the blocks of each, and the 342 at the end, are pinned."""
     counted: list[tuple[int, int]] = []
+    forms: list[tuple[str, int]] = []
     add_batch = GF2Echelon._add_batch
+    close_bit, close_bit_from = GF2Echelon._close_bit, GF2Echelon._close_bit_from
 
     def counting(self, block, frozen=0):
         counted.append((frozen, len(block)))
         add_batch(self, block, frozen)
 
+    def full(self, bit):
+        forms.append(("basis", self.rank))
+        close_bit(self, bit)
+
+    def breadth_first(self, seeds, bit):
+        forms.append(("seeds", self.rank))
+        close_bit_from(self, seeds, bit)
+
     monkeypatch.setattr(GF2Echelon, "_add_batch", counting)
+    monkeypatch.setattr(GF2Echelon, "_close_bit", full)
+    monkeypatch.setattr(GF2Echelon, "_close_bit_from", breadth_first)
     family = make_coset_family(make_field(6), 9)
-    closure = translation_closure(iter_parity_rows(family), 64 * 64)
+    closure = translation_closure(iter_parity_rows(family), 64 * 64, capacity=count_bad(family))
     starts = [7, 14, 28, 44, 76, 92, 124, 185, 259, 299, 330, 338]
     assert closure.rank == 342
-    assert counted == [(0, 7)] + [(r, r) for r in starts]
-    assert sum(rows for _, rows in counted) == 1803
+    assert forms == [("basis", r) for r in starts[:10]] + [("seeds", 330), ("seeds", 338)]
+    rounds = [(330, 7), (330, 10), (330, 40), (330, 30), (338, 7), (338, 11), (338, 33)]
+    assert counted == [(0, 7)] + [(r, r) for r in starts[:10]] + rounds
+    assert sum(rows for _, rows in counted) == 1273
+
+
+# sha256 of the closures' RREFs (GF2Echelon.reduced()), computed by
+# translating the whole basis at every step.
+CLOSURE_RREF_SHA256 = {
+    (4, 5): ((48, 4), "d5175c1649a6cd15b66c0c260d69be62d08d5a86cbba02618fe4c1263db133aa"),
+    (6, 9): ((342, 64), "925a3aed6fff21a3427ab9e64142ec16b2ce74045346869084cd3861f5cdc434"),
+    (6, 3): ((626, 64), "b51e1ce24f9953e9800690e60e366983a1fcc1645515bfcb04bebe9f800f254c"),
+    (8, 85): ((960, 1024), "a392e2d0bc2c141a16f724cf64477a7e7de3b05c09a9d3b624bbf28b2040f9f9"),
+}
+
+
+def closure_digest(ell: int, h: int) -> tuple[tuple[int, int], str]:
+    """The shape and sha256 of the closure's RREF, the basis allocated at
+    the bad count as build_code allocates it."""
+    import hashlib
+
+    family = make_coset_family(make_field(ell), h)
+    closure = translation_closure(iter_parity_rows(family), family.q**2, capacity=count_bad(family))
+    reduced = closure.reduced()
+    return reduced.shape, hashlib.sha256(reduced.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("form", ["basis", "seeds", "chosen"])
+def test_closure_step_forms_give_the_same_rref(form, monkeypatch) -> None:
+    """Every step translating the whole basis, every step breadth-first from
+    the seeds with no switch to the basis, and the forms the closure
+    chooses, give the same RREF: on the random seeds of
+    test_translation_closure_is_rref_of_every_translate (against the RREF
+    of every translate), on q16h5, q64h9 and q64h3 (against the pinned
+    digests), and on q16h5 and one random case with one-row batches, so
+    that a breadth-first round spans several batches."""
+    import wedgelift.linalg as linalg_module
+
+    taken = []
+    close_bit, close_bit_from = GF2Echelon._close_bit, GF2Echelon._close_bit_from
+    monkeypatch.setattr(GF2Echelon, "_close_bit", lambda self, bit: taken.append("basis") or close_bit(self, bit))
+    monkeypatch.setattr(
+        GF2Echelon, "_close_bit_from", lambda self, seeds, bit: taken.append("seeds") or close_bit_from(self, seeds, bit)
+    )
+    if form != "chosen":
+        monkeypatch.setattr(linalg_module, "_seeds_pay", lambda *_: form == "seeds")
+    rng = np.random.default_rng(22)
+    for ncols in (1, 2, 16, 64, 256):
+        for nseeds in (1, 2, 3):
+            m = seeds_below_full_closure(rng, nseeds, ncols)
+            reference = gf2_rref(rows_to_bitsets(every_translate(m)))
+            assert packed_rref(translation_closure([pack_rows(m)], ncols)) == reference
+    for ell, h in CLOSURE_RREF_SHA256.keys() - {(8, 85)}:
+        assert closure_digest(ell, h) == CLOSURE_RREF_SHA256[ell, h]
+    assert set(taken) == ({"basis", "seeds"} if form == "chosen" else {form})
+    monkeypatch.setattr(linalg_module, "MIN_BATCH_ROWS", 1)
+    monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8)
+    assert closure_digest(4, 5) == CLOSURE_RREF_SHA256[4, 5]
+    m = seeds_below_full_closure(rng, 3, 256)
+    reference = gf2_rref(rows_to_bitsets(every_translate(m)))
+    assert packed_rref(translation_closure([pack_rows(m)], 256)) == reference
 
 
 def test_closure_rref_pinned_at_q256h255() -> None:
@@ -492,12 +569,24 @@ def test_closure_rref_pinned_at_q256h255() -> None:
     )
 
 
-@pytest.mark.parametrize("ell,h", [(6, 9), (7, 127), (8, 255)], ids=["q64h9", "q128h127", "q256h255"])
+@pytest.mark.parametrize("ell,h", [(6, 3), (8, 85)], ids=["q64h3", "q256h85"])
+def test_closure_rref_pinned(ell, h) -> None:
+    """The closure's RREF at q64h3 (626 rows of 64 words) and q256h85 (960
+    rows of 1 024 words) is bit for bit the one that translating the whole
+    basis at every step gave."""
+    assert closure_digest(ell, h) == CLOSURE_RREF_SHA256[ell, h]
+
+
+@pytest.mark.parametrize(
+    "ell,h", [(6, 9), (6, 3), (7, 127), (8, 255)], ids=["q64h9", "q64h3", "q128h127", "q256h255"]
+)
 def test_closure_peak_within_closure_bytes(ell, h) -> None:
     """The memory guard charges a dimension-only build closure_bytes for
     the bad_bound rank bound; translation_closure, with its basis allocated
     at the bad count as build_code allocates it, holds no more than that at
-    its tracemalloc peak (about 0.95, 0.89 and 0.82 of the charge)."""
+    its tracemalloc peak (about 0.95, 0.84, 0.74 and 0.82 of the charge).
+    At q64h3 (t = 21) the breadth-first steps feed the most rows of any
+    family at q <= 64."""
     import tracemalloc
 
     family = make_coset_family(make_field(ell), h)
