@@ -8,6 +8,7 @@ seed; files are written atomically so re-runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -190,7 +191,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse makes a help formatter,
+    which reads the terminal size, for each argument it adds. Each
+    subcommand runs the module's cmd_<command>, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="wedgelift",
         description="Wedge-lifted codes over GF(2^ell): classification, "
@@ -208,13 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[params], help="classify all monomials")
     p.add_argument("--budget", type=int, default=_classify.DEFAULT_ORACLE_BUDGET,
                    help="table-read budget for the oracle cross-check")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("build", parents=[params], help="build the code and export it")
     p.add_argument("--binary", action="store_true", help="also build the trace code")
     p.add_argument("--dimension-only", action="store_true",
                    help="skip matrix materialization; compute the dimension only")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", parents=[params], help="verify disjoint repair groups")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -222,23 +225,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binary", action="store_true", help="also verify the trace code")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one repair group; verification must fail")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="redundancy-exponent table")
-    p.set_defaults(func=cmd_table)
+    sub.add_parser("table", help="redundancy-exponent table")
 
     p = sub.add_parser("plan", help="dyadic repair-exponent parameter planner")
     p.add_argument("--a-num", type=int, required=True, help="numerator a of a/2^b")
     p.add_argument("--b-exp", type=int, required=True, help="exponent b of a/2^b")
     p.add_argument("--n", type=int, required=True, help="scale: ell = 2^b * n")
-    p.set_defaults(func=cmd_plan)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

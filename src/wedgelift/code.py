@@ -224,6 +224,13 @@ def _check_good_annihilated(family: CosetFamily, good: np.ndarray) -> None:
     bit keeps a monomial good. The monomials of C pass the second half: C is
     translation-invariant, and distinct monomials of degree < q are
     independent functions.
+
+    The second half runs on the (q, q) grid of good exponent pairs: for
+    each exponent bit, one gather of the grid's rows and one of its
+    columns at the exponents with that bit cleared, ANDed into one grid of
+    the pairs whose shadows are good. The good pairs outside it are read
+    off in lexicographic order, the message order, so the first offender
+    reported is the first in `good`.
     """
     q, ell = family.q, family.field.ell
     odd = _origin_wedge_sums(family, good).any(axis=1).nonzero()[0]
@@ -231,17 +238,17 @@ def _check_good_annihilated(family: CosetFamily, good: np.ndarray) -> None:
         raise InvariantError(
             f"good monomial {tuple(good[odd[0]].tolist())} violates a wedge parity check"
         )
-    a, b = good.T
     is_good = np.zeros((q, q), dtype=bool)
-    is_good[a, b] = True
-    # One exponent bit at a time, so that every temporary has M entries.
-    closed = np.ones(len(good), dtype=bool)
-    for cleared in ~(1 << np.arange(ell)):
-        closed &= is_good[a & cleared, b] & is_good[a, b & cleared]
-    unclosed = np.flatnonzero(~closed)
+    is_good[tuple(good.T)] = True
+    # closed[a, b]: (a, b) and each of its one-bit shadows are good.
+    closed = is_good.copy()
+    for shadow in np.arange(q) & ~(1 << np.arange(ell))[:, None]:
+        closed &= is_good.take(shadow, axis=0)
+        closed &= is_good.take(shadow, axis=1)
+    unclosed = np.argwhere(is_good > closed)
     if unclosed.size:
         raise InvariantError(
-            f"good monomial {tuple(good[unclosed[0]].tolist())} has a 2-shadow outside the good set"
+            f"good monomial {tuple(unclosed[0].tolist())} has a 2-shadow outside the good set"
         )
 
 

@@ -71,12 +71,15 @@ class GF2Echelon:
     space, so it does not depend on the order or blocking of the input rows.
     Rows are added in batches (see gf2_echelon). A batch is first reduced
     against the basis: a row v becomes v + sum of v[p_k] * row_k over the
-    pivots p_k, since no other basis row has bit p_k. The bits v[p_k] of the
-    whole batch are read in one gather, packed, before any row is added.
-    Each chunk of TABLE_BITS pivots is then added through a table of its row
-    sums or by its (row, pivot) pairs, whichever moves fewer words counting
-    each numpy call, and a row with most of its bits set takes the sum of
-    all the rows and then its unset bits (_reduce). The rows the batch has
+    pivots p_k, since no other basis row has bit p_k. A reduction against
+    at most TABLE_BITS basis rows, one chunk, adds them one at a time, each
+    to the rows that have its pivot bit (_pivots_pay). A longer one reads
+    the bits v[p_k] of the whole batch in one gather, packed, before any
+    row is added; each chunk of TABLE_BITS pivots is then added through a
+    table of its row sums or by its (row, pivot) pairs, whichever moves
+    fewer words counting each numpy call, and a row with most of its bits
+    set takes the sum of all the rows and then its unset bits (_reduce).
+    All these forms add the same rows. The rows the batch has
     left are then eliminated inside it row by row, each new pivot row XORed
     into every other row of the batch with its pivot bit. The new rows are
     appended together, and the basis rows that were there before are
@@ -131,23 +134,32 @@ class GF2Echelon:
     def _reduce(self, block: np.ndarray, lo: int, hi: int) -> None:
         """XOR into each row of `block` the basis rows lo..hi-1 at whose
         pivots it has a set bit. Those basis rows must be zero at each
-        other's pivots: then the block's bits at those pivots, all read
-        before any XOR (_coefficients), are its coefficients, and the
-        reduction leaves the block zero there.
+        other's pivots: then the block's bits at those pivots are its
+        coefficients, and adding one basis row changes no other row's
+        coefficient, so the reduction leaves the block zero there.
 
-        A row with more than half its coefficients set takes the sum of
-        all the rows instead, and then the rows of its unset coefficients,
-        when that saves more row XORs than the sum costs. The coefficients
-        are then split into chunks of TABLE_BITS pivots, and each chunk
-        takes the cheaper of two exact forms (_table_pays): one sum per
-        row from a table of the chunk's row sums (_add_table), or its
-        (row, pivot) pairs, XORed in together with the other such chunks'
-        pairs, as many chunks at a time as keep their bits and indices about
-        the size of a batch, as closure_bytes charges one (_add_pairs), so
-        that a block of a few rows does not take its pairs a chunk at a
-        time. Every form adds the same rows, so the basis the closure leaves
-        is the unique RREF whichever forms are taken."""
+        A reduction against one chunk, at most TABLE_BITS basis rows (the
+        early closure steps, each step's back-substitution when it found
+        few rows, and small breadth-first rounds), takes the rows one at a
+        time (_pivots_pay, _reduce_pivots): a few numpy calls a row, where
+        the chunked forms below pay about 25 a reduction whatever its size.
+        A longer one reads all the coefficients before any XOR
+        (_coefficients). A row with more than half of them set takes the
+        sum of all the rows instead, and then the rows of its unset
+        coefficients, when that saves more row XORs than the sum costs. The
+        coefficients are then split into chunks of TABLE_BITS pivots, and
+        each chunk takes the cheaper of two exact forms (_table_pays): one
+        sum per row from a table of the chunk's row sums (_add_table), or
+        its (row, pivot) pairs, XORed in together with the other such
+        chunks' pairs, as many chunks at a time as keep their bits and
+        indices about the size of a batch, as closure_bytes charges one
+        (_add_pairs), so that a block of a few rows does not take its pairs
+        a chunk at a time. Every form adds the same rows, so the basis the
+        closure leaves is the unique RREF whichever forms are taken."""
         if hi <= lo or not len(block):
+            return
+        if _pivots_pay(hi - lo):
+            self._reduce_pivots(block, lo, hi)
             return
         coefficients = self._coefficients(block, lo, hi)
         ones = np.bitwise_count(coefficients)
@@ -184,6 +196,17 @@ class GF2Echelon:
                     paired, held = [], 0
         if paired:
             self._add_pairs(block, coefficients, paired, lo)
+
+    def _reduce_pivots(self, block: np.ndarray, lo: int, hi: int) -> None:
+        """_reduce one basis row at a time: XOR each into the block rows
+        that have its pivot bit, read from the byte of the row that holds
+        it as the block stands after the rows before it."""
+        raw = block.view(np.uint8)
+        bits = zip(self._byte[lo:hi].tolist(), self._mask[lo:hi].tolist())
+        for row, (byte, mask) in zip(self._rows[lo:hi], bits):
+            hit = (raw[:, byte] & mask).nonzero()[0]
+            if len(hit):
+                block[hit] ^= row
 
     def _coefficients(self, block: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The block's bits at the pivots of basis rows lo..hi-1, packed:
@@ -469,6 +492,14 @@ def _table_pays(hits: np.ndarray, nrows: int, words: int) -> np.ndarray:
     return hits * pair > table
 
 
+def _pivots_pay(pivots: int) -> bool:
+    """Whether a reduction against `pivots` basis rows takes them one at a
+    time (GF2Echelon._reduce_pivots) rather than in chunks: when they are
+    one chunk, whose table or pairs would pay the chunked forms' fixed
+    calls for at most TABLE_BITS rows."""
+    return pivots <= TABLE_BITS
+
+
 def _seeds_pay(rows: int, frozen: int) -> bool:
     """Whether a closure step, or the rest of one, that feeds at most `rows`
     translates breadth-first (GF2Echelon._close_bit_from) feeds fewer than
@@ -551,7 +582,7 @@ def translate_rows(rows: np.ndarray, bit: int) -> np.ndarray:
 
 
 def translation_closure(
-    blocks: Iterable[np.ndarray], ncols: int, capacity: int = 64
+    blocks: Iterable[np.ndarray], ncols: int, capacity: int | None = None
 ) -> GF2Echelon:
     """Basis of the smallest row space that holds the seed rows of `blocks`
     and is invariant under every translation j -> j ^ c of the ncols (a power
@@ -580,21 +611,24 @@ def translation_closure(
     T_i(seeds), and is invariant under the closed bits, since every row
     found is translated by each of them; every row fed lies in S + T_i S.
     So it is S + T_i S. That form feeds the seeds and i rows per row found.
-    The step can find at most the basis array's free rows, all that remain
-    when `capacity`, the basis's initial row count (see GF2Echelon), is the
-    caller's bound on the rank. A step takes the breadth-first form when
+    `capacity` is the caller's bound on the rank, if it has one: the basis
+    array is allocated with that many rows (see GF2Echelon), and a step can
+    find at most its free rows. A step takes the breadth-first form when
     even that many would make it feed fewer rows than the rank when the
     step began (_seeds_pay), and turns to translating the basis rows it
-    began with once a round would feed as many as they are.
+    began with once a round would feed as many as they are. With no bound
+    the basis starts at 64 rows and grows, and every step takes the full
+    form: the size of a grown array bounds nothing.
     """
     if ncols < 1 or ncols & (ncols - 1):
         raise ValueError(f"ncols must be a power of two, got {ncols}")
-    echelon = gf2_echelon(blocks, ncols, capacity)
+    echelon = gf2_echelon(blocks, ncols, 64 if capacity is None else capacity)
     seeds = echelon._rows[: echelon.rank].copy()
     for bit in range(ncols.bit_length() - 1):
         # Breadth-first feeds the seeds and `bit` translates of each row
         # found, at most one per free row of the basis array.
-        if _seeds_pay(len(seeds) + bit * (len(echelon._rows) - echelon.rank), echelon.rank):
+        free = len(echelon._rows) - echelon.rank
+        if capacity is not None and _seeds_pay(len(seeds) + bit * free, echelon.rank):
             echelon._close_bit_from(seeds, bit)
         else:
             echelon._close_bit(bit)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import wedgelift.classify as classify_module
+import wedgelift.cli as cli_module
 import wedgelift.code as code_module
 from wedgelift.cli import main
 
@@ -610,3 +611,62 @@ def test_console_script_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert "ell=4 q=16 h=5 t=3" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def outcome(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """main's exit status, stdout and stderr, argparse's exits included."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def test_consecutive_calls_match_fresh_parsers(capsys, tmp_path, monkeypatch) -> None:
+    """main builds its parser once per process. Calls with different
+    subcommands and flags, made one after another on that parser, print
+    and return what each prints and returns on a parser built for it
+    alone: successes, usage errors, argparse errors and --help texts."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out = str(tmp_path)
+    fam = ["--ell", "4", "--subgroup-order", "5", "--out-dir", out]
+    calls = [
+        ["classify", *fam],
+        ["build", *fam, "--binary"],
+        ["build", *fam, "--dimension-only"],
+        ["verify", *fam, "--trials", "2", "--seed", "3", "--binary"],
+        ["classify", "--ell-prime", "2", "--d", "2", "--budget", "0", "--out-dir", out],
+        ["verify", *fam, "--trials", "1", "--inject-fault"],
+        ["table"],
+        ["plan", "--a-num", "2", "--b-exp", "2", "--n", "1"],
+        ["plan", "--a-num", "0", "--b-exp", "2", "--n", "1"],
+        ["build", "--ell", "4", "--out-dir", out],
+        ["table", "--bogus"],
+        ["--help"],
+        ["build", "--help"],
+        ["classify", *fam],
+    ]
+    fresh = []
+    for argv in calls:
+        cli_module._build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    cli_module._build_parser.cache_clear()
+    assert [outcome(capsys, argv) for argv in calls] == fresh
+    assert [status for status, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0, 0, 2, 2, 2, 0, 0, 0]
+    assert fresh[-3][1].startswith("usage: wedgelift [-h] {classify,build,verify,table,plan}")
+    assert "--dimension-only" in fresh[-2][1]
+
+
+def test_cached_parser_runs_patched_commands(capsys, monkeypatch) -> None:
+    """Each subcommand runs the module's cmd_<command> as it is when main
+    runs, so a command patched after the parser was built still runs."""
+    assert main(["table"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_module, "cmd_table", lambda args: 7)
+    assert main(["table"]) == 7

@@ -416,20 +416,25 @@ def random_packed_rows(rng: np.random.Generator, nrows: int, ncols: int) -> np.n
     return rows
 
 
-@pytest.mark.parametrize("ncols,rank", [(70, 5), (70, 13), (130, 37), (4096, 61), (65536, 13)])
+@pytest.mark.parametrize(
+    "ncols,rank", [(70, 1), (70, 5), (70, 13), (130, 37), (4096, 61), (65536, 5), (65536, 13)]
+)
 def test_table_reduction_equals_pivot_reduction(ncols, rank, monkeypatch) -> None:
     """A block reduced against a fully reduced basis equals the reference
     reduction, and equals the block's part off the pivot columns, with
-    every chunk added through its table, with every chunk added by its
-    pairs, and with the cost rule choosing. The ranks are not multiples of
-    TABLE_BITS, so the last chunk is short, and rank 5 is a single short
-    chunk. Rows of 2 and 64 words take the pairs in rounds of gather-XORs
-    (of 2 words, a chunk or two at a time), rows of 1 024 words one pivot
-    at a time. The blocks have one row, fewer rows than a table and more;
-    the coefficients are all set (every row takes the sum of all the basis
-    rows, as in the last steps at q = 256, h = 255), dense (about half the
-    pivots per row), sparse (a few pivots in the whole block), or sparse
-    with the first row all set."""
+    every basis row added one at a time, with every chunk added through
+    its table, with every chunk added by its pairs, and with the rules
+    choosing. The ranks are not multiples of TABLE_BITS, so the last chunk
+    is short; ranks 1 and 5 are a single short chunk, which the rules
+    reduce one basis row at a time, and the others span several chunks,
+    which they reduce by tables and pairs. Rows of 2 and 64 words take the
+    pairs in rounds of gather-XORs (of 2 words, a chunk or two at a time),
+    rows of 1 024 words one pivot at a time. The blocks have one row,
+    fewer rows than a table and more; the coefficients are all set (every
+    row takes the sum of all the basis rows, as in the last steps at
+    q = 256, h = 255), dense (about half the pivots per row), sparse (a
+    few pivots in the whole block), or sparse with the first row all
+    set."""
     import wedgelift.linalg as linalg_module
 
     assert rank % TABLE_BITS
@@ -439,7 +444,11 @@ def test_table_reduction_equals_pivot_reduction(ncols, rank, monkeypatch) -> Non
     pivots = echelon.pivots
     clear = np.zeros(_words(ncols), dtype=WORD)
     np.bitwise_or.at(clear, pivots >> 6, np.uint64(1) << (pivots & 63).astype(WORD))
-    rules = (lambda *_: True, lambda *_: False, linalg_module._table_pays)
+    # (_pivots_pay, _table_pays): one basis row at a time, tables, pairs, chosen.
+    always, never = (lambda *_: True), (lambda *_: False)
+    rules = [(always, never), (never, always), (never, never),
+             (linalg_module._pivots_pay, linalg_module._table_pays)]
+    assert linalg_module._pivots_pay(rank) == (rank <= TABLE_BITS)
     for nrows in 1, (1 << TABLE_BITS) // 3, 3 << TABLE_BITS:
         for density in 1.0, 0.5, 0.004, -0.004:
             coefficients = rng.random((nrows, rank)) < abs(density)
@@ -451,8 +460,9 @@ def test_table_reduction_equals_pivot_reduction(ncols, rank, monkeypatch) -> Non
                 block[coefficients[:, k]] ^= row
             expected = reduce_by_pivots(block, echelon)
             assert np.array_equal(expected, rest)
-            for rule in rules:
-                monkeypatch.setattr(linalg_module, "_table_pays", rule)
+            for pivots, table in rules:
+                monkeypatch.setattr(linalg_module, "_pivots_pay", pivots)
+                monkeypatch.setattr(linalg_module, "_table_pays", table)
                 reduced = block.copy()
                 echelon._reduce(reduced, 0, rank)
                 assert np.array_equal(reduced, expected)
@@ -520,15 +530,19 @@ def closure_digest(ell: int, h: int) -> tuple[tuple[int, int], str]:
     return reduced.shape, hashlib.sha256(reduced.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("form", ["basis", "seeds", "chosen"])
+@pytest.mark.parametrize("form", ["basis", "seeds", "chosen", "pivots", "chunks"])
 def test_closure_step_forms_give_the_same_rref(form, monkeypatch) -> None:
     """Every step translating the whole basis, every step breadth-first from
     the seeds with no switch to the basis, and the forms the closure
-    chooses, give the same RREF: on the random seeds of
+    chooses, give the same RREF; so do the chosen step forms with every
+    reduction taking one basis row at a time ("pivots"), and with none
+    doing so, so that reductions against one chunk take its table or its
+    pairs ("chunks"). Each is checked on the random seeds of
     test_translation_closure_is_rref_of_every_translate (against the RREF
-    of every translate), on q16h5, q64h9 and q64h3 (against the pinned
-    digests), and on q16h5 and one random case with one-row batches, so
-    that a breadth-first round spans several batches."""
+    of every translate, with its rank as the bound), on q16h5, q64h9 and
+    q64h3 (against the pinned digests), and on q16h5 and one random case
+    with one-row batches, so that a breadth-first round spans several
+    batches."""
     import wedgelift.linalg as linalg_module
 
     taken = []
@@ -537,23 +551,53 @@ def test_closure_step_forms_give_the_same_rref(form, monkeypatch) -> None:
     monkeypatch.setattr(
         GF2Echelon, "_close_bit_from", lambda self, seeds, bit: taken.append("seeds") or close_bit_from(self, seeds, bit)
     )
-    if form != "chosen":
+    if form in ("basis", "seeds"):
         monkeypatch.setattr(linalg_module, "_seeds_pay", lambda *_: form == "seeds")
+    if form in ("pivots", "chunks"):
+        monkeypatch.setattr(linalg_module, "_pivots_pay", lambda *_: form == "pivots")
     rng = np.random.default_rng(22)
     for ncols in (1, 2, 16, 64, 256):
         for nseeds in (1, 2, 3):
             m = seeds_below_full_closure(rng, nseeds, ncols)
             reference = gf2_rref(rows_to_bitsets(every_translate(m)))
-            assert packed_rref(translation_closure([pack_rows(m)], ncols)) == reference
+            closure = translation_closure([pack_rows(m)], ncols, capacity=len(reference))
+            assert packed_rref(closure) == reference
     for ell, h in CLOSURE_RREF_SHA256.keys() - {(8, 85)}:
         assert closure_digest(ell, h) == CLOSURE_RREF_SHA256[ell, h]
-    assert set(taken) == ({"basis", "seeds"} if form == "chosen" else {form})
+    assert set(taken) == ({form} if form in ("basis", "seeds") else {"basis", "seeds"})
     monkeypatch.setattr(linalg_module, "MIN_BATCH_ROWS", 1)
     monkeypatch.setattr(linalg_module, "BATCH_BYTES", 8)
     assert closure_digest(4, 5) == CLOSURE_RREF_SHA256[4, 5]
     m = seeds_below_full_closure(rng, 3, 256)
     reference = gf2_rref(rows_to_bitsets(every_translate(m)))
-    assert packed_rref(translation_closure([pack_rows(m)], 256)) == reference
+    closure = translation_closure([pack_rows(m)], 256, capacity=len(reference))
+    assert packed_rref(closure) == reference
+
+
+def test_unbounded_closure_takes_the_full_form_at_q64h9(monkeypatch) -> None:
+    """With no rank bound the basis array starts at 64 rows and grows, and
+    its size bounds nothing, so every step translates the whole basis:
+    1 803 rows at q64h9 (7 seeds and each step's starting rank), not the
+    1 852 that choosing forms from the grown array's free rows fed. The
+    RREF is the pinned one; build_code, which passes the bad count, keeps
+    its 1 273 rows (test_closure_step_forms_and_rows_fed_at_q64h9)."""
+    import hashlib
+
+    fed = []
+    add_batch = GF2Echelon._add_batch
+
+    def counting(self, block, frozen=0):
+        fed.append(len(block))
+        add_batch(self, block, frozen)
+
+    monkeypatch.setattr(GF2Echelon, "_add_batch", counting)
+    monkeypatch.setattr(GF2Echelon, "_close_bit_from", None)
+    family = make_coset_family(make_field(6), 9)
+    reduced = translation_closure(iter_parity_rows(family), 64 * 64).reduced()
+    assert sum(fed) == 1803
+    shape, digest = CLOSURE_RREF_SHA256[6, 9]
+    assert reduced.shape == shape
+    assert hashlib.sha256(reduced.tobytes()).hexdigest() == digest
 
 
 def test_closure_rref_pinned_at_q256h255() -> None:
